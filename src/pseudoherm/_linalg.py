@@ -15,6 +15,11 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def scale_of(a) -> float:
+    """max_abs(a) floored at 1e-300: the denominator of a normalized residual."""
+    return max(max_abs(a), 1e-300)
+
+
 def hermitian_defect(a) -> float:
     """max-norm of a - a^dagger."""
     a = np.asarray(a)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from ._linalg import (
     CheckResult,
@@ -28,6 +29,7 @@ from ._linalg import (
     make_check,
     max_abs,
     require_same_dim,
+    scale_of,
     symmetric_defect,
 )
 from .eigensystem import DEFAULT_COND_CEILING, DEFAULT_TOL, BiorthonormalSystem
@@ -59,7 +61,7 @@ class AntilinearOperator:
 
     def is_anti_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
         """Matrix-transpose symmetry, the representation of anti-Hermiticity."""
-        return symmetric_defect(self.matrix) <= tol * max(max_abs(self.matrix), 1e-300)
+        return symmetric_defect(self.matrix) <= tol * scale_of(self.matrix)
 
     @property
     def adjoint(self) -> "AntilinearOperator":
@@ -113,17 +115,16 @@ def build_tau(
 ) -> AntilinearOperator:
     """Anti-Hermitian automorphism tau attached to (sys, coeffs).
 
-    Unspecified coefficients default to identity blocks, the canonical
-    choice.  The result satisfies m = m^T exactly up to accumulation error
-    and intertwines H^dagger with conj(H).
+    The matrix is ``Phi blockdiag(c) Phi^T``; unspecified coefficients give
+    the canonical choice ``Phi Phi^T``, which needs no validation.  The
+    result satisfies m = m^T up to accumulation error and intertwines
+    H^dagger with conj(H).
     """
+    phi = sys.phi_matrix
     if coeffs is None:
-        coeffs = CoefficientFamily.identity_for(sys)
+        return AntilinearOperator(phi @ phi.T)
     coeffs.validate_against(sys)
-    m = np.zeros((sys.dim, sys.dim), dtype=np.complex128)
-    for lv, block in zip(sys.levels, coeffs.blocks):
-        m += lv.phi @ np.asarray(block, dtype=np.complex128) @ lv.phi.T
-    return AntilinearOperator(m)
+    return AntilinearOperator(phi @ scipy.linalg.block_diag(*coeffs.blocks) @ phi.T)
 
 
 def canonical_tau(sys: BiorthonormalSystem) -> AntilinearOperator:
@@ -135,15 +136,13 @@ def canonical_tau(sys: BiorthonormalSystem) -> AntilinearOperator:
 def invert_tau(
     sys: BiorthonormalSystem, coeffs: CoefficientFamily | None = None
 ) -> AntilinearOperator:
-    """Inverse automorphism tau^{-1} for the same (sys, coeffs)."""
+    """Inverse automorphism ``tau^{-1} = Psi blockdiag(conj(c^{-1})) Psi^T``."""
+    psi = sys.psi_matrix
     if coeffs is None:
-        coeffs = CoefficientFamily.identity_for(sys)
+        return AntilinearOperator(psi @ psi.T)
     coeffs.validate_against(sys)
-    m = np.zeros((sys.dim, sys.dim), dtype=np.complex128)
-    for lv, block in zip(sys.levels, coeffs.blocks):
-        inv_block = np.linalg.inv(np.asarray(block, dtype=np.complex128))
-        m += lv.psi @ np.conj(inv_block) @ lv.psi.T
-    return AntilinearOperator(m)
+    c_inv = scipy.linalg.block_diag(*[np.conj(np.linalg.inv(b)) for b in coeffs.blocks])
+    return AntilinearOperator(psi @ c_inv @ psi.T)
 
 
 def is_anti_pseudo_hermitian(

@@ -13,9 +13,9 @@ import sys
 
 
 from . import io
-from ._linalg import hermitian_defect, max_abs, symmetric_defect
+from ._linalg import hermitian_defect, max_abs, scale_of, symmetric_defect
 from .antilinear import build_tau, canonical_tau, is_anti_pseudo_hermitian
-from .eigensystem import biorthonormal_eigensystem, classify_spectrum
+from .eigensystem import DEFAULT_REALNESS_TOL, biorthonormal_eigensystem, classify_spectrum
 from .errors import (
     AmbiguousPairingError,
     NotASymmetryError,
@@ -28,7 +28,7 @@ from .errors import (
     UnpairedSpectrumError,
 )
 from .factor import symmetric_factor
-from .hermitize import apply_transform, hermitizing_transform, real_spectrum_equivalence_report
+from .hermitize import ReportStageError, _report, apply_transform, hermitizing_transform
 from .metric import build_metric, evolution_invariance_check, is_pseudo_hermitian
 from .ptmodel import (
     build_pt_hamiltonian,
@@ -88,8 +88,13 @@ def _levels_payload(system) -> list:
 
 
 def cmd_analyze(args) -> int:
-    h, system, cls = _analysis(args)
-    report = real_spectrum_equivalence_report(h, args.tol, seed=args.seed)
+    h = io.load_matrix(args.matrix)
+    try:
+        report, system, cls = _report(h, args.tol, DEFAULT_REALNESS_TOL, args.cluster_gap, args.seed)
+    except ReportStageError as exc:
+        if exc.stage in ("eigensystem", "classification"):
+            raise exc.__cause__ from None  # no analysis at all: report the cause itself
+        raise
     payload = {
         "spectrum_class": cls.tag.value,
         "levels": _levels_payload(system),
@@ -124,7 +129,7 @@ def cmd_tau(args) -> int:
     coeffs = io.load_coefficients(args.coeffs) if args.coeffs else None
     tau = build_tau(system, coeffs)
     check = is_anti_pseudo_hermitian(h, tau, args.tol)
-    sym = symmetric_defect(tau.matrix) / max(max_abs(tau.matrix), 1e-300)
+    sym = symmetric_defect(tau.matrix) / scale_of(tau.matrix)
     _emit(
         args,
         {
@@ -159,7 +164,7 @@ def cmd_hermitize(args) -> int:
     h, system, cls = _analysis(args)
     transform = hermitizing_transform(system, cls)
     h_t = apply_transform(transform, h)
-    resid = hermitian_defect(h_t) / max(max_abs(h_t), 1e-300)
+    resid = hermitian_defect(h_t) / scale_of(h_t)
     _emit(
         args,
         {
@@ -190,8 +195,8 @@ def cmd_pt_model(args) -> int:
     eta = eta_from_tau_pt(h, tau, p, args.tol)
     payload = {
         "spectrum_class": cls.tag.value,
-        "parity_intertwining_residual": r_parity / max(max_abs(h), 1e-300),
-        "pt_commutation_residual": r_ptsym / max(max_abs(h), 1e-300),
+        "parity_intertwining_residual": r_parity / scale_of(h),
+        "pt_commutation_residual": r_ptsym / scale_of(h),
         "eta_intertwining_residual": is_pseudo_hermitian(h, eta, args.tol).residual,
         "time_reversal_intertwining": is_anti_pseudo_hermitian(h, time_reversal(args.n), args.tol).residual,
         "levels": _levels_payload(system),
@@ -206,7 +211,7 @@ def cmd_pt_model(args) -> int:
 def cmd_factor(args) -> int:
     c = io.load_matrix(args.matrix)
     v = symmetric_factor(c, args.tol)
-    resid = max_abs(v @ v.T - c) / max(max_abs(c), 1e-300)
+    resid = max_abs(v @ v.T - c) / scale_of(c)
     _emit(
         args,
         {

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_square_matrix, condition_number, max_abs
+from ._linalg import as_square_matrix, condition_number, max_abs, scale_of
 from .errors import AmbiguousPairingError, NotDiagonalizableError
 
 DEFAULT_TOL = 1e-10
@@ -169,11 +169,13 @@ def biorthonormal_eigensystem(
         near-defective input, or an unreachable tolerance).
     """
     H = as_square_matrix(H, "H")
-    n = H.shape[0]
-    scale = max_abs(H)
-    if cluster_gap is None:
-        cluster_gap = CLUSTER_GAP_FACTOR * scale
+    return _assemble(_raw_levels(H, cluster_gap, cond_ceiling), H, tol)
 
+
+def _raw_levels(H: np.ndarray, cluster_gap, cond_ceiling=DEFAULT_COND_CEILING) -> list:
+    """(energy, orthonormal psi block) per level, sorted by (Re E, Im E)."""
+    if cluster_gap is None:
+        cluster_gap = CLUSTER_GAP_FACTOR * max_abs(H)
     w, v = np.linalg.eig(H)
     cond = condition_number(v)
     if cond > cond_ceiling:
@@ -181,37 +183,31 @@ def biorthonormal_eigensystem(
             f"eigenvector matrix condition number {cond:.3e} exceeds ceiling "
             f"{cond_ceiling:.3e}; input is defective or nearly so"
         )
+    levels = [
+        (complex(np.mean(w[idx])), np.linalg.qr(v[:, idx])[0])
+        for idx in _cluster_indices(w, cluster_gap)
+    ]
+    return sorted(levels, key=lambda t: (t[0].real, t[0].imag))
 
-    levels_raw = []
-    for idx in _cluster_indices(w, cluster_gap):
-        energy = complex(np.mean(w[idx]))
-        q, _ = np.linalg.qr(v[:, idx])
-        levels_raw.append((energy, q))
-    levels_raw.sort(key=lambda t: (t[0].real, t[0].imag))
 
-    psi = np.hstack([q for _, q in levels_raw])
-    phi_rows = np.linalg.inv(psi)  # rows are the phi^dagger vectors
-    levels = []
-    start = 0
+def _assemble(levels_raw: list, H: np.ndarray, tol: float) -> BiorthonormalSystem:
+    """System with phi blocks from the rows of Psi^{-1}, verified against H."""
+    phi_rows = np.linalg.inv(np.hstack([q for _, q in levels_raw]))
+    levels, start = [], 0
     for energy, q in levels_raw:
         d = q.shape[1]
         levels.append(EigenLevel(energy, q, phi_rows[start : start + d, :].conj().T))
         start += d
-
-    sys = BiorthonormalSystem(dim=n, levels=tuple(levels), tol=tol)
-    _verify_system(sys, H, tol, scale)
+    sys = BiorthonormalSystem(dim=H.shape[0], levels=tuple(levels), tol=tol)
+    _verify_system(sys, H, tol)
     return sys
 
 
-def _verify_system(sys: BiorthonormalSystem, H: np.ndarray, tol: float, scale: float) -> None:
+def _verify_system(sys: BiorthonormalSystem, H: np.ndarray, tol: float) -> None:
     psi, phi = sys.psi_matrix, sys.phi_matrix
     energies = sys.energies
-    eye = np.eye(sys.dim)
-    residuals = {
-        "biorthonormality": max_abs(phi.conj().T @ psi - eye),
-        "completeness": max_abs(psi @ phi.conj().T - eye),
-    }
-    hscale = max(scale, 1e-300)
+    residuals = dict(zip(("biorthonormality", "completeness"), biorthonormality_residuals(sys)))
+    hscale = scale_of(H)
     residuals["right_eigen"] = max_abs(H @ psi - psi * energies) / hscale
     residuals["left_eigen"] = max_abs(H.conj().T @ phi - phi * np.conj(energies)) / hscale
     residuals["reconstruction"] = max_abs((psi * energies) @ phi.conj().T - H) / hscale
@@ -249,8 +245,13 @@ def classify_spectrum(
         of the conjugate target — a sign that realness_tol is coarser than
         the level spacing.
     """
-    energies = np.array([lv.energy for lv in sys.levels])
-    mult = [lv.multiplicity for lv in sys.levels]
+    return _classify([(lv.energy, lv.psi) for lv in sys.levels], realness_tol)
+
+
+def _classify(levels_raw: list, realness_tol: float) -> SpectrumClass:
+    """classify_spectrum on (energy, psi block) pairs."""
+    energies = np.array([e for e, _ in levels_raw])
+    mult = [q.shape[1] for _, q in levels_raw]
     k = len(energies)
     pairing = list(range(k))
     real = [abs(e.imag) <= realness_tol for e in energies]

@@ -87,9 +87,9 @@ def _separated(candidates: list[complex], value: complex, gap: float) -> bool:
     )
 
 
-def _draw_real(rng, taken, gap=MIN_LEVEL_GAP):
+def _draw_real(rng, taken, radius, gap=MIN_LEVEL_GAP):
     while True:
-        v = complex(rng.uniform(-3.0, 3.0))
+        v = complex(rng.uniform(-radius, radius))
         if _separated(taken, v, gap):
             return v
 
@@ -128,11 +128,11 @@ def planted_matrix(
 
     kind="real": all eigenvalues real.  kind="paired": at least one strict
     conjugate pair, the rest real.  kind="unpaired": at least one complex
-    eigenvalue without a partner.  Distinct level values are separated by
-    at least 0.25 (also from conjugates), and complex values keep
-    |Im E| >= 0.3 so classification at any tolerance below 0.1 is
-    unambiguous.  Degenerate levels (d=2, d=3) appear at random unless
-    disabled.
+    eigenvalue without a partner.  Real levels lie in [-r, r] with
+    r = max(3, 0.25 dim); distinct level values are separated by at least
+    0.25 (also from conjugates), and complex values keep |Im E| >= 0.3 so
+    classification at any tolerance below 0.1 is unambiguous.  Degenerate
+    levels (d=2, d=3) appear at random unless disabled.
     """
     if kind not in ("real", "paired", "unpaired"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -166,8 +166,9 @@ def planted_matrix(
             add_level(z, 1)
             remaining -= 1
 
+    radius = max(3.0, MIN_LEVEL_GAP * dim)  # dim levels always fit at the gap
     for mult in _multiplicities(rng, remaining, degenerate):
-        add_level(_draw_real(rng, taken), mult)
+        add_level(_draw_real(rng, taken, radius), mult)
 
     s = random_invertible(rng, dim, max_cond)
     h = s @ np.diag(np.array(values)) @ np.linalg.inv(s)

@@ -17,6 +17,7 @@ from ._linalg import (
     as_square_matrix,
     condition_number,
     max_abs,
+    scale_of,
     sqrt_unitary_symmetric,
     symmetric_defect,
 )
@@ -49,12 +50,12 @@ def symmetric_factor(c, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     c = as_square_matrix(c, "c")
     n = c.shape[0]
-    scale = max_abs(c)
-    if symmetric_defect(c) > tol * max(scale, 1e-300):
+    scale = scale_of(c)
+    if symmetric_defect(c) > tol * scale:
         raise NotSymmetricError("input is not complex symmetric")
 
     u, s, vh = np.linalg.svd(c)
-    if s[-1] <= 1e-12 * max(s[0], 1e-300):
+    if s[-1] <= 1e-12 * scale_of(s):
         raise SingularInputError("input is numerically singular; no invertible factor exists")
 
     for i in range(n):
@@ -75,7 +76,7 @@ def symmetric_factor(c, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     v = (u @ np.conj(q)) * np.sqrt(s)
     residual = max_abs(v @ v.T - c)
-    if residual > tol * max(scale, 1e-300):
+    if residual > tol * scale:
         raise PseudoHermError(
             f"factorization residual {residual:.3e} exceeds tolerance; "
             "singular values may be too clustered for the grouping rule"

@@ -21,6 +21,7 @@ from ._linalg import (
     hermitian_defect,
     max_abs,
     require_same_dim,
+    scale_of,
     solve,
 )
 from .antilinear import canonical_tau, is_anti_pseudo_hermitian
@@ -37,10 +38,12 @@ from .eigensystem import (
 )
 from .errors import (
     PseudoHermError,
+    SingularEtaError,
     SingularTransformError,
     SpectrumNotRealError,
     UnpairedSpectrumError,
 )
+from .io import matrix_to_dict
 from .metric import (
     MetricOperator,
     build_metric,
@@ -77,22 +80,27 @@ def hermitizing_transform(
     """Transform A with ``A H A^{-1}`` Hermitian, for an all-real spectrum.
 
     A is the adjoint of the positive metric's natural factor, i.e.
-    ``Phi^dagger``; the transformed matrix is diagonal with the level
-    energies up to rounding.
+    ``Phi^dagger``; the transformed matrix ``Phi^dagger H Psi`` is diagonal
+    with the level energies up to rounding.
 
     Raises
     ------
     SpectrumNotRealError
         If the classification is not all-real; no hermitizing similarity
         exists then.
+    SingularEtaError, SingularTransformError
+        If the metric ``A^dagger A`` or A itself is too ill-conditioned.
     """
     if cls.tag is not SpectrumTag.ALL_REAL:
         raise SpectrumNotRealError(
             f"spectrum classified as {cls.tag.value}; hermitization needs an all-real spectrum"
         )
-    metric = build_metric(sys, cls)
-    a = metric.factor.conj().T
-    if condition_number(a) > cond_ceiling:
+    a = sys.phi_matrix.conj().T
+    # kappa(eta) = kappa(A)^2 for the positive metric eta = A^dagger A
+    kappa = condition_number(a)
+    if kappa * kappa > DEFAULT_COND_CEILING:
+        raise SingularEtaError("the positive metric A^dagger A is too ill-conditioned")
+    if kappa > cond_ceiling:
         raise SingularTransformError("hermitizing transform is too ill-conditioned")
     return PseudoCanonicalTransform(matrix=a)
 
@@ -116,12 +124,6 @@ def metric_from_transform(transform: PseudoCanonicalTransform) -> MetricOperator
     return MetricOperator(matrix=eta, positive_definite=True, factor=a.conj().T)
 
 
-def _matrix_payload(m: np.ndarray) -> dict:
-    from .io import matrix_to_dict  # local import: io pulls in several modules
-
-    return matrix_to_dict(m)
-
-
 def real_spectrum_equivalence_report(
     H,
     tol: float = DEFAULT_TOL,
@@ -143,13 +145,18 @@ def real_spectrum_equivalence_report(
     ``{"input": ..., "spectrum_class": ..., "residuals": {...},
     "certificates": {"eta": ..., "A": ..., "X": ...}, ...}``.
     """
+    return _report(H, tol, realness_tol, cluster_gap, seed)[0]
+
+
+def _report(H, tol, realness_tol, cluster_gap, seed) -> tuple:
+    """(report, eigensystem, spectrum class) of one run of the chain."""
     H = as_square_matrix(H, "H")
     rng = np.random.default_rng(seed)
     residuals: dict[str, float] = {}
     refusals: dict[str, str] = {}
     certificates: dict[str, dict | None] = {"eta": None, "A": None, "X": None}
     report = {
-        "input": _matrix_payload(H),
+        "input": matrix_to_dict(H),
         "spectrum_class": None,
         "tolerances": {
             "tol": tol,
@@ -186,29 +193,23 @@ def real_spectrum_equivalence_report(
     metric = run("metric", lambda: build_metric(sys, cls))
     if metric is not None:
         report["positive_definite_metric"] = metric.positive_definite
-        residuals["metric_hermiticity"] = hermitian_defect(metric.matrix) / max(
-            max_abs(metric.matrix), 1e-300
-        )
+        residuals["metric_hermiticity"] = hermitian_defect(metric.matrix) / scale_of(metric.matrix)
         residuals["metric_intertwining"] = is_pseudo_hermitian(H, metric, tol).residual
-        certificates["eta"] = _matrix_payload(metric.matrix)
+        certificates["eta"] = matrix_to_dict(metric.matrix)
 
         x = run("symmetry", lambda: antilinear_symmetry(metric, tau))
         residuals["symmetry_commutation"] = commutes_with(H, x, tol).residual
-        certificates["X"] = _matrix_payload(x.matrix)
+        certificates["X"] = matrix_to_dict(x.matrix)
         report["exact_symmetry"] = run("exactness", lambda: is_exact_symmetry(sys, x, tol))
 
     transform = run("hermitization", lambda: hermitizing_transform(sys, cls))
     if transform is not None:
         h_t = apply_transform(transform, H)
-        residuals["hermitized_hermiticity"] = hermitian_defect(h_t) / max(max_abs(h_t), 1e-300)
-        residuals["hermitized_eigenvalue_match"] = float(
-            np.max(
-                np.abs(
-                    np.sort_complex(np.linalg.eigvals(h_t)) - np.sort_complex(np.linalg.eigvals(H))
-                )
-            )
-        )
-        certificates["A"] = _matrix_payload(transform.matrix)
+        residuals["hermitized_hermiticity"] = hermitian_defect(h_t) / scale_of(h_t)
+        # A H A^{-1} = Phi^dagger H Psi = diag(E) by construction
+        match = max_abs(h_t - np.diag(sys.energies)) / scale_of(H)
+        residuals["hermitized_eigenvalue_match"] = match
+        certificates["A"] = matrix_to_dict(transform.matrix)
 
         eta_pd = metric_from_transform(transform)
         worst = 0.0
@@ -217,8 +218,7 @@ def real_spectrum_equivalence_report(
             zeta = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
             lhs = indefinite_inner_product(eta_pd, xi, H @ zeta)
             rhs = np.conj(indefinite_inner_product(eta_pd, zeta, H @ xi))
-            denom = max(abs(lhs), abs(rhs), 1e-300)
-            worst = max(worst, abs(lhs - rhs) / denom)
+            worst = max(worst, abs(lhs - rhs) / scale_of([lhs, rhs]))
         residuals["inner_product_hermiticity"] = worst
 
-    return report
+    return report, sys, cls

@@ -18,11 +18,10 @@ from .metric import MetricOperator
 
 
 def matrix_to_dict(m) -> dict:
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.ascontiguousarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    flat = m.reshape(-1)
-    return {"n": int(m.shape[0]), "data": [[float(z.real), float(z.imag)] for z in flat]}
+    return {"n": int(m.shape[0]), "data": m.view(np.float64).reshape(-1, 2).tolist()}
 
 
 def matrix_from_dict(payload: dict) -> np.ndarray:
@@ -30,12 +29,12 @@ def matrix_from_dict(payload: dict) -> np.ndarray:
     data = payload["data"]
     if n < 1:
         raise DimensionMismatchError("matrix dimension must be at least 1")
-    if len(data) != n * n:
-        raise DimensionMismatchError(f"data has {len(data)} entries, expected {n * n}")
-    values = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-    if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
+    values = np.array(data, dtype=np.float64)
+    if values.shape != (n * n, 2):
+        raise DimensionMismatchError(f"data has shape {values.shape}, expected ({n * n}, 2)")
+    if not np.all(np.isfinite(values)):
         raise NonFiniteError("matrix data contains NaN or Inf")
-    return values.reshape(n, n)
+    return values.view(np.complex128).reshape(n, n)
 
 
 def save_matrix(path, m) -> None:

@@ -5,7 +5,8 @@ pseudo-Hermitian with respect to it when ``H^dagger eta = eta H``.  For a
 spectrum that is real or conjugate-paired, a metric is assembled from the
 left eigenvector blocks: real levels contribute ``phi_n phi_n^dagger`` and
 conjugate pairs contribute the cross terms
-``phi_n phi_nbar^dagger + phi_nbar phi_n^dagger``.  With an all-real
+``phi_n phi_nbar^dagger + phi_nbar phi_n^dagger``, in all one product
+``Phi W Phi[:, pi]^dagger`` with pi swapping partner columns.  With an all-real
 spectrum this is ``Phi Phi^dagger``, positive-definite with natural factor
 ``Phi``.
 """
@@ -26,6 +27,7 @@ from ._linalg import (
     make_check,
     max_abs,
     require_same_dim,
+    scale_of,
     solve,
 )
 from .eigensystem import (
@@ -80,7 +82,7 @@ def metric_from_matrix(
     from the spectrum and, when positive, attaches a Cholesky factor.
     """
     m = as_square_matrix(eta, "eta")
-    if hermitian_defect(m) > tol * max(max_abs(m), 1e-300):
+    if hermitian_defect(m) > tol * scale_of(m):
         raise NonHermitianEtaError("candidate metric is not Hermitian within tolerance")
     if condition_number(m) > cond_ceiling:
         raise SingularEtaError("candidate metric is singular or too ill-conditioned")
@@ -99,7 +101,7 @@ def is_pseudo_hermitian(H, eta, tol: float = DEFAULT_TOL) -> CheckResult:
     H = as_square_matrix(H, "H")
     m = _eta_matrix(eta)
     require_same_dim(H, m, "H and eta")
-    if hermitian_defect(m) > tol * max(max_abs(m), 1e-300):
+    if hermitian_defect(m) > tol * scale_of(m):
         raise NonHermitianEtaError("eta is not Hermitian within tolerance")
     raw = max_abs(H.conj().T @ m - m @ H)
     return make_check(raw, max_abs(H) * max_abs(m), tol)
@@ -144,22 +146,17 @@ def build_metric(
         if np.any(w <= 0.0):
             raise ValueError("metric weights must be strictly positive")
 
-    eta = np.zeros((sys.dim, sys.dim), dtype=np.complex128)
-    for i, lv in enumerate(sys.levels):
-        j = cls.pairing[i]
-        wi = w[min(i, j)]
-        if j == i:
-            eta += wi * (lv.phi @ lv.phi.conj().T)
-        elif j > i:
-            pj = sys.levels[j].phi
-            eta += wi * (lv.phi @ pj.conj().T + pj @ lv.phi.conj().T)
+    # column c of level i pairs with the same column of level pairing[i]
+    slices = sys.level_slices()
+    perm = np.concatenate([np.arange(slices[j].start, slices[j].stop) for j in cls.pairing])
+    level_w = [w[min(i, j)] for i, j in enumerate(cls.pairing)]
+    col_w = np.repeat(level_w, [lv.multiplicity for lv in sys.levels])
+    phi = sys.phi_matrix
+    eta = (phi * col_w) @ phi[:, perm].conj().T
 
-    if cls.tag is SpectrumTag.ALL_REAL:
-        col_w = np.concatenate([[w[i]] * lv.multiplicity for i, lv in enumerate(sys.levels)])
-        factor = sys.phi_matrix * np.sqrt(col_w)
-        metric = MetricOperator(matrix=eta, positive_definite=True, factor=factor)
-    else:
-        metric = MetricOperator(matrix=eta, positive_definite=False, factor=None)
+    real = cls.tag is SpectrumTag.ALL_REAL
+    factor = phi * np.sqrt(col_w) if real else None
+    metric = MetricOperator(matrix=eta, positive_definite=real, factor=factor)
 
     if condition_number(eta) > cond_ceiling:
         raise SingularEtaError("constructed metric is too ill-conditioned")

@@ -26,6 +26,7 @@ from ._linalg import (
     hermitian_defect,
     max_abs,
     require_same_dim,
+    scale_of,
     sqrt_unitary_symmetric,
 )
 from .antilinear import AntilinearOperator
@@ -33,9 +34,9 @@ from .eigensystem import (
     DEFAULT_REALNESS_TOL,
     DEFAULT_TOL,
     BiorthonormalSystem,
-    EigenLevel,
-    biorthonormal_eigensystem,
-    classify_spectrum,
+    _assemble,
+    _classify,
+    _raw_levels,
 )
 from .errors import (
     AsymmetricPotentialError,
@@ -189,11 +190,10 @@ def eta_from_tau_pt(
     p = as_square_matrix(parity, "parity")
     require_same_dim(H, p, "H and parity")
     require_same_dim(H, tau.matrix, "H and tau")
-    scale = max(max_abs(H), 1e-300)
-    if max_abs(H @ p - p @ np.conj(H)) > tol * scale:
+    if max_abs(H @ p - p @ np.conj(H)) > tol * scale_of(H):
         raise NotPTSymmetricError("H does not commute with the parity-conjugation map")
     eta = tau.matrix @ np.conj(p)
-    if hermitian_defect(eta) > tol * max(max_abs(eta), 1e-300):
+    if hermitian_defect(eta) > tol * scale_of(eta):
         raise ResultNotHermitianError(
             "tau composed with parity-conjugation is not Hermitian; "
             "tau is inconsistent with H (try a parity-adapted eigenbasis)"
@@ -226,32 +226,22 @@ def pt_adapted_eigensystem(
     """
     H = as_square_matrix(H, "H")
     p = parity_matrix(H.shape[0]) if parity is None else as_square_matrix(parity, "parity")
-    scale = max(max_abs(H), 1e-300)
-    if max_abs(H @ p - p @ np.conj(H)) > tol * scale:
+    if max_abs(H @ p - p @ np.conj(H)) > tol * scale_of(H):
         raise NotPTSymmetricError("H does not commute with the parity-conjugation map")
 
-    sys = biorthonormal_eigensystem(H, tol, cluster_gap)
-    cls = classify_spectrum(sys, realness_tol)
-    pairing = cls.pairing
-    new_psi: list[np.ndarray] = [None] * len(sys.levels)
-    for i, lv in enumerate(sys.levels):
+    raw = _raw_levels(H, cluster_gap)
+    pairing = _classify(raw, realness_tol).pairing
+    new_psi: list[np.ndarray] = []
+    for i, (_, q) in enumerate(raw):
         j = pairing[i]
         if j == i:
             # parity-conjugation restricted to the level is an antiunitary
-            # involution; g is unitary symmetric and u conj(u)^{-1} = g
-            g = lv.phi.conj().T @ p @ np.conj(lv.psi)
-            new_psi[i] = lv.psi @ sqrt_unitary_symmetric(g)
+            # involution g conj(.) in the basis q; g is unitary symmetric and
+            # u conj(u)^{-1} = g
+            g = q.conj().T @ p @ np.conj(q)
+            new_psi.append(q @ sqrt_unitary_symmetric(g))
         elif j > i:
-            new_psi[i] = lv.psi
+            new_psi.append(q)
         else:
-            new_psi[i] = p @ np.conj(new_psi[j])
-
-    psi = np.hstack(new_psi)
-    phi_rows = np.linalg.inv(psi)
-    levels = []
-    start = 0
-    for lv, block in zip(sys.levels, new_psi):
-        d = block.shape[1]
-        levels.append(EigenLevel(lv.energy, block, phi_rows[start : start + d, :].conj().T))
-        start += d
-    return BiorthonormalSystem(dim=sys.dim, levels=tuple(levels), tol=sys.tol)
+            new_psi.append(p @ np.conj(new_psi[j]))
+    return _assemble([(e, q) for (e, _), q in zip(raw, new_psi)], H, tol)

@@ -18,6 +18,7 @@ from ._linalg import (
     make_check,
     max_abs,
     require_same_dim,
+    scale_of,
     solve,
 )
 from .antilinear import AntilinearOperator
@@ -85,7 +86,7 @@ def level_invariance_residuals(sys: BiorthonormalSystem, x: AntilinearOperator) 
         raise DimensionMismatchError(
             f"X has dimension {x.dim}, the system has dimension {sys.dim}"
         )
-    scale = max(max_abs(x.matrix), 1e-300)
+    scale = scale_of(x.matrix)
     out = []
     for lv in sys.levels:
         image = x.matrix @ np.conj(lv.psi)

@@ -31,14 +31,35 @@ def test_dict_structure():
     assert d == {"n": 1, "data": [[1.0, 2.0]]}
 
 
+def test_json_text_golden():
+    """Signed zeros, subnormals and huge values are written exactly."""
+    m = np.array(
+        [[complex(-0.0, 5e-324), complex(1e300, -2.5)], [complex(0.1, 0.0), complex(-3.0, -0.0)]]
+    )
+    text = json.dumps(matrix_to_dict(m))
+    assert text == (
+        '{"n": 2, "data": [[-0.0, 5e-324], [1e+300, -2.5], [0.1, 0.0], [-3.0, -0.0]]}'
+    )
+    back = matrix_from_dict(json.loads(text))
+    np.testing.assert_array_equal(back.view(np.float64), m.view(np.float64))
+    assert np.signbit(back[0, 0].real) and np.signbit(back[1, 1].imag)
+
+
 def test_wrong_length_rejected():
     with pytest.raises(DimensionMismatchError):
         matrix_from_dict({"n": 2, "data": [[1.0, 0.0]] * 3})
 
 
+def test_malformed_entry_rejected():
+    with pytest.raises(DimensionMismatchError):
+        matrix_from_dict({"n": 1, "data": [[1.0, 0.0, 2.0]]})
+
+
 def test_nonfinite_rejected():
     with pytest.raises(NonFiniteError):
         matrix_from_dict({"n": 1, "data": [[float("nan"), 0.0]]})
+    with pytest.raises(NonFiniteError):
+        matrix_from_dict({"n": 2, "data": [[0.0, 0.0]] * 3 + [[0.0, float("-inf")]]})
 
 
 def test_json_payload_is_plain(rng, tmp_path):
