@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
 
+DEFAULT_COND_CEILING = 1e8
+
 
 def max_abs(a) -> float:
     """Largest absolute entry (the max-norm used for every residual)."""
@@ -84,9 +86,9 @@ def condition_number(a: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
-def solve(a: np.ndarray, b: np.ndarray, error_cls, what: str, cond_ceiling: float = 1e12):
+def solve(a: np.ndarray, b: np.ndarray, error_cls, what: str):
     """np.linalg.solve wrapping singularity in a package error."""
-    if condition_number(a) > cond_ceiling:
+    if condition_number(a) > DEFAULT_COND_CEILING:
         raise error_cls(f"{what} is singular or too ill-conditioned to invert")
     try:
         return np.linalg.solve(a, b)

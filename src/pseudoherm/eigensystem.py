@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_square_matrix, condition_number, max_abs, scale_of
+from ._linalg import DEFAULT_COND_CEILING, as_square_matrix, condition_number, max_abs, scale_of
 from .errors import AmbiguousPairingError, NotDiagonalizableError
 
 DEFAULT_TOL = 1e-10
-DEFAULT_COND_CEILING = 1e8
 DEFAULT_REALNESS_TOL = 1e-8
 CLUSTER_GAP_FACTOR = 1e-8
 
@@ -183,10 +182,12 @@ def _raw_levels(H: np.ndarray, cluster_gap, cond_ceiling=DEFAULT_COND_CEILING) -
             f"eigenvector matrix condition number {cond:.3e} exceeds ceiling "
             f"{cond_ceiling:.3e}; input is defective or nearly so"
         )
-    levels = [
-        (complex(np.mean(w[idx])), np.linalg.qr(v[:, idx])[0])
-        for idx in _cluster_indices(w, cluster_gap)
-    ]
+    groups = _cluster_indices(w, cluster_gap)
+    q = {}  # orthonormal block by the level's first index, one stacked QR per multiplicity
+    for d in {len(idx) for idx in groups}:
+        same = [idx for idx in groups if len(idx) == d]
+        q.update(zip([idx[0] for idx in same], np.linalg.qr(v[:, same].transpose(1, 0, 2))[0]))
+    levels = [(complex(np.mean(w[idx])), q[idx[0]]) for idx in groups]
     return sorted(levels, key=lambda t: (t[0].real, t[0].imag))
 
 

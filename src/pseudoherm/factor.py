@@ -84,20 +84,17 @@ def symmetric_factor(c, tol: float = DEFAULT_TOL) -> np.ndarray:
     return v
 
 
-def _check_blocks(sys: BiorthonormalSystem, u_blocks, cond_ceiling: float) -> list[np.ndarray]:
-    if len(u_blocks) != len(sys.levels):
-        raise DimensionMismatchError(
-            f"{len(u_blocks)} basis-change blocks for {len(sys.levels)} levels"
-        )
+def _check_blocks(blocks, shapes, cond_ceiling: float, what: str) -> list[np.ndarray]:
+    """The blocks as complex arrays, one per expected shape, each invertible."""
+    if len(blocks) != len(shapes):
+        raise DimensionMismatchError(f"{len(blocks)} {what} blocks, expected {len(shapes)}")
     out = []
-    for k, (block, lv) in enumerate(zip(u_blocks, sys.levels)):
+    for k, (block, shape) in enumerate(zip(blocks, shapes)):
         b = np.asarray(block, dtype=np.complex128)
-        if b.shape != (lv.multiplicity, lv.multiplicity):
-            raise DimensionMismatchError(
-                f"block {k} has shape {b.shape}, level multiplicity is {lv.multiplicity}"
-            )
+        if b.shape != shape:
+            raise DimensionMismatchError(f"{what} block {k} has shape {b.shape}, expected {shape}")
         if condition_number(b) > cond_ceiling:
-            raise SingularBlockError(f"basis-change block {k} is singular or ill-conditioned")
+            raise SingularBlockError(f"{what} block {k} is singular or ill-conditioned")
         out.append(b)
     return out
 
@@ -110,11 +107,11 @@ def basis_change(
     Biorthonormality and completeness are preserved exactly; residuals grow
     at most by the block condition numbers.
     """
-    blocks = _check_blocks(sys, u_blocks, cond_ceiling)
+    shapes = [(lv.multiplicity, lv.multiplicity) for lv in sys.levels]
+    blocks = _check_blocks(u_blocks, shapes, cond_ceiling, "basis-change")
     levels = []
     for lv, b in zip(sys.levels, blocks):
-        b_inv_adj = np.linalg.inv(b).conj().T
-        levels.append(EigenLevel(lv.energy, lv.psi @ b, lv.phi @ b_inv_adj))
+        levels.append(EigenLevel(lv.energy, lv.psi @ b, lv.phi @ np.linalg.inv(b).conj().T))
     return BiorthonormalSystem(dim=sys.dim, levels=tuple(levels), tol=sys.tol)
 
 
@@ -127,20 +124,9 @@ def coefficient_transform(
     from the re-gauged basis is the same operator; symmetry of the blocks
     is preserved.
     """
-    if len(u_blocks) != len(coeffs.blocks):
-        raise DimensionMismatchError(
-            f"{len(u_blocks)} blocks for {len(coeffs.blocks)} coefficient blocks"
-        )
-    out = []
-    for k, (c, u) in enumerate(zip(coeffs.blocks, u_blocks)):
-        u = np.asarray(u, dtype=np.complex128)
-        c = np.asarray(c, dtype=np.complex128)
-        if u.shape != c.shape:
-            raise DimensionMismatchError(f"block {k}: shapes {u.shape} vs {c.shape}")
-        if condition_number(u) > cond_ceiling:
-            raise SingularBlockError(f"transform block {k} is singular or ill-conditioned")
-        out.append(u.conj().T @ c @ np.conj(u))
-    return CoefficientFamily(tuple(out))
+    cs = [np.asarray(c, dtype=np.complex128) for c in coeffs.blocks]
+    blocks = _check_blocks(u_blocks, [c.shape for c in cs], cond_ceiling, "transform")
+    return CoefficientFamily(tuple(u.conj().T @ c @ np.conj(u) for c, u in zip(cs, blocks)))
 
 
 def canonicalize_tau(
@@ -155,9 +141,10 @@ def canonicalize_tau(
     to the choice of eigenbasis.
     """
     coeffs.validate_against(sys)
-    u_blocks = []
-    for c in coeffs.blocks:
+    levels = []
+    for lv, c in zip(sys.levels, coeffs.blocks):
         v = symmetric_factor(np.asarray(c, dtype=np.complex128), tol)
-        u_blocks.append(np.linalg.inv(v.conj().T))
-    new_sys = basis_change(sys, u_blocks)
+        # u = (v^dagger)^{-1}, so the phi gauge (u^{-1})^dagger is v itself
+        levels.append(EigenLevel(lv.energy, lv.psi @ np.linalg.inv(v.conj().T), lv.phi @ v))
+    new_sys = BiorthonormalSystem(dim=sys.dim, levels=tuple(levels), tol=sys.tol)
     return new_sys, build_tau(new_sys, None)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (
+    DEFAULT_COND_CEILING,
     as_square_matrix,
     condition_number,
     hermitian_defect,
@@ -24,9 +25,8 @@ from ._linalg import (
     scale_of,
     solve,
 )
-from .antilinear import canonical_tau, is_anti_pseudo_hermitian
+from .antilinear import AntilinearOperator, canonical_tau, is_anti_pseudo_hermitian
 from .eigensystem import (
-    DEFAULT_COND_CEILING,
     DEFAULT_REALNESS_TOL,
     DEFAULT_TOL,
     BiorthonormalSystem,
@@ -46,11 +46,12 @@ from .errors import (
 from .io import matrix_to_dict
 from .metric import (
     MetricOperator,
+    _partner_columns,
     build_metric,
     indefinite_inner_product,
     is_pseudo_hermitian,
 )
-from .symmetry import antilinear_symmetry, commutes_with, is_exact_symmetry
+from .symmetry import commutes_with, is_exact_symmetry
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ def apply_transform(transform: PseudoCanonicalTransform, H) -> np.ndarray:
 def metric_from_transform(transform: PseudoCanonicalTransform) -> MetricOperator:
     """Positive metric ``a^dagger a`` certified by a hermitizing transform."""
     a = transform.matrix
-    if condition_number(a) > 1e12:
+    if condition_number(a) > DEFAULT_COND_CEILING:
         raise SingularTransformError("transform is singular or too ill-conditioned")
     eta = a.conj().T @ a
     eta = (eta + eta.conj().T) / 2.0
@@ -145,18 +146,21 @@ def real_spectrum_equivalence_report(
     ``{"input": ..., "spectrum_class": ..., "residuals": {...},
     "certificates": {"eta": ..., "A": ..., "X": ...}, ...}``.
     """
-    return _report(H, tol, realness_tol, cluster_gap, seed)[0]
+    report = _report(H, tol, realness_tol, cluster_gap, seed)[0]
+    for key, m in report["certificates"].items():
+        report["certificates"][key] = m if m is None else matrix_to_dict(m)
+    return {**report, "input": matrix_to_dict(report["input"])}
 
 
 def _report(H, tol, realness_tol, cluster_gap, seed) -> tuple:
-    """(report, eigensystem, spectrum class) of one run of the chain."""
+    """(report, eigensystem, spectrum class) of one chain run; matrices stay arrays."""
     H = as_square_matrix(H, "H")
     rng = np.random.default_rng(seed)
     residuals: dict[str, float] = {}
     refusals: dict[str, str] = {}
-    certificates: dict[str, dict | None] = {"eta": None, "A": None, "X": None}
+    certificates: dict[str, np.ndarray | None] = {"eta": None, "A": None, "X": None}
     report = {
-        "input": matrix_to_dict(H),
+        "input": H,
         "spectrum_class": None,
         "tolerances": {
             "tol": tol,
@@ -180,6 +184,7 @@ def _report(H, tol, realness_tol, cluster_gap, seed) -> tuple:
             raise ReportStageError(stage, exc) from exc
 
     sys = run("eigensystem", lambda: biorthonormal_eigensystem(H, tol, cluster_gap))
+    psi, phi = sys.psi_matrix, sys.phi_matrix
     r_bi, r_comp = biorthonormality_residuals(sys)
     residuals["biorthonormality"] = r_bi
     residuals["completeness"] = r_comp
@@ -195,29 +200,30 @@ def _report(H, tol, realness_tol, cluster_gap, seed) -> tuple:
         report["positive_definite_metric"] = metric.positive_definite
         residuals["metric_hermiticity"] = hermitian_defect(metric.matrix) / scale_of(metric.matrix)
         residuals["metric_intertwining"] = is_pseudo_hermitian(H, metric, tol).residual
-        certificates["eta"] = matrix_to_dict(metric.matrix)
+        certificates["eta"] = metric.matrix
 
-        x = run("symmetry", lambda: antilinear_symmetry(metric, tau))
+        # X = eta^{-1} tau with eta^{-1} = Psi[:, pi] Psi^dagger and tau = Phi Phi^T
+        x = AntilinearOperator(psi[:, _partner_columns(sys, cls)] @ phi.T)
         residuals["symmetry_commutation"] = commutes_with(H, x, tol).residual
-        certificates["X"] = matrix_to_dict(x.matrix)
+        certificates["X"] = x.matrix
         report["exact_symmetry"] = run("exactness", lambda: is_exact_symmetry(sys, x, tol))
 
     transform = run("hermitization", lambda: hermitizing_transform(sys, cls))
     if transform is not None:
-        h_t = apply_transform(transform, H)
+        # A H A^{-1} with A^{-1} = Psi; it is diag(E) by construction
+        h_t = transform.matrix @ H @ psi
         residuals["hermitized_hermiticity"] = hermitian_defect(h_t) / scale_of(h_t)
-        # A H A^{-1} = Phi^dagger H Psi = diag(E) by construction
         match = max_abs(h_t - np.diag(sys.energies)) / scale_of(H)
         residuals["hermitized_eigenvalue_match"] = match
-        certificates["A"] = matrix_to_dict(transform.matrix)
+        certificates["A"] = transform.matrix
 
-        eta_pd = metric_from_transform(transform)
+        # the chain's eta is the positive metric A^dagger A = Phi Phi^dagger
         worst = 0.0
         for _ in range(8):
             xi = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
             zeta = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
-            lhs = indefinite_inner_product(eta_pd, xi, H @ zeta)
-            rhs = np.conj(indefinite_inner_product(eta_pd, zeta, H @ xi))
+            lhs = indefinite_inner_product(metric, xi, H @ zeta)
+            rhs = np.conj(indefinite_inner_product(metric, zeta, H @ xi))
             worst = max(worst, abs(lhs - rhs) / scale_of([lhs, rhs]))
         residuals["inner_product_hermiticity"] = worst
 

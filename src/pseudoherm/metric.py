@@ -107,6 +107,12 @@ def is_pseudo_hermitian(H, eta, tol: float = DEFAULT_TOL) -> CheckResult:
     return make_check(raw, max_abs(H) * max_abs(m), tol)
 
 
+def _partner_columns(sys: BiorthonormalSystem, cls: SpectrumClass) -> np.ndarray:
+    """Permutation pi pairing column c of level i with column c of level pairing[i]."""
+    slices = sys.level_slices()
+    return np.concatenate([np.arange(slices[j].start, slices[j].stop) for j in cls.pairing])
+
+
 def build_metric(
     sys: BiorthonormalSystem,
     cls: SpectrumClass,
@@ -146,13 +152,10 @@ def build_metric(
         if np.any(w <= 0.0):
             raise ValueError("metric weights must be strictly positive")
 
-    # column c of level i pairs with the same column of level pairing[i]
-    slices = sys.level_slices()
-    perm = np.concatenate([np.arange(slices[j].start, slices[j].stop) for j in cls.pairing])
     level_w = [w[min(i, j)] for i, j in enumerate(cls.pairing)]
     col_w = np.repeat(level_w, [lv.multiplicity for lv in sys.levels])
     phi = sys.phi_matrix
-    eta = (phi * col_w) @ phi[:, perm].conj().T
+    eta = (phi * col_w) @ phi[:, _partner_columns(sys, cls)].conj().T
 
     real = cls.tag is SpectrumTag.ALL_REAL
     factor = phi * np.sqrt(col_w) if real else None

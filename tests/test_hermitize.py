@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pseudoherm import (
     PseudoCanonicalTransform,
+    SingularTransformError,
     SpectrumNotRealError,
     apply_transform,
     biorthonormal_eigensystem,
@@ -106,6 +107,15 @@ def test_metric_from_transform_identity():
 def test_metric_from_transform_diagonal():
     metric = metric_from_transform(PseudoCanonicalTransform(np.diag([2.0, 1.0]).astype(complex)))
     np.testing.assert_allclose(metric.matrix, np.diag([4.0, 1.0]))
+
+
+def test_transform_condition_ceiling_is_1e8():
+    """kappa = 1e10 is refused by both consumers of a transform."""
+    transform = PseudoCanonicalTransform(np.diag([1.0, 1e-10]).astype(complex))
+    with pytest.raises(SingularTransformError):
+        apply_transform(transform, np.eye(2))
+    with pytest.raises(SingularTransformError):
+        metric_from_transform(transform)
 
 
 def test_metric_from_transform_certifies(planted_real):
