@@ -96,33 +96,20 @@ def solve(a: np.ndarray, b: np.ndarray, error_cls, what: str):
         raise error_cls(f"{what} is singular") from exc
 
 
-def sqrt_unitary_symmetric(g: np.ndarray, degeneracy_tol: float = 1e-8) -> np.ndarray:
-    """Symmetric unitary square root q of a unitary symmetric matrix g.
+def takagi_factor(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Takagi factor of a complex symmetric c: ``c = v v^T``, v = u diag(sqrt(s)).
 
-    Writes g = R diag(phases) R^T with R real orthogonal (the real and
-    imaginary parts of g commute, so they are simultaneously diagonalizable)
-    and halves the phases.  The result satisfies q^2 = g, q = q^T and
-    conj(q) = q^{-1}, with the branch sqrt(e^{i th}) = e^{i th/2}, th in
-    (-pi, pi].
+    u is unitary and s >= 0 holds the Takagi values (the singular values of
+    c) in ascending order (Horn & Johnson, Matrix Analysis, 4.4).  The n
+    largest eigenpairs (s, [x; y]) of the real symmetric embedding
+    ``[[Re c, -Im c], [-Im c, -Re c]]`` give ``u = x - i y`` with
+    ``c conj(u) = u diag(s)``; any orthonormal basis of a repeated Takagi
+    value will do, so clustered values need no grouping rule.  A singular c
+    may come out with tiny negative values in s; callers refuse it.
     """
-    g = np.asarray(g, dtype=np.complex128)
-    d = g.shape[0]
-    if d == 1:
-        z = g[0, 0]
-        return np.array([[np.sqrt(z)]])
-    wx, r = np.linalg.eigh(g.real)
-    r = r.copy()
-    # eigh fixes X = Re(g); rediagonalize Y = Im(g) inside degenerate X blocks
-    i = 0
-    while i < d:
-        j = i + 1
-        while j < d and wx[j] - wx[i] <= degeneracy_tol:
-            j += 1
-        if j - i > 1:
-            block = r[:, i:j]
-            yb = block.T @ g.imag @ block
-            _, ry = np.linalg.eigh((yb + yb.T) / 2.0)
-            r[:, i:j] = block @ ry
-        i = j
-    phases = np.diag(r.T @ g @ r)
-    return r @ np.diag(np.sqrt(phases)) @ r.T
+    n = c.shape[0]
+    if n == 1:
+        return np.sqrt(c), np.abs(c[0])
+    w, x = np.linalg.eigh(np.block([[c.real, -c.imag], [-c.imag, -c.real]]))
+    s = w[n:]
+    return (x[:n, n:] - 1j * x[n:, n:]) * np.sqrt(np.maximum(s, 0.0)), s

@@ -28,7 +28,7 @@ from .errors import (
     UnpairedSpectrumError,
 )
 from .factor import symmetric_factor
-from .hermitize import ReportStageError, _report, apply_transform, hermitizing_transform
+from .hermitize import ReportStageError, _report, hermitizing_transform
 from .metric import build_metric, evolution_invariance_check, is_pseudo_hermitian
 from .ptmodel import (
     build_pt_hamiltonian,
@@ -39,7 +39,7 @@ from .ptmodel import (
     pt_commutation_residuals,
     time_reversal,
 )
-from .symmetry import antilinear_symmetry, commutes_with, is_exact_symmetry
+from .symmetry import _canonical_symmetry, commutes_with, is_exact_symmetry
 
 VERIFICATION_ERRORS = (
     NotDiagonalizableError,
@@ -143,9 +143,8 @@ def cmd_tau(args) -> int:
 
 def cmd_symmetry(args) -> int:
     h, system, cls = _analysis(args)
-    metric = build_metric(system, cls)
-    tau = canonical_tau(system)
-    x = antilinear_symmetry(metric, tau)
+    build_metric(system, cls)  # refuses an unpaired spectrum or an ill-conditioned eta
+    x = _canonical_symmetry(system, cls)
     check = commutes_with(h, x, args.tol)
     exact = is_exact_symmetry(system, x, args.tol)
     _emit(
@@ -163,7 +162,7 @@ def cmd_symmetry(args) -> int:
 def cmd_hermitize(args) -> int:
     h, system, cls = _analysis(args)
     transform = hermitizing_transform(system, cls)
-    h_t = apply_transform(transform, h)
+    h_t = transform.matrix @ h @ system.psi_matrix  # A H A^{-1} with A^{-1} = Psi
     resid = hermitian_defect(h_t) / scale_of(h_t)
     _emit(
         args,

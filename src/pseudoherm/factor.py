@@ -18,8 +18,8 @@ from ._linalg import (
     condition_number,
     max_abs,
     scale_of,
-    sqrt_unitary_symmetric,
     symmetric_defect,
+    takagi_factor,
 )
 from .antilinear import AntilinearOperator, CoefficientFamily, build_tau
 from .eigensystem import DEFAULT_COND_CEILING, DEFAULT_TOL, BiorthonormalSystem, EigenLevel
@@ -31,56 +31,30 @@ from .errors import (
     SingularInputError,
 )
 
-_SV_GROUP_RTOL = 1e-8
-_PHASE_FLOOR = 1e-12
-
 
 def symmetric_factor(c, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Factor an invertible complex symmetric matrix as ``c = v v^T``.
 
-    The factor is computed by unitary congruence: an SVD ``c = u s w^dagger``
-    is canonicalized (each u column rephased so its first non-negligible
-    entry is positive real), singular values are grouped within a relative
-    gap of 1e-8, and the unitary symmetric coupling block of each group is
-    given a symmetric square root.  The construction is deterministic for a
-    given input, with descending singular values as the tie-break order.
+    v is the Takagi factor ``u diag(sqrt(s))`` with u unitary and s the
+    singular values of c, read off one ``eigh`` of a real symmetric
+    embedding of c (see ``_linalg.takagi_factor``).  Repeated or clustered
+    singular values need no special treatment, and the result is
+    deterministic for a given input.
 
     Returns v with ``max|v v^T - c| <= tol * max|c|``; v is invertible
     because c is.
     """
     c = as_square_matrix(c, "c")
-    n = c.shape[0]
     scale = scale_of(c)
     if symmetric_defect(c) > tol * scale:
         raise NotSymmetricError("input is not complex symmetric")
 
-    u, s, vh = np.linalg.svd(c)
-    if s[-1] <= 1e-12 * scale_of(s):
+    v, s = takagi_factor(c)
+    if s[0] <= 1e-12 * scale_of(s):
         raise SingularInputError("input is numerically singular; no invertible factor exists")
-
-    for i in range(n):
-        k = int(np.argmax(np.abs(u[:, i]) > _PHASE_FLOOR))
-        phase = u[k, i] / abs(u[k, i])
-        u[:, i] = u[:, i] / phase
-        vh[i, :] = vh[i, :] * phase
-    w = vh.conj().T
-
-    q = np.zeros((n, n), dtype=np.complex128)
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or s[start] - s[i] > _SV_GROUP_RTOL * s[0]:
-            g = slice(start, i)
-            z = u[:, g].T @ w[:, g]
-            q[g, g] = sqrt_unitary_symmetric((z + z.T) / 2.0)
-            start = i
-
-    v = (u @ np.conj(q)) * np.sqrt(s)
     residual = max_abs(v @ v.T - c)
     if residual > tol * scale:
-        raise PseudoHermError(
-            f"factorization residual {residual:.3e} exceeds tolerance; "
-            "singular values may be too clustered for the grouping rule"
-        )
+        raise PseudoHermError(f"factorization residual {residual:.3e} exceeds tolerance")
     return v
 
 

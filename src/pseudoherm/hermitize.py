@@ -25,8 +25,9 @@ from ._linalg import (
     scale_of,
     solve,
 )
-from .antilinear import AntilinearOperator, canonical_tau, is_anti_pseudo_hermitian
+from .antilinear import canonical_tau, is_anti_pseudo_hermitian
 from .eigensystem import (
+    CLUSTER_GAP_FACTOR,
     DEFAULT_REALNESS_TOL,
     DEFAULT_TOL,
     BiorthonormalSystem,
@@ -46,12 +47,11 @@ from .errors import (
 from .io import matrix_to_dict
 from .metric import (
     MetricOperator,
-    _partner_columns,
     build_metric,
     indefinite_inner_product,
     is_pseudo_hermitian,
 )
-from .symmetry import commutes_with, is_exact_symmetry
+from .symmetry import _canonical_symmetry, commutes_with, is_exact_symmetry
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def _report(H, tol, realness_tol, cluster_gap, seed) -> tuple:
         "tolerances": {
             "tol": tol,
             "realness_tol": realness_tol,
-            "cluster_gap": cluster_gap if cluster_gap is not None else 1e-8 * max_abs(H),
+            "cluster_gap": cluster_gap if cluster_gap is not None else CLUSTER_GAP_FACTOR * max_abs(H),
         },
         "residuals": residuals,
         "refusals": refusals,
@@ -184,7 +184,6 @@ def _report(H, tol, realness_tol, cluster_gap, seed) -> tuple:
             raise ReportStageError(stage, exc) from exc
 
     sys = run("eigensystem", lambda: biorthonormal_eigensystem(H, tol, cluster_gap))
-    psi, phi = sys.psi_matrix, sys.phi_matrix
     r_bi, r_comp = biorthonormality_residuals(sys)
     residuals["biorthonormality"] = r_bi
     residuals["completeness"] = r_comp
@@ -202,8 +201,7 @@ def _report(H, tol, realness_tol, cluster_gap, seed) -> tuple:
         residuals["metric_intertwining"] = is_pseudo_hermitian(H, metric, tol).residual
         certificates["eta"] = metric.matrix
 
-        # X = eta^{-1} tau with eta^{-1} = Psi[:, pi] Psi^dagger and tau = Phi Phi^T
-        x = AntilinearOperator(psi[:, _partner_columns(sys, cls)] @ phi.T)
+        x = _canonical_symmetry(sys, cls)
         residuals["symmetry_commutation"] = commutes_with(H, x, tol).residual
         certificates["X"] = x.matrix
         report["exact_symmetry"] = run("exactness", lambda: is_exact_symmetry(sys, x, tol))
@@ -211,7 +209,7 @@ def _report(H, tol, realness_tol, cluster_gap, seed) -> tuple:
     transform = run("hermitization", lambda: hermitizing_transform(sys, cls))
     if transform is not None:
         # A H A^{-1} with A^{-1} = Psi; it is diag(E) by construction
-        h_t = transform.matrix @ H @ psi
+        h_t = transform.matrix @ H @ sys.psi_matrix
         residuals["hermitized_hermiticity"] = hermitian_defect(h_t) / scale_of(h_t)
         match = max_abs(h_t - np.diag(sys.energies)) / scale_of(H)
         residuals["hermitized_eigenvalue_match"] = match

@@ -27,7 +27,7 @@ from ._linalg import (
     max_abs,
     require_same_dim,
     scale_of,
-    sqrt_unitary_symmetric,
+    takagi_factor,
 )
 from .antilinear import AntilinearOperator
 from .eigensystem import (
@@ -236,10 +236,10 @@ def pt_adapted_eigensystem(
         j = pairing[i]
         if j == i:
             # parity-conjugation restricted to the level is an antiunitary
-            # involution g conj(.) in the basis q; g is unitary symmetric and
-            # u conj(u)^{-1} = g
+            # involution g conj(.) in the basis q; g is unitary symmetric, so
+            # its Takagi factor u is unitary and u conj(u)^{-1} = u u^T = g
             g = q.conj().T @ p @ np.conj(q)
-            new_psi.append(q @ sqrt_unitary_symmetric(g))
+            new_psi.append(q @ takagi_factor(g)[0])
         elif j > i:
             new_psi.append(q)
         else:

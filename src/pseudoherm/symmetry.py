@@ -22,8 +22,8 @@ from ._linalg import (
     solve,
 )
 from .antilinear import AntilinearOperator
-from .eigensystem import DEFAULT_TOL, BiorthonormalSystem, reconstruct
-from .metric import _eta_matrix
+from .eigensystem import DEFAULT_TOL, BiorthonormalSystem, SpectrumClass, reconstruct
+from .metric import _eta_matrix, _partner_columns
 from .errors import (
     DimensionMismatchError,
     NotASymmetryError,
@@ -37,6 +37,13 @@ def antilinear_symmetry(eta, tau: AntilinearOperator) -> AntilinearOperator:
     m = _eta_matrix(eta)
     require_same_dim(m, tau.matrix, "eta and tau")
     return AntilinearOperator(solve(m, tau.matrix, SingularEtaError, "eta"))
+
+
+def _canonical_symmetry(sys: BiorthonormalSystem, cls: SpectrumClass) -> AntilinearOperator:
+    """X = eta^{-1} tau for the unit-weight metric and the canonical tau,
+    read off the system as ``Psi[:, pi] Phi^T``: eta^{-1} = Psi[:, pi] Psi^dagger
+    with pi the partner-column permutation, and tau = Phi Phi^T."""
+    return AntilinearOperator(sys.psi_matrix[:, _partner_columns(sys, cls)] @ sys.phi_matrix.T)
 
 
 def commutes_with(H, x: AntilinearOperator, tol: float = DEFAULT_TOL) -> CheckResult:

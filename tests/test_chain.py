@@ -112,10 +112,11 @@ def test_report_chain_matches_public_constructions(monkeypatch, h):
         assert certs["A"] is None
 
 
-def test_lattice_n81_x_eps1_report_passes(capsys):
+def test_lattice_n81_x_eps1_report_passes(capsys, tmp_path):
     """X read as Psi[:, pi] Phi^T commutes with H to rounding; the solve
     for X = eta^{-1} tau used to leave a 2.4e-10 residual here and fail
-    the exactness stage with NotASymmetryError."""
+    the exactness stage with NotASymmetryError.  The `symmetry` command
+    reads the same product."""
     h = build_pt_hamiltonian(make_lattice(81, 10.0, 1.0, "x^2", "x", 1.0))
     report = real_spectrum_equivalence_report(h, tol=1e-10, seed=0)
     assert max(report["residuals"].values()) <= 1e-10
@@ -123,6 +124,10 @@ def test_lattice_n81_x_eps1_report_passes(capsys):
     assert cli_main(["pt-model", "--n", "81", "--v2", "x", "--eps", "1", "--output", "json"]) == 0
     pt_class = json.loads(capsys.readouterr().out)["spectrum_class"]
     assert report["spectrum_class"] == pt_class == "conjugate_paired"
+    path = tmp_path / "h.json"
+    save_matrix(path, h)
+    assert cli_main(["symmetry", str(path), "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["exact_symmetry"] is False
 
 
 def test_raw_levels_stacked_qr_is_bitwise_per_level_qr():

@@ -50,6 +50,12 @@ def test_random_symmetric_seeded():
     assert reconstruction_error(v, c) <= 1e-12
 
 
+def clustered_block(delta: float) -> np.ndarray:
+    """u diag(2, 2 + delta, 3) u^T: Takagi values delta apart."""
+    u = random_unitary(np.random.default_rng(2), 3)
+    return u @ np.diag([2.0, 2.0 + delta, 3.0]) @ u.T
+
+
 @pytest.mark.parametrize(
     "c",
     [
@@ -58,12 +64,22 @@ def test_random_symmetric_seeded():
         np.array([[-9.0]]),
         np.diag([2.0, 2.0, 5.0]),
         np.diag([1j, 1j]),
+        clustered_block(1e-7),
+        clustered_block(1e-6),
     ],
-    ids=["neg-identity", "antidiagonal", "scalar-negative", "repeated-sv", "imag-diag"],
+    ids=[
+        "neg-identity",
+        "antidiagonal",
+        "scalar-negative",
+        "repeated-sv",
+        "imag-diag",
+        "clustered-1e-7",
+        "clustered-1e-6",
+    ],
 )
 def test_edge_cases(c):
     v = symmetric_factor(np.asarray(c, dtype=complex))
-    assert reconstruction_error(v, c) <= 1e-10
+    assert reconstruction_error(v, c) <= 1e-12
     assert np.isfinite(np.linalg.cond(v))
 
 
@@ -213,5 +229,25 @@ def test_canonicalize_random_family_keeps_operator(rng):
     tau_before = build_tau(sys_, coeffs)
     new_sys, tau_after = canonicalize_tau(sys_, coeffs)
     np.testing.assert_allclose(tau_after.matrix, tau_before.matrix, atol=1e-9)
+    for block in recover_coefficients(new_sys, tau_after).blocks:
+        np.testing.assert_allclose(block, np.eye(block.shape[0]), atol=1e-9)
+
+
+@pytest.mark.parametrize("delta", [1e-7, 1e-6])
+def test_canonicalize_clustered_block(delta):
+    """A d=3 level whose coefficient block has Takagi values delta apart."""
+    rng = np.random.default_rng(3)
+    s = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    h = s @ np.diag([1.0, 1.0, 1.0, 2.0, -1.5]) @ np.linalg.inv(s)
+    sys_ = biorthonormal_eigensystem(h)
+    blocks = tuple(
+        clustered_block(delta) if lv.multiplicity == 3 else np.array([[0.5 + 1j]])
+        for lv in sys_.levels
+    )
+    coeffs = CoefficientFamily(blocks)
+    tau_before = build_tau(sys_, coeffs)
+    new_sys, tau_after = canonicalize_tau(sys_, coeffs)
+    scale = np.max(np.abs(tau_before.matrix))
+    assert np.max(np.abs(tau_after.matrix - tau_before.matrix)) <= 1e-9 * scale
     for block in recover_coefficients(new_sys, tau_after).blocks:
         np.testing.assert_allclose(block, np.eye(block.shape[0]), atol=1e-9)

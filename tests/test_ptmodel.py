@@ -167,3 +167,23 @@ def test_hermitian_limit_full_chain():
     transform = hermitizing_transform(sys_, cls)
     h_t = transform.matrix @ h @ np.linalg.inv(transform.matrix)
     assert np.max(np.abs(h_t - h_t.conj().T)) <= 1e-8 * np.max(np.abs(h_t))
+
+
+def test_adapted_gauge_on_degenerate_real_levels():
+    """Real H with parity = 1: the real levels (multiplicity 1, 2 and 3)
+    take the Takagi gauge and come out real, and the canonical tau of the
+    adapted system gives an intertwining metric."""
+    rng = np.random.default_rng(8)
+    s = rng.standard_normal((8, 8))
+    d = np.zeros((8, 8))
+    d[:6, :6] = np.diag([1.0, 1.0, 2.0, 2.0, 2.0, -1.0])
+    d[6:, 6:] = [[0.5, 1.5], [-1.5, 0.5]]  # the pair 0.5 +- 1.5i
+    h = s @ d @ np.linalg.inv(s)
+    p = np.eye(8)
+    sys_ = pt_adapted_eigensystem(h, p)
+    assert sorted(lv.multiplicity for lv in sys_.levels) == [1, 1, 1, 2, 3]
+    for lv in sys_.levels:
+        if abs(lv.energy.imag) < 1e-8:
+            assert np.max(np.abs(p @ np.conj(lv.psi) - lv.psi)) <= 1e-10
+    eta = eta_from_tau_pt(h, canonical_tau(sys_), p)
+    assert is_pseudo_hermitian(h, eta).ok
