@@ -18,7 +18,6 @@ from .antilinear import build_tau, canonical_tau, is_anti_pseudo_hermitian
 from .eigensystem import DEFAULT_REALNESS_TOL, biorthonormal_eigensystem, classify_spectrum
 from .errors import (
     AmbiguousPairingError,
-    NotASymmetryError,
     NotDiagonalizableError,
     NotPseudoHermitianError,
     NotPTSymmetricError,
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .factor import symmetric_factor
 from .hermitize import ReportStageError, _report, hermitizing_transform
-from .metric import build_metric, evolution_invariance_check, is_pseudo_hermitian
+from .metric import _metric, evolution_invariance_check, is_pseudo_hermitian
 from .ptmodel import (
     build_pt_hamiltonian,
     eta_from_tau_pt,
@@ -39,7 +38,7 @@ from .ptmodel import (
     pt_commutation_residuals,
     time_reversal,
 )
-from .symmetry import _canonical_symmetry, commutes_with, is_exact_symmetry
+from .symmetry import _canonical_symmetry, commutes_with, level_invariance_residuals
 
 VERIFICATION_ERRORS = (
     NotDiagonalizableError,
@@ -48,16 +47,15 @@ VERIFICATION_ERRORS = (
     AmbiguousPairingError,
     NotPTSymmetricError,
     ResultNotHermitianError,
-    NotASymmetryError,
     NotPseudoHermitianError,
 )
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
+def _common(parser: argparse.ArgumentParser, clustered: bool) -> None:
     parser.add_argument("--tol", type=float, default=1e-10, help="verification tolerance")
-    parser.add_argument("--cluster-gap", type=float, default=None, help="eigenvalue grouping gap")
+    if clustered:
+        parser.add_argument("--cluster-gap", type=float, default=None, help="eigenvalue grouping gap")
     parser.add_argument("--output", choices=("json", "text"), default="text")
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized spot checks")
 
 
 def _emit(args, payload: dict) -> None:
@@ -110,7 +108,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_metric(args) -> int:
     h, system, cls = _analysis(args)
-    metric = build_metric(system, cls)
+    metric = _metric(system, cls)
     check = is_pseudo_hermitian(h, metric, args.tol)
     _emit(
         args,
@@ -143,10 +141,10 @@ def cmd_tau(args) -> int:
 
 def cmd_symmetry(args) -> int:
     h, system, cls = _analysis(args)
-    build_metric(system, cls)  # refuses an unpaired spectrum or an ill-conditioned eta
+    _metric(system, cls)  # refuses an unpaired spectrum or an ill-conditioned eta
     x = _canonical_symmetry(system, cls)
     check = commutes_with(h, x, args.tol)
-    exact = is_exact_symmetry(system, x, args.tol)
+    exact = check.ok and all(level_invariance_residuals(system, x) <= args.tol)
     _emit(
         args,
         {
@@ -177,8 +175,8 @@ def cmd_hermitize(args) -> int:
 
 def cmd_evolve_check(args) -> int:
     h, system, cls = _analysis(args)
-    metric = build_metric(system, cls)
-    check = evolution_invariance_check(h, metric, args.t, args.tol)
+    metric = _metric(system, cls)
+    check = evolution_invariance_check(h, metric, args.t, args.tol, strict=True)
     _emit(args, {"t": args.t, "invariant": check.ok, "residual": check.residual})
     return 0 if check.ok else 1
 
@@ -229,14 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, clustered=True):
         p = sub.add_parser(name, help=help_text)
-        _common(p)
+        _common(p, clustered)
         p.set_defaults(fn=fn)
         return p
 
     p = add("analyze", cmd_analyze, "eigensystem, classification and residual report")
     p.add_argument("matrix", help="matrix JSON file")
+    p.add_argument("--seed", type=int, default=None, help="seed for randomized spot checks")
 
     p = add("metric", cmd_metric, "build a Hermitian metric and verify intertwining")
     p.add_argument("matrix")
@@ -264,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.1, help="strength of the odd potential")
     p.add_argument("--save", default=None, help="write the lattice matrix to this JSON file")
 
-    p = add("factor", cmd_factor, "symmetric factorization c = v v^T")
+    p = add("factor", cmd_factor, "symmetric factorization c = v v^T", clustered=False)
     p.add_argument("matrix", help="complex symmetric matrix JSON file")
 
     return parser

@@ -234,17 +234,17 @@ def classify_spectrum(
 ) -> SpectrumClass:
     """Classify the spectrum as all-real, conjugate-paired, or unpaired.
 
-    A level is real when |Im E| <= realness_tol.  Non-real levels are matched
-    to the nearest level carrying conj(E) within realness_tol, scanning in
-    level-index order; the match must be unique and multiplicities must
-    agree, otherwise the level counts as unpaired.
+    A level is real when |Im E| <= realness_tol.  A non-real level is paired
+    with the non-real level lying within realness_tol of its conj(E); the
+    match must be unique and multiplicities must agree, otherwise the level
+    counts as unpaired.
 
     Raises
     ------
     AmbiguousPairingError
         If two or more distinct candidate partners lie within realness_tol
         of the conjugate target — a sign that realness_tol is coarser than
-        the level spacing.
+        the level spacing.  The message names the first such level.
     """
     return _classify([(lv.energy, lv.psi) for lv in sys.levels], realness_tol)
 
@@ -252,47 +252,29 @@ def classify_spectrum(
 def _classify(levels_raw: list, realness_tol: float) -> SpectrumClass:
     """classify_spectrum on (energy, psi block) pairs."""
     energies = np.array([e for e, _ in levels_raw])
-    mult = [q.shape[1] for _, q in levels_raw]
-    k = len(energies)
-    pairing = list(range(k))
-    real = [abs(e.imag) <= realness_tol for e in energies]
+    pairing = np.arange(len(energies))
+    nonreal = np.flatnonzero(np.abs(energies.imag) > realness_tol)
+    if nonreal.size == 0:
+        return SpectrumClass(SpectrumTag.ALL_REAL, tuple(pairing.tolist()), realness_tol)
 
-    # candidate sets are computed up front so ambiguity is detected no matter
-    # which endpoint of a near-tie is scanned first
-    candidates: dict[int, list[int]] = {}
-    for i in range(k):
-        if real[i]:
-            continue
-        target = np.conj(energies[i])
-        cands = [
-            j
-            for j in range(k)
-            if j != i and not real[j] and abs(energies[j] - target) <= realness_tol
-        ]
-        if len(cands) > 1:
-            raise AmbiguousPairingError(
-                f"level {i} (E={energies[i]:.6g}) has {len(cands)} conjugate-partner "
-                f"candidates within tolerance {realness_tol:.1e}"
-            )
-        candidates[i] = cands
-
-    unpaired_exists = False
-    for i, cands in candidates.items():
-        if pairing[i] != i:
-            continue  # already matched from the partner side
-        if len(cands) == 1 and mult[cands[0]] == mult[i]:
-            j = cands[0]
-            pairing[i], pairing[j] = j, i
-        else:
-            unpaired_exists = True
-
-    if all(real):
-        tag = SpectrumTag.ALL_REAL
-    elif unpaired_exists:
-        tag = SpectrumTag.UNPAIRED
-    else:
-        tag = SpectrumTag.CONJUGATE_PAIRED
-    return SpectrumClass(tag=tag, pairing=tuple(pairing), realness_tol=realness_tol)
+    # near[a, b]: level nonreal[b] lies within tol of conj(E) of level nonreal[a];
+    # the relation is symmetric, so unique candidates already pair up
+    e = energies[nonreal]
+    near = np.abs(e[None, :] - np.conj(e)[:, None]) <= realness_tol
+    count = near.sum(axis=1)
+    if np.any(count > 1):
+        a = int(np.argmax(count > 1))
+        i = nonreal[a]
+        raise AmbiguousPairingError(
+            f"level {i} (E={energies[i]:.6g}) has {count[a]} conjugate-partner "
+            f"candidates within tolerance {realness_tol:.1e}"
+        )
+    mult = np.array([q.shape[1] for _, q in levels_raw])
+    partner = nonreal[np.argmax(near, axis=1)]
+    paired = (count == 1) & (mult[partner] == mult[nonreal])
+    pairing[nonreal[paired]] = partner[paired]
+    tag = SpectrumTag.CONJUGATE_PAIRED if paired.all() else SpectrumTag.UNPAIRED
+    return SpectrumClass(tag=tag, pairing=tuple(pairing.tolist()), realness_tol=realness_tol)
 
 
 def reconstruct(sys: BiorthonormalSystem, conjugate: bool = False) -> np.ndarray:

@@ -113,6 +113,42 @@ def _partner_columns(sys: BiorthonormalSystem, cls: SpectrumClass) -> np.ndarray
     return np.concatenate([np.arange(slices[j].start, slices[j].stop) for j in cls.pairing])
 
 
+def _metric(
+    sys: BiorthonormalSystem,
+    cls: SpectrumClass,
+    weights=None,
+    cond_ceiling: float = DEFAULT_COND_CEILING,
+) -> MetricOperator:
+    """build_metric without its self-check: callers that hold H check
+    ``H^dagger eta = eta H`` against it once themselves."""
+    if cls.tag is SpectrumTag.UNPAIRED:
+        raise UnpairedSpectrumError(
+            "spectrum has an unpaired complex eigenvalue; no Hermitian metric exists"
+        )
+    k = len(sys.levels)
+    if len(cls.pairing) != k:
+        raise DimensionMismatchError("spectrum class does not match the system")
+    if weights is None:
+        w = np.ones(k)
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (k,):
+            raise DimensionMismatchError(f"need {k} weights, got shape {w.shape}")
+        if np.any(w <= 0.0):
+            raise ValueError("metric weights must be strictly positive")
+
+    level_w = [w[min(i, j)] for i, j in enumerate(cls.pairing)]
+    col_w = np.repeat(level_w, [lv.multiplicity for lv in sys.levels])
+    phi = sys.phi_matrix
+    eta = (phi * col_w) @ phi[:, _partner_columns(sys, cls)].conj().T
+    if condition_number(eta) > cond_ceiling:
+        raise SingularEtaError("constructed metric is too ill-conditioned")
+
+    real = cls.tag is SpectrumTag.ALL_REAL
+    factor = phi * np.sqrt(col_w) if real else None
+    return MetricOperator(matrix=eta, positive_definite=real, factor=factor)
+
+
 def build_metric(
     sys: BiorthonormalSystem,
     cls: SpectrumClass,
@@ -135,34 +171,11 @@ def build_metric(
     UnpairedSpectrumError
         If the classification is unpaired: no invertible Hermitian metric
         intertwines H and H^dagger in that case.
+    SingularEtaError, PseudoHermError
+        If the metric's condition number exceeds ``cond_ceiling``, or it fails
+        the intertwining identity with the operator ``reconstruct(sys)``.
     """
-    if cls.tag is SpectrumTag.UNPAIRED:
-        raise UnpairedSpectrumError(
-            "spectrum has an unpaired complex eigenvalue; no Hermitian metric exists"
-        )
-    k = len(sys.levels)
-    if len(cls.pairing) != k:
-        raise DimensionMismatchError("spectrum class does not match the system")
-    if weights is None:
-        w = np.ones(k)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (k,):
-            raise DimensionMismatchError(f"need {k} weights, got shape {w.shape}")
-        if np.any(w <= 0.0):
-            raise ValueError("metric weights must be strictly positive")
-
-    level_w = [w[min(i, j)] for i, j in enumerate(cls.pairing)]
-    col_w = np.repeat(level_w, [lv.multiplicity for lv in sys.levels])
-    phi = sys.phi_matrix
-    eta = (phi * col_w) @ phi[:, _partner_columns(sys, cls)].conj().T
-
-    real = cls.tag is SpectrumTag.ALL_REAL
-    factor = phi * np.sqrt(col_w) if real else None
-    metric = MetricOperator(matrix=eta, positive_definite=real, factor=factor)
-
-    if condition_number(eta) > cond_ceiling:
-        raise SingularEtaError("constructed metric is too ill-conditioned")
+    metric = _metric(sys, cls, weights, cond_ceiling)
     check = is_pseudo_hermitian(reconstruct(sys), metric, sys.tol)
     if not check.ok:
         raise PseudoHermError(

@@ -40,3 +40,12 @@ def planted_3x3_conjugate(seed=7):
             break
     vals = np.array([1 + 2j, 1 - 2j, 3.0])
     return s @ np.diag(vals) @ np.linalg.inv(s), vals
+
+
+def near_real_matrix(im):
+    """S diag(1 + i*im, 2, 3, 4) S^-1 with S from default_rng(0): for im
+    below realness_tol 1e-8 the level counts as real, yet at 5e-9 and 5e-10
+    the chain identities miss tol 1e-10."""
+    rng = np.random.default_rng(0)
+    s = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return s @ np.diag([1 + im * 1j, 2, 3, 4]) @ np.linalg.inv(s)

@@ -11,23 +11,32 @@ import pseudoherm.eigensystem
 import pseudoherm.hermitize
 import pseudoherm.io
 import pseudoherm.metric
+import pseudoherm.symmetry
 from pseudoherm import (
+    AntilinearOperator,
     PseudoCanonicalTransform,
+    PseudoHermError,
     antilinear_symmetry,
     apply_transform,
+    biorthonormal_eigensystem,
     build_metric,
     build_pt_hamiltonian,
     canonical_tau,
+    classify_spectrum,
+    indefinite_inner_product,
+    is_exact_symmetry,
     make_lattice,
     metric_from_transform,
     real_spectrum_equivalence_report,
 )
-from pseudoherm._linalg import hermitian_defect
+from pseudoherm._linalg import hermitian_defect, scale_of
 from pseudoherm.cli import cli_main
 from pseudoherm.eigensystem import CLUSTER_GAP_FACTOR, _cluster_indices, _raw_levels
 from pseudoherm.ensembles import planted_matrix
 from pseudoherm.hermitize import _report
 from pseudoherm.io import save_matrix
+
+from conftest import near_real_matrix
 
 
 def count_calls(monkeypatch, fn) -> list:
@@ -51,20 +60,29 @@ def test_report_and_analyze_solve_once(monkeypatch, rng, tmp_path, capsys):
     h = planted_matrix(rng, 6, "real").matrix
     path = tmp_path / "h.json"
     save_matrix(path, h)
-    metric_calls = count_calls(monkeypatch, pseudoherm.metric.build_metric)
+    metric_calls = count_calls(monkeypatch, pseudoherm.metric._metric)
     eigvals_calls = count_calls(monkeypatch, np.linalg.eigvals)
     svd_calls = count_calls(monkeypatch, np.linalg.svd)
     solve_calls = count_calls(monkeypatch, np.linalg.solve)
+    reconstruct_calls = count_calls(monkeypatch, pseudoherm.eigensystem.reconstruct)
+    intertwining_calls = count_calls(monkeypatch, pseudoherm.metric.is_pseudo_hermitian)
+    commutation_calls = count_calls(monkeypatch, pseudoherm.symmetry.commutes_with)
+    inner_calls = count_calls(monkeypatch, pseudoherm.metric.indefinite_inner_product)
     assert real_spectrum_equivalence_report(h)["spectrum_class"] == "all_real"
     # one SVD each for kappa(Psi), kappa(eta) and kappa(A); X and A H A^{-1}
-    # are products of Psi and Phi, not solves
+    # are products of Psi and Phi, not solves; each identity is checked once
+    # against H, and the spot check is one block product
     counts = [len(c) for c in (metric_calls, eigvals_calls, svd_calls, solve_calls)]
     assert counts == [1, 0, 3, 0]
+    checks = (reconstruct_calls, intertwining_calls, commutation_calls, inner_calls)
+    assert [len(c) for c in checks] == [0, 1, 1, 0]
 
     system_calls = count_calls(monkeypatch, pseudoherm.eigensystem.biorthonormal_eigensystem)
     to_dict_calls = count_calls(monkeypatch, pseudoherm.io.matrix_to_dict)
     assert cli_main(["analyze", str(path)]) == 0
     assert (len(system_calls), len(to_dict_calls)) == (1, 0)
+    assert cli_main(["symmetry", str(path)]) == 0
+    assert len(reconstruct_calls) == 0
 
 
 def planted_with_degenerate_level(seed: int, dim: int, kind: str):
@@ -86,8 +104,9 @@ def planted_with_degenerate_level(seed: int, dim: int, kind: str):
     ids=["real", "paired", "real-degenerate", "paired-degenerate"],
 )
 def test_report_chain_matches_public_constructions(monkeypatch, h):
-    """X, A H A^{-1} and the positive metric of the report agree with
-    antilinear_symmetry, apply_transform and metric_from_transform."""
+    """X, A H A^{-1}, the positive metric, exactness and the spot check of
+    the report agree with antilinear_symmetry, apply_transform,
+    metric_from_transform, is_exact_symmetry and indefinite_inner_product."""
     hermiticity_args = []
 
     def recorded(m):
@@ -104,12 +123,42 @@ def test_report_chain_matches_public_constructions(monkeypatch, h):
 
     assert close(certs["eta"], eta.matrix)
     assert close(certs["X"], antilinear_symmetry(eta, canonical_tau(sys_)).matrix)
+    assert report["exact_symmetry"] is is_exact_symmetry(sys_, AntilinearOperator(certs["X"]))
     if cls.is_real:
         transform = PseudoCanonicalTransform(certs["A"])
         assert close(certs["eta"], metric_from_transform(transform).matrix)
         assert close(hermiticity_args[-1], apply_transform(transform, h))
+        # the spot check's eight pairs, one inner product at a time
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for _ in range(8):
+            xi = rng.standard_normal(sys_.dim) + 1j * rng.standard_normal(sys_.dim)
+            zeta = rng.standard_normal(sys_.dim) + 1j * rng.standard_normal(sys_.dim)
+            lhs = indefinite_inner_product(certs["eta"], xi, h @ zeta)
+            rhs = np.conj(indefinite_inner_product(certs["eta"], zeta, h @ xi))
+            worst = max(worst, abs(lhs - rhs) / scale_of([lhs, rhs]))
+        assert abs(report["residuals"]["inner_product_hermiticity"] - worst) <= 1e-12
     else:
         assert certs["A"] is None
+
+
+@pytest.mark.parametrize(
+    "im, failing", [(5e-9, "metric_intertwining"), (5e-10, "symmetry_commutation")]
+)
+def test_near_real_level_fails_a_named_residual(im, failing):
+    """A level with 0 < Im E <= realness_tol is classified real, but the
+    identities checked against H miss tol: the report names the residual
+    instead of raising from a second check against the rebuilt H."""
+    report = real_spectrum_equivalence_report(near_real_matrix(im), tol=1e-10, seed=0)
+    assert report["spectrum_class"] == "all_real"
+    assert report["residuals"][failing] > 1e-10
+    assert report["exact_symmetry"] is False
+
+
+def test_build_metric_keeps_its_self_check():
+    sys_ = biorthonormal_eigensystem(near_real_matrix(5e-9))
+    with pytest.raises(PseudoHermError, match="intertwining identity"):
+        build_metric(sys_, classify_spectrum(sys_))
 
 
 def test_lattice_n81_x_eps1_report_passes(capsys, tmp_path):

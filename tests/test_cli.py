@@ -10,6 +10,8 @@ from pseudoherm.io import save_coefficients, save_matrix
 from pseudoherm.antilinear import CoefficientFamily
 from pseudoherm.ensembles import planted_matrix
 
+from conftest import near_real_matrix
+
 
 @pytest.fixture
 def identity2(tmp_path):
@@ -150,3 +152,39 @@ def test_tolerance_flags_are_plumbed(identity2, capsys):
     code = cli_main(["analyze", "--tol", "1e-8", "--cluster-gap", "1e-6", identity2])
     assert code == 0
     assert "all_real" in capsys.readouterr().out
+
+
+COMMANDS = (["analyze"], ["metric"], ["symmetry"], ["hermitize"], ["evolve-check", "--t", "0.7"])
+# Exit codes of the commands above, in that order.  A failed identity is a
+# residual above tol (exit 1), never an input or usage error (exit 2).
+EXIT_CODES = {
+    "real": [0, 0, 0, 0, 0],
+    "paired": [0, 0, 0, 1, 0],
+    "unpaired": [0, 1, 1, 1, 1],
+    "near-real-5e-9": [1, 1, 1, 1, 1],
+    "near-real-5e-10": [1, 0, 1, 1, 1],  # eta intertwines, X does not commute
+}
+
+
+NEAR_REAL = {"near-real-5e-9": 5e-9, "near-real-5e-10": 5e-10}
+
+
+def _exit_table_matrix(name):
+    if name in NEAR_REAL:
+        return near_real_matrix(NEAR_REAL[name])
+    return planted_matrix(np.random.default_rng(1), 6, name).matrix
+
+
+@pytest.mark.parametrize("name", list(EXIT_CODES))
+def test_exit_code_table(name, tmp_path, capsys):
+    path = tmp_path / "h.json"
+    save_matrix(path, _exit_table_matrix(name))
+    codes = [cli_main([cmd[0], str(path), *cmd[1:]]) for cmd in COMMANDS]
+    assert 2 not in codes
+    assert codes == EXIT_CODES[name]
+
+
+def test_seed_is_an_analyze_option(real_matrix, capsys):
+    assert cli_main(["analyze", "--seed", "3", real_matrix]) == 0
+    assert cli_main(["metric", "--seed", "3", real_matrix]) == 2
+    assert cli_main(["factor", "--cluster-gap", "1e-6", real_matrix]) == 2

@@ -14,7 +14,7 @@ from pseudoherm import (
     classify_spectrum,
     reconstruct,
 )
-from pseudoherm.eigensystem import BiorthonormalSystem
+from pseudoherm.eigensystem import BiorthonormalSystem, _classify
 from pseudoherm.ensembles import planted_matrix
 
 from conftest import planted_3x3_conjugate
@@ -167,3 +167,77 @@ def test_residual_helper(planted_real):
     sys_ = biorthonormal_eigensystem(planted_real.matrix)
     r1, r2 = biorthonormality_residuals(sys_)
     assert r1 <= 1e-10 and r2 <= 1e-10
+
+
+def _classify_by_scan(levels_raw, realness_tol):
+    """Reference pairing: the per-level O(k^2) scan, (tag, pairing) or the
+    AmbiguousPairingError message."""
+    energies = np.array([e for e, _ in levels_raw])
+    mult = [q.shape[1] for _, q in levels_raw]
+    k = len(energies)
+    pairing = list(range(k))
+    real = [abs(e.imag) <= realness_tol for e in energies]
+    candidates = {}
+    for i in range(k):
+        if real[i]:
+            continue
+        target = np.conj(energies[i])
+        cands = [
+            j
+            for j in range(k)
+            if j != i and not real[j] and abs(energies[j] - target) <= realness_tol
+        ]
+        if len(cands) > 1:
+            return (
+                f"level {i} (E={energies[i]:.6g}) has {len(cands)} conjugate-partner "
+                f"candidates within tolerance {realness_tol:.1e}"
+            )
+        candidates[i] = cands
+    unpaired_exists = False
+    for i, cands in candidates.items():
+        if pairing[i] != i:
+            continue
+        if len(cands) == 1 and mult[cands[0]] == mult[i]:
+            pairing[i], pairing[cands[0]] = cands[0], i
+        else:
+            unpaired_exists = True
+    if all(real):
+        tag = SpectrumTag.ALL_REAL
+    elif unpaired_exists:
+        tag = SpectrumTag.UNPAIRED
+    else:
+        tag = SpectrumTag.CONJUGATE_PAIRED
+    return tag, tuple(pairing)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_classify_matches_pairing_scan(seed):
+    """Conjugate pairs, real levels and single complex levels on a coarse
+    grid, each moved by offsets up to 1.2 realness_tol, give exact pairs,
+    near-ties, near-real levels, mismatched multiplicities and ambiguous
+    partners; the array pairing agrees with the scan on each."""
+    rng = np.random.default_rng(seed)
+    tol = 1e-8
+    offsets = np.array([0.0, 0.3, 0.6, 0.9, 1.2]) * tol
+
+    def grid(m):
+        return rng.integers(-2, 3, m) + 1j * rng.integers(1, 3, m)
+
+    outcomes = set()
+    for _ in range(500):
+        pairs = grid(int(rng.integers(0, 3)))
+        base = [*pairs, *pairs.conj(), *rng.integers(-2, 3, int(rng.integers(0, 3)))]
+        base += [*grid(int(rng.integers(0, 2)))]
+        k = len(base)
+        energies = rng.permutation(base) + rng.choice(offsets, k) + 1j * rng.choice(offsets, k)
+        levels = [(complex(e), np.zeros((1, int(rng.integers(1, 3))))) for e in energies]
+        want = _classify_by_scan(levels, tol)
+        try:
+            cls = _classify(levels, tol)
+            got = (cls.tag, cls.pairing)
+        except AmbiguousPairingError as exc:
+            got = str(exc)
+        assert got == want
+        outcomes.add(want if isinstance(want, str) else want[0])
+    assert {SpectrumTag.ALL_REAL, SpectrumTag.CONJUGATE_PAIRED, SpectrumTag.UNPAIRED} <= outcomes
+    assert any(isinstance(o, str) for o in outcomes)
