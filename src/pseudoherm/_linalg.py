@@ -80,10 +80,14 @@ def require_same_dim(a: np.ndarray, b: np.ndarray, what: str = "operands") -> No
 
 def condition_number(a: np.ndarray) -> float:
     """2-norm condition number; inf for singular input."""
-    s = np.linalg.svd(np.asarray(a), compute_uv=False)
-    if s[-1] == 0.0:
-        return float("inf")
-    return float(s[0] / s[-1])
+    return cond_of(np.linalg.svd(np.asarray(a), compute_uv=False))
+
+
+def cond_of(s) -> float:
+    """2-norm condition number max|s| / min|s| from the singular values s
+    (or the eigenvalues of a Hermitian matrix); inf when min|s| is 0."""
+    s = np.abs(s)
+    return float("inf") if s.min() == 0.0 else float(s.max() / s.min())
 
 
 def solve(a: np.ndarray, b: np.ndarray, error_cls, what: str):

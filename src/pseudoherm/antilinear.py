@@ -25,12 +25,13 @@ import scipy.linalg
 from ._linalg import (
     CheckResult,
     as_square_matrix,
-    condition_number,
+    cond_of,
     make_check,
     max_abs,
     require_same_dim,
     scale_of,
     symmetric_defect,
+    takagi_factor,
 )
 from .eigensystem import DEFAULT_COND_CEILING, DEFAULT_TOL, BiorthonormalSystem
 from .errors import (
@@ -80,28 +81,30 @@ class CoefficientFamily:
     def identity_for(cls, sys: BiorthonormalSystem) -> "CoefficientFamily":
         return cls(tuple(np.eye(lv.multiplicity, dtype=np.complex128) for lv in sys.levels))
 
-    def validate_against(
-        self,
-        sys: BiorthonormalSystem,
-        cond_ceiling: float = DEFAULT_COND_CEILING,
-        sym_tol: float = 1e-10,
-    ) -> None:
+    def validate_against(self, sys: BiorthonormalSystem) -> list[np.ndarray]:
+        """Check the blocks against sys and return their Takagi factors v (c = v v^T):
+        each must be symmetric within ``1e-10 * max(max|c|, 1)`` and have a condition
+        number, read off its Takagi values, at most ``DEFAULT_COND_CEILING``."""
         if len(self.blocks) != len(sys.levels):
             raise DimensionMismatchError(
                 f"{len(self.blocks)} coefficient blocks for {len(sys.levels)} levels"
             )
+        factors = []
         for k, (block, lv) in enumerate(zip(self.blocks, sys.levels)):
-            b = np.asarray(block)
+            b = np.asarray(block, dtype=np.complex128)
             if b.shape != (lv.multiplicity, lv.multiplicity):
                 raise DimensionMismatchError(
                     f"block {k} has shape {b.shape}, level multiplicity is {lv.multiplicity}"
                 )
-            if symmetric_defect(b) > sym_tol * max(max_abs(b), 1.0):
+            if symmetric_defect(b) > 1e-10 * max(max_abs(b), 1.0):
                 raise AsymmetricCoefficientsError(f"coefficient block {k} is not symmetric")
-            if condition_number(b) > cond_ceiling:
+            v, s = takagi_factor(b)  # s: the singular values of b
+            if cond_of(s) > DEFAULT_COND_CEILING:
                 raise SingularCoefficientsError(
                     f"coefficient block {k} is singular or too ill-conditioned"
                 )
+            factors.append(v)
+        return factors
 
 
 def compose_antilinear(s: AntilinearOperator, t: AntilinearOperator) -> np.ndarray:

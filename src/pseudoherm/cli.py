@@ -8,6 +8,7 @@ tolerance or a theorem-level obstruction such as an unpaired spectrum),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -219,7 +220,9 @@ def cmd_factor(args) -> int:
     return 0 if resid <= args.tol else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="pseudoherm",
         description="Spectral analysis of diagonalizable non-Hermitian matrices: "

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,12 @@ class BiorthonormalSystem:
     dim: int
     levels: tuple[EigenLevel, ...]
     tol: float
+
+    @cached_property
+    def cond(self) -> float:
+        """2-norm condition number of psi_matrix (and of phi_matrix, Phi^dagger =
+        Psi^{-1}); measured once, by ``_assemble`` or else on first access."""
+        return condition_number(self.psi_matrix)
 
     @property
     def psi_matrix(self) -> np.ndarray:
@@ -124,10 +131,7 @@ def _cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
 
 
 def biorthonormal_eigensystem(
-    H,
-    tol: float = DEFAULT_TOL,
-    cluster_gap: float | None = None,
-    cond_ceiling: float = DEFAULT_COND_CEILING,
+    H, tol: float = DEFAULT_TOL, cluster_gap: float | None = None
 ) -> BiorthonormalSystem:
     """Compute a complete biorthonormal eigensystem of a diagonalizable matrix.
 
@@ -146,9 +150,6 @@ def biorthonormal_eigensystem(
         at most this gap (chained).  Defaults to ``1e-8 * max|H|``.  The
         grouping rule is a numerical choice; it is reported alongside
         results.
-    cond_ceiling : float
-        Largest acceptable condition number of the raw eigenvector matrix;
-        above it the input is declared numerically non-diagonalizable.
 
     Returns
     -------
@@ -156,32 +157,27 @@ def biorthonormal_eigensystem(
         Levels sorted by (Re E, Im E); psi columns orthonormal within each
         level; phi derived from the inverse of the stacked psi matrix, so
         biorthonormality and completeness hold by construction up to
-        inversion error.
+        inversion error.  Its ``cond`` is the condition number of the
+        stacked psi matrix, at most ``DEFAULT_COND_CEILING`` (1e8).
 
     Raises
     ------
     NonFiniteError
         If H contains NaN/Inf.
     NotDiagonalizableError
-        If the eigenvector matrix condition number exceeds ``cond_ceiling``
-        or the verified residuals exceed ``tol`` (defective or
-        near-defective input, or an unreachable tolerance).
+        If the condition number of the stacked psi matrix exceeds
+        ``DEFAULT_COND_CEILING`` or the verified residuals exceed ``tol``
+        (defective or near-defective input, or an unreachable tolerance).
     """
     H = as_square_matrix(H, "H")
-    return _assemble(_raw_levels(H, cluster_gap, cond_ceiling), H, tol)
+    return _assemble(_raw_levels(H, cluster_gap), H, tol)
 
 
-def _raw_levels(H: np.ndarray, cluster_gap, cond_ceiling=DEFAULT_COND_CEILING) -> list:
+def _raw_levels(H: np.ndarray, cluster_gap) -> list:
     """(energy, orthonormal psi block) per level, sorted by (Re E, Im E)."""
     if cluster_gap is None:
         cluster_gap = CLUSTER_GAP_FACTOR * max_abs(H)
     w, v = np.linalg.eig(H)
-    cond = condition_number(v)
-    if cond > cond_ceiling:
-        raise NotDiagonalizableError(
-            f"eigenvector matrix condition number {cond:.3e} exceeds ceiling "
-            f"{cond_ceiling:.3e}; input is defective or nearly so"
-        )
     groups = _cluster_indices(w, cluster_gap)
     q = {}  # orthonormal block by the level's first index, one stacked QR per multiplicity
     for d in {len(idx) for idx in groups}:
@@ -193,6 +189,13 @@ def _raw_levels(H: np.ndarray, cluster_gap, cond_ceiling=DEFAULT_COND_CEILING) -
 
 def _assemble(levels_raw: list, H: np.ndarray, tol: float) -> BiorthonormalSystem:
     """System with phi blocks from the rows of Psi^{-1}, verified against H."""
+    # Psi stacked twice: no stacked copy stays alive in _verify_system or a refusal's traceback
+    cond = condition_number(np.hstack([q for _, q in levels_raw]))
+    if cond > DEFAULT_COND_CEILING:
+        raise NotDiagonalizableError(
+            f"eigenvector matrix condition number {cond:.3e} exceeds ceiling "
+            f"{DEFAULT_COND_CEILING:.3e}; input is defective or nearly so"
+        )
     phi_rows = np.linalg.inv(np.hstack([q for _, q in levels_raw]))
     levels, start = [], 0
     for energy, q in levels_raw:
@@ -200,6 +203,7 @@ def _assemble(levels_raw: list, H: np.ndarray, tol: float) -> BiorthonormalSyste
         levels.append(EigenLevel(energy, q, phi_rows[start : start + d, :].conj().T))
         start += d
     sys = BiorthonormalSystem(dim=H.shape[0], levels=tuple(levels), tol=tol)
+    vars(sys)["cond"] = cond  # seeds the cached property
     _verify_system(sys, H, tol)
     return sys
 

@@ -45,20 +45,24 @@ def symmetric_factor(c, tol: float = DEFAULT_TOL) -> np.ndarray:
     because c is.
     """
     c = as_square_matrix(c, "c")
-    scale = scale_of(c)
-    if symmetric_defect(c) > tol * scale:
+    if symmetric_defect(c) > tol * scale_of(c):
         raise NotSymmetricError("input is not complex symmetric")
 
     v, s = takagi_factor(c)
     if s[0] <= 1e-12 * scale_of(s):
         raise SingularInputError("input is numerically singular; no invertible factor exists")
+    return _check_factor(v, c, tol)
+
+
+def _check_factor(v: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
+    """v, once ``max|v v^T - c| <= tol * max|c|``."""
     residual = max_abs(v @ v.T - c)
-    if residual > tol * scale:
+    if residual > tol * scale_of(c):
         raise PseudoHermError(f"factorization residual {residual:.3e} exceeds tolerance")
     return v
 
 
-def _check_blocks(blocks, shapes, cond_ceiling: float, what: str) -> list[np.ndarray]:
+def _check_blocks(blocks, shapes, what: str) -> list[np.ndarray]:
     """The blocks as complex arrays, one per expected shape, each invertible."""
     if len(blocks) != len(shapes):
         raise DimensionMismatchError(f"{len(blocks)} {what} blocks, expected {len(shapes)}")
@@ -67,31 +71,27 @@ def _check_blocks(blocks, shapes, cond_ceiling: float, what: str) -> list[np.nda
         b = np.asarray(block, dtype=np.complex128)
         if b.shape != shape:
             raise DimensionMismatchError(f"{what} block {k} has shape {b.shape}, expected {shape}")
-        if condition_number(b) > cond_ceiling:
+        if condition_number(b) > DEFAULT_COND_CEILING:
             raise SingularBlockError(f"{what} block {k} is singular or ill-conditioned")
         out.append(b)
     return out
 
 
-def basis_change(
-    sys: BiorthonormalSystem, u_blocks, cond_ceiling: float = DEFAULT_COND_CEILING
-) -> BiorthonormalSystem:
+def basis_change(sys: BiorthonormalSystem, u_blocks) -> BiorthonormalSystem:
     """Re-gauge each level: ``psi -> psi u`` and ``phi -> phi (u^{-1})^dagger``.
 
     Biorthonormality and completeness are preserved exactly; residuals grow
     at most by the block condition numbers.
     """
     shapes = [(lv.multiplicity, lv.multiplicity) for lv in sys.levels]
-    blocks = _check_blocks(u_blocks, shapes, cond_ceiling, "basis-change")
+    blocks = _check_blocks(u_blocks, shapes, "basis-change")
     levels = []
     for lv, b in zip(sys.levels, blocks):
         levels.append(EigenLevel(lv.energy, lv.psi @ b, lv.phi @ np.linalg.inv(b).conj().T))
     return BiorthonormalSystem(dim=sys.dim, levels=tuple(levels), tol=sys.tol)
 
 
-def coefficient_transform(
-    coeffs: CoefficientFamily, u_blocks, cond_ceiling: float = DEFAULT_COND_CEILING
-) -> CoefficientFamily:
+def coefficient_transform(coeffs: CoefficientFamily, u_blocks) -> CoefficientFamily:
     """Congruence of each coefficient block: ``c -> u^dagger c conj(u)``.
 
     This is how the family must transform so that the automorphism built
@@ -99,7 +99,7 @@ def coefficient_transform(
     is preserved.
     """
     cs = [np.asarray(c, dtype=np.complex128) for c in coeffs.blocks]
-    blocks = _check_blocks(u_blocks, [c.shape for c in cs], cond_ceiling, "transform")
+    blocks = _check_blocks(u_blocks, [c.shape for c in cs], "transform")
     return CoefficientFamily(tuple(u.conj().T @ c @ np.conj(u) for c, u in zip(cs, blocks)))
 
 
@@ -108,16 +108,17 @@ def canonicalize_tau(
 ) -> tuple[BiorthonormalSystem, AntilinearOperator]:
     """Re-gauge the basis so the coefficient family becomes the identity.
 
-    Factors each block as ``c = v v^T`` and applies the basis change with
+    Checks each block's Takagi factor ``c = v v^T`` from ``validate_against``
+    as ``symmetric_factor`` does and applies the basis change with
     ``u = (v^dagger)^{-1}``.  The returned automorphism is built with
     identity coefficients on the new basis and equals the original operator
     built from (sys, coeffs) up to rounding: the automorphism is unique up
     to the choice of eigenbasis.
     """
-    coeffs.validate_against(sys)
+    factors = coeffs.validate_against(sys)
     levels = []
-    for lv, c in zip(sys.levels, coeffs.blocks):
-        v = symmetric_factor(np.asarray(c, dtype=np.complex128), tol)
+    for lv, c, v in zip(sys.levels, coeffs.blocks, factors):
+        _check_factor(v, np.asarray(c, dtype=np.complex128), tol)
         # u = (v^dagger)^{-1}, so the phi gauge (u^{-1})^dagger is v itself
         levels.append(EigenLevel(lv.energy, lv.psi @ np.linalg.inv(v.conj().T), lv.phi @ v))
     new_sys = BiorthonormalSystem(dim=sys.dim, levels=tuple(levels), tol=sys.tol)

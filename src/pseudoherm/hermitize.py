@@ -68,11 +68,7 @@ class ReportStageError(PseudoHermError):
         self.stage = stage
 
 
-def hermitizing_transform(
-    sys: BiorthonormalSystem,
-    cls: SpectrumClass,
-    cond_ceiling: float = DEFAULT_COND_CEILING,
-) -> PseudoCanonicalTransform:
+def hermitizing_transform(sys: BiorthonormalSystem, cls: SpectrumClass) -> PseudoCanonicalTransform:
     """Transform A with ``A H A^{-1}`` Hermitian, for an all-real spectrum.
 
     A is the adjoint of the positive metric's natural factor, i.e.
@@ -84,21 +80,18 @@ def hermitizing_transform(
     SpectrumNotRealError
         If the classification is not all-real; no hermitizing similarity
         exists then.
-    SingularEtaError, SingularTransformError
-        If the metric ``A^dagger A`` or A itself is too ill-conditioned.
+    SingularEtaError
+        If the condition number ``sys.cond ** 2`` of the positive metric
+        ``A^dagger A`` exceeds ``DEFAULT_COND_CEILING`` (kappa(A) is below it then).
     """
     if cls.tag is not SpectrumTag.ALL_REAL:
         raise SpectrumNotRealError(
             f"spectrum classified as {cls.tag.value}; hermitization needs an all-real spectrum"
         )
-    a = sys.phi_matrix.conj().T
-    # kappa(eta) = kappa(A)^2 for the positive metric eta = A^dagger A
-    kappa = condition_number(a)
-    if kappa * kappa > DEFAULT_COND_CEILING:
+    # kappa(eta) = kappa(A)^2 = kappa(Psi)^2 for the positive metric eta = A^dagger A
+    if sys.cond * sys.cond > DEFAULT_COND_CEILING:
         raise SingularEtaError("the positive metric A^dagger A is too ill-conditioned")
-    if kappa > cond_ceiling:
-        raise SingularTransformError("hermitizing transform is too ill-conditioned")
-    return PseudoCanonicalTransform(matrix=a)
+    return PseudoCanonicalTransform(matrix=sys.phi_matrix.conj().T)
 
 
 def apply_transform(transform: PseudoCanonicalTransform, H) -> np.ndarray:

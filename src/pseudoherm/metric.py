@@ -19,9 +19,11 @@ import numpy as np
 import scipy.linalg
 
 from ._linalg import (
+    DEFAULT_COND_CEILING,
     CheckResult,
     as_square_matrix,
     as_vector,
+    cond_of,
     condition_number,
     hermitian_defect,
     make_check,
@@ -31,7 +33,6 @@ from ._linalg import (
     solve,
 )
 from .eigensystem import (
-    DEFAULT_COND_CEILING,
     DEFAULT_TOL,
     BiorthonormalSystem,
     SpectrumClass,
@@ -71,23 +72,20 @@ def _eta_matrix(eta) -> np.ndarray:
     return as_square_matrix(eta, "eta")
 
 
-def metric_from_matrix(
-    eta,
-    tol: float = DEFAULT_TOL,
-    cond_ceiling: float = DEFAULT_COND_CEILING,
-) -> MetricOperator:
+def metric_from_matrix(eta, tol: float = DEFAULT_TOL) -> MetricOperator:
     """Wrap and validate an externally supplied metric matrix.
 
-    Checks Hermiticity and invertibility; determines positive-definiteness
-    from the spectrum and, when positive, attaches a Cholesky factor.
+    Checks Hermiticity, then reads the condition number (at most
+    ``DEFAULT_COND_CEILING``) and positive-definiteness off the eigenvalues;
+    when positive, attaches a Cholesky factor.
     """
     m = as_square_matrix(eta, "eta")
     if hermitian_defect(m) > tol * scale_of(m):
         raise NonHermitianEtaError("candidate metric is not Hermitian within tolerance")
-    if condition_number(m) > cond_ceiling:
-        raise SingularEtaError("candidate metric is singular or too ill-conditioned")
     m = (m + m.conj().T) / 2.0
     eigenvalues = np.linalg.eigvalsh(m)
+    if cond_of(eigenvalues) > DEFAULT_COND_CEILING:
+        raise SingularEtaError("candidate metric is singular or too ill-conditioned")
     positive = bool(eigenvalues[0] > 0.0)
     factor = np.linalg.cholesky(m) if positive else None
     return MetricOperator(matrix=m, positive_definite=positive, factor=factor)
@@ -113,12 +111,7 @@ def _partner_columns(sys: BiorthonormalSystem, cls: SpectrumClass) -> np.ndarray
     return np.concatenate([np.arange(slices[j].start, slices[j].stop) for j in cls.pairing])
 
 
-def _metric(
-    sys: BiorthonormalSystem,
-    cls: SpectrumClass,
-    weights=None,
-    cond_ceiling: float = DEFAULT_COND_CEILING,
-) -> MetricOperator:
+def _metric(sys: BiorthonormalSystem, cls: SpectrumClass, weights=None) -> MetricOperator:
     """build_metric without its self-check: callers that hold H check
     ``H^dagger eta = eta H`` against it once themselves."""
     if cls.tag is SpectrumTag.UNPAIRED:
@@ -141,20 +134,16 @@ def _metric(
     col_w = np.repeat(level_w, [lv.multiplicity for lv in sys.levels])
     phi = sys.phi_matrix
     eta = (phi * col_w) @ phi[:, _partner_columns(sys, cls)].conj().T
-    if condition_number(eta) > cond_ceiling:
-        raise SingularEtaError("constructed metric is too ill-conditioned")
-
     real = cls.tag is SpectrumTag.ALL_REAL
+    # the all-real unit-weight eta is Phi Phi^dagger: kappa(eta) = kappa(Psi)^2
+    kappa = sys.cond * sys.cond if real and weights is None else condition_number(eta)
+    if kappa > DEFAULT_COND_CEILING:
+        raise SingularEtaError("constructed metric is too ill-conditioned")
     factor = phi * np.sqrt(col_w) if real else None
     return MetricOperator(matrix=eta, positive_definite=real, factor=factor)
 
 
-def build_metric(
-    sys: BiorthonormalSystem,
-    cls: SpectrumClass,
-    weights=None,
-    cond_ceiling: float = DEFAULT_COND_CEILING,
-) -> MetricOperator:
+def build_metric(sys: BiorthonormalSystem, cls: SpectrumClass, weights=None) -> MetricOperator:
     """Metric assembled from the left eigenvector blocks of the system.
 
     Parameters
@@ -172,10 +161,11 @@ def build_metric(
         If the classification is unpaired: no invertible Hermitian metric
         intertwines H and H^dagger in that case.
     SingularEtaError, PseudoHermError
-        If the metric's condition number exceeds ``cond_ceiling``, or it fails
-        the intertwining identity with the operator ``reconstruct(sys)``.
+        If the metric's condition number (``sys.cond ** 2`` for an all-real
+        spectrum with unit weights) exceeds ``DEFAULT_COND_CEILING``, or it
+        fails the intertwining identity with the operator ``reconstruct(sys)``.
     """
-    metric = _metric(sys, cls, weights, cond_ceiling)
+    metric = _metric(sys, cls, weights)
     check = is_pseudo_hermitian(reconstruct(sys), metric, sys.tol)
     if not check.ok:
         raise PseudoHermError(
@@ -222,16 +212,17 @@ def evolution_invariance_check(
 
     ok iff ``max|U^dagger eta U - eta| <= tol * max|eta|`` with
     ``U = exp(-i H t)``.  Invariance holds for all t exactly when H is
-    pseudo-Hermitian with respect to eta; the pseudo-Hermiticity
-    precondition is evaluated first and, with ``strict=True``, its failure
-    raises ``NotPseudoHermitianError`` instead of reporting the (expected)
-    invariance failure.
+    pseudo-Hermitian with respect to eta; only with ``strict=True`` is that
+    precondition evaluated, first, and its failure raises
+    ``NotPseudoHermitianError`` instead of reporting the (expected)
+    invariance failure.  A non-Hermitian eta raises in both modes.
     """
     H = as_square_matrix(H, "H")
     m = _eta_matrix(eta)
     require_same_dim(H, m, "H and eta")
-    pre = is_pseudo_hermitian(H, m, tol)
-    if strict and not pre.ok:
+    if hermitian_defect(m) > tol * scale_of(m):
+        raise NonHermitianEtaError("eta is not Hermitian within tolerance")
+    if strict and not (pre := is_pseudo_hermitian(H, m, tol)).ok:
         raise NotPseudoHermitianError(
             f"H is not pseudo-Hermitian w.r.t. eta (residual {pre.residual:.3e}); "
             "invariance is not expected"

@@ -6,6 +6,10 @@ tests in the same change and say so in CHANGES.md; a name added later does
 not need to be listed here.
 """
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
 import pseudoherm
@@ -96,3 +100,33 @@ def test_condition_ceiling_importable_from_eigensystem():
     from pseudoherm.eigensystem import DEFAULT_COND_CEILING
 
     assert DEFAULT_COND_CEILING == ceiling == 1e8
+
+
+KNOBS = {"cond_ceiling", "sym_tol"}
+
+
+def public_callables():
+    """(qualified name, function) for every public function of the package's
+    modules and every public method (and ``__init__``) of their classes."""
+    for info in pkgutil.iter_modules(pseudoherm.__path__):
+        module = importlib.import_module(f"pseudoherm.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    fn = getattr(member, "__func__", member)  # classmethod, staticmethod
+                    if inspect.isfunction(fn) and (attr == "__init__" or not attr.startswith("_")):
+                        yield f"{module.__name__}.{name}.{attr}", fn
+
+
+def test_no_condition_ceiling_knobs():
+    """DEFAULT_COND_CEILING is the one condition ceiling and the coefficient
+    symmetry tolerance is fixed: no public callable takes either as a
+    parameter.  Reintroducing one must edit this test and say why."""
+    found = list(public_callables())
+    assert len(found) > 80  # the walk reaches functions and methods alike
+    knobs = [(q, p) for q, fn in found for p in inspect.signature(fn).parameters if p in KNOBS]
+    assert knobs == []

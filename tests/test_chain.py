@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import pseudoherm._linalg
 import pseudoherm.eigensystem
 import pseudoherm.hermitize
 import pseudoherm.io
@@ -18,21 +19,24 @@ from pseudoherm import (
     PseudoHermError,
     antilinear_symmetry,
     apply_transform,
+    basis_change,
     biorthonormal_eigensystem,
     build_metric,
     build_pt_hamiltonian,
     canonical_tau,
+    canonicalize_tau,
     classify_spectrum,
     indefinite_inner_product,
     is_exact_symmetry,
     make_lattice,
+    metric_from_matrix,
     metric_from_transform,
     real_spectrum_equivalence_report,
 )
 from pseudoherm._linalg import hermitian_defect, scale_of
 from pseudoherm.cli import cli_main
 from pseudoherm.eigensystem import CLUSTER_GAP_FACTOR, _cluster_indices, _raw_levels
-from pseudoherm.ensembles import planted_matrix
+from pseudoherm.ensembles import planted_matrix, random_coefficients, random_unitary
 from pseudoherm.hermitize import _report
 from pseudoherm.io import save_matrix
 
@@ -69,11 +73,11 @@ def test_report_and_analyze_solve_once(monkeypatch, rng, tmp_path, capsys):
     commutation_calls = count_calls(monkeypatch, pseudoherm.symmetry.commutes_with)
     inner_calls = count_calls(monkeypatch, pseudoherm.metric.indefinite_inner_product)
     assert real_spectrum_equivalence_report(h)["spectrum_class"] == "all_real"
-    # one SVD each for kappa(Psi), kappa(eta) and kappa(A); X and A H A^{-1}
-    # are products of Psi and Phi, not solves; each identity is checked once
-    # against H, and the spot check is one block product
+    # one SVD, of Psi: kappa(A) = kappa(Psi) and kappa(eta) = kappa(Psi)^2;
+    # X and A H A^{-1} are products of Psi and Phi, not solves; each identity
+    # is checked once against H, and the spot check is one block product
     counts = [len(c) for c in (metric_calls, eigvals_calls, svd_calls, solve_calls)]
-    assert counts == [1, 0, 3, 0]
+    assert counts == [1, 0, 1, 0]
     checks = (reconstruct_calls, intertwining_calls, commutation_calls, inner_calls)
     assert [len(c) for c in checks] == [0, 1, 1, 0]
 
@@ -91,6 +95,52 @@ def planted_with_degenerate_level(seed: int, dim: int, kind: str):
         pm = planted_matrix(rng, dim, kind)
         if any(d > 1 for _, d in pm.levels):
             return pm.matrix
+
+
+def test_each_condition_number_measured_once(monkeypatch, rng, tmp_path, capsys):
+    """kappa(Psi) is one SVD per eigensystem and serves kappa(A) and the
+    all-real kappa(eta); a paired metric takes its own SVD; metric_from_matrix
+    reads kappa off its eigvalsh and the gauge op off one Takagi factor per
+    block."""
+    path = tmp_path / "h.json"
+    save_matrix(path, planted_matrix(rng, 6, "real").matrix)
+    paired = planted_with_degenerate_level(1, 7, "paired")
+    sys_ = biorthonormal_eigensystem(paired)
+    coeffs = random_coefficients(rng, sys_)
+    svd_calls = count_calls(monkeypatch, np.linalg.svd)
+    takagi_calls = count_calls(monkeypatch, pseudoherm._linalg.takagi_factor)
+
+    def svds(fn, *args):
+        svd_calls.clear()
+        fn(*args)
+        return len(svd_calls)
+
+    assert svds(real_spectrum_equivalence_report, paired) == 2
+    assert svds(cli_main, ["hermitize", str(path)]) == 1
+    assert svds(metric_from_matrix, np.diag([2.0, -1.0, 0.5])) == 0
+    takagi_calls.clear()
+    assert svds(canonicalize_tau, sys_, coeffs) == 0
+    assert len(takagi_calls) == len(sys_.levels)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cond_is_kappa_of_psi_and_phi_and_root_kappa_of_eta(seed):
+    h = planted_with_degenerate_level(seed, 7, "real")
+    sys_ = biorthonormal_eigensystem(h)
+    psi, phi = sys_.psi_matrix, sys_.phi_matrix
+    kappas = [np.linalg.cond(psi), np.linalg.cond(phi), np.sqrt(np.linalg.cond(phi @ phi.conj().T))]
+    np.testing.assert_allclose([sys_.cond] * 3, kappas, rtol=1e-12)
+
+
+def test_cond_of_regauged_systems(rng):
+    """Systems that basis_change and canonicalize_tau build measure their
+    cond on first access; cond cannot be set."""
+    sys_ = biorthonormal_eigensystem(planted_with_degenerate_level(2, 7, "real"))
+    blocks = [random_unitary(rng, lv.multiplicity) * 2.0 for lv in sys_.levels]
+    for new in (basis_change(sys_, blocks), canonicalize_tau(sys_, random_coefficients(rng, sys_))[0]):
+        assert new.cond == pytest.approx(np.linalg.cond(new.psi_matrix), rel=1e-12)
+    with pytest.raises(AttributeError):
+        sys_.cond = 1.0
 
 
 @pytest.mark.parametrize(

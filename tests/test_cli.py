@@ -1,11 +1,12 @@
 """CLI subcommands, output formats and exit codes."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from pseudoherm.cli import cli_main
+from pseudoherm.cli import build_parser, cli_main
 from pseudoherm.io import save_coefficients, save_matrix
 from pseudoherm.antilinear import CoefficientFamily
 from pseudoherm.ensembles import planted_matrix
@@ -39,6 +40,21 @@ def unpaired_matrix(tmp_path, rng):
     path = tmp_path / "unpaired.json"
     save_matrix(path, planted_matrix(rng, 3, "unpaired").matrix)
     return str(path)
+
+
+def test_parser_built_once_per_process(monkeypatch, identity2, capsys):
+    builds = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        builds.append(self)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    build_parser.cache_clear()
+    assert cli_main(["analyze", identity2]) == 0
+    assert cli_main(["metric", identity2]) == 0
+    assert len(builds) == 1
 
 
 def test_analyze_identity(identity2, capsys):

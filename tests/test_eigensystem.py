@@ -75,6 +75,21 @@ def test_defective_rejected():
         biorthonormal_eigensystem(jordan)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-13, 1e-11, 1e-9])
+def test_defective_cluster_refused_by_residual(eps):
+    """[[1, 1], [0, 1 + eps]] with eps below the cluster gap is one level
+    whose orthonormalized block is well conditioned; the right-eigenvector
+    residual refuses it."""
+    with pytest.raises(NotDiagonalizableError, match="right_eigen"):
+        biorthonormal_eigensystem(np.array([[1.0, 1.0], [0.0, 1.0 + eps]]))
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-3, 1e-6])
+def test_near_defective_split_levels_accepted(eps):
+    sys_ = biorthonormal_eigensystem(np.array([[1.0, 1.0], [0.0, 1.0 + eps]]))
+    assert sys_.cond == pytest.approx(np.linalg.cond(sys_.psi_matrix), rel=1e-12)
+
+
 def test_tolerance_too_tight_rejected():
     # eigenvalues 1e-9 apart: wider than any sane tol, narrower than the gap
     h = np.diag([1.0, 1.0 + 1e-9])

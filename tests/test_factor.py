@@ -6,8 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pseudoherm import (
+    AsymmetricCoefficientsError,
     DimensionMismatchError,
     NotSymmetricError,
+    PseudoHermError,
+    SingularCoefficientsError,
     SingularBlockError,
     SingularInputError,
     basis_change,
@@ -251,3 +254,26 @@ def test_canonicalize_clustered_block(delta):
     assert np.max(np.abs(tau_after.matrix - tau_before.matrix)) <= 1e-9 * scale
     for block in recover_coefficients(new_sys, tau_after).blocks:
         np.testing.assert_allclose(block, np.eye(block.shape[0]), atol=1e-9)
+
+
+def test_canonicalize_refusals():
+    """Levels of multiplicity 2 and 1; the d=2 block is the one on trial."""
+    sys_ = biorthonormal_eigensystem(np.diag([1.0, 1.0, 2.0]))
+
+    def canonicalize(block, tol=1e-10):
+        blocks = (np.asarray(block, dtype=complex), np.array([[1.0 + 0j]]))
+        return canonicalize_tau(sys_, CoefficientFamily(blocks), tol)
+
+    with pytest.raises(AsymmetricCoefficientsError):
+        canonicalize([[1.0, 2.0], [0.0, 1.0]])
+    with pytest.raises(SingularCoefficientsError):
+        canonicalize([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(SingularCoefficientsError):
+        canonicalize(np.diag([1.0, 1e-9]))
+    # asymmetry 5e-11 passes the absolute 1e-10 symmetry check of a block
+    # with max|c| < 1 but not the relative factorization residual
+    with pytest.raises(PseudoHermError, match="factorization residual"):
+        canonicalize(1e-3 * np.array([[1.0, 0.5 + 5e-8], [0.5, 1.0]]))
+    with pytest.raises(PseudoHermError, match="factorization residual"):
+        canonicalize([[2.0, 1j], [1j, 3.0]], tol=1e-20)
+    canonicalize([[2.0, 1j], [1j, 3.0]])

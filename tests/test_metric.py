@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pseudoherm.metric
 from pseudoherm import (
     NonHermitianEtaError,
     NotPseudoHermitianError,
+    SingularEtaError,
     UnpairedSpectrumError,
     biorthonormal_eigensystem,
     build_metric,
@@ -168,6 +170,34 @@ def test_evolution_strict_raises():
     h = np.diag([1 + 1j, 1 - 1j])
     with pytest.raises(NotPseudoHermitianError):
         evolution_invariance_check(h, np.eye(2), 0.7, strict=True)
+
+
+@pytest.mark.parametrize("strict, calls", [(False, 0), (True, 1)])
+def test_evolution_precondition_only_when_strict(monkeypatch, strict, calls):
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return is_pseudo_hermitian(*args)
+
+    monkeypatch.setattr(pseudoherm.metric, "is_pseudo_hermitian", counted)
+    h = np.diag([1 + 1j, 1 - 1j])
+    assert evolution_invariance_check(h, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.7, strict=strict)
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_evolution_refuses_nonhermitian_eta(strict):
+    with pytest.raises(NonHermitianEtaError):
+        evolution_invariance_check(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]), 0.7, strict=strict)
+
+
+def test_metric_from_matrix_condition_ceiling():
+    with pytest.raises(SingularEtaError):
+        metric_from_matrix(np.diag([1.0, -1e-9]))
+    with pytest.raises(SingularEtaError):
+        metric_from_matrix(np.zeros((2, 2)))
+    assert not metric_from_matrix(np.diag([1.0, -1e-7])).positive_definite
 
 
 def test_metric_from_matrix_positive_definite():
