@@ -14,7 +14,7 @@ DEFAULT_COND_CEILING = 1e8
 def max_abs(a) -> float:
     """Largest absolute entry (the max-norm used for every residual)."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def scale_of(a) -> float:
@@ -61,7 +61,7 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatchError(f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():  # complex isfinite is false when either part is NaN or Inf
         raise NonFiniteError(f"{name} contains NaN or Inf entries")
     return m
 

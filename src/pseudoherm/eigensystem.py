@@ -40,9 +40,9 @@ class SpectrumTag(str, enum.Enum):
 class EigenLevel:
     """One eigenvalue with its degenerate right/left eigenvector blocks.
 
-    ``psi`` and ``phi`` are n x d arrays whose columns are the right and left
-    eigenvectors of the level; the psi columns are orthonormal by
-    construction (the in-level gauge is fixed by QR).
+    ``psi`` and ``phi`` are n x d arrays of the level's right and left
+    eigenvectors, read-only views of the system's stored Psi and Phi when it
+    was assembled; the psi columns are orthonormal (the gauge is fixed by QR).
     """
 
     energy: complex
@@ -56,7 +56,11 @@ class EigenLevel:
 
 @dataclass(frozen=True)
 class BiorthonormalSystem:
-    """Grouped eigensystem with paired left/right eigenvector blocks."""
+    """Grouped eigensystem with paired left/right eigenvector blocks.
+
+    Psi, Phi and E are stored once, read-only; ``_assemble`` seeds them and
+    slices the level blocks as views, caller levels are stacked on first access.
+    """
 
     dim: int
     levels: tuple[EigenLevel, ...]
@@ -68,28 +72,42 @@ class BiorthonormalSystem:
         Psi^{-1}); measured once, by ``_assemble`` or else on first access."""
         return condition_number(self.psi_matrix)
 
-    @property
+    @cached_property
     def psi_matrix(self) -> np.ndarray:
-        """All right eigenvectors stacked as columns, level by level."""
-        return np.hstack([lv.psi for lv in self.levels])
+        """All right eigenvectors stacked as columns, level by level; read-only."""
+        return _read_only(np.hstack([lv.psi for lv in self.levels]))
 
-    @property
+    @cached_property
     def phi_matrix(self) -> np.ndarray:
-        """All left eigenvectors stacked as columns, aligned with psi_matrix."""
-        return np.hstack([lv.phi for lv in self.levels])
+        """All left eigenvectors stacked as columns, aligned with psi_matrix; read-only."""
+        return _read_only(np.hstack([lv.phi for lv in self.levels]))
 
-    @property
+    @cached_property
     def energies(self) -> np.ndarray:
-        """Level energy repeated per column, aligned with psi_matrix."""
-        return np.concatenate([[lv.energy] * lv.multiplicity for lv in self.levels])
+        """Level energy repeated per column, aligned with psi_matrix; read-only."""
+        return _read_only(np.repeat([lv.energy for lv in self.levels], np.diff(self._offsets)))
+
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        """First column of each level in the stacked matrices, then dim."""
+        return np.cumsum([0, *(lv.multiplicity for lv in self.levels)])
+
+    @cached_property
+    def _biorthonormality(self) -> tuple[float, float]:
+        """Max-norm residuals of Phi^dagger Psi = 1 and Psi Phi^dagger = 1, formed once."""
+        psi, phi = self.psi_matrix, self.phi_matrix
+        eye = np.eye(self.dim)
+        return max_abs(phi.conj().T @ psi - eye), max_abs(psi @ phi.conj().T - eye)
 
     def level_slices(self) -> list[slice]:
         """Column ranges of each level inside the stacked matrices."""
-        out, start = [], 0
-        for lv in self.levels:
-            out.append(slice(start, start + lv.multiplicity))
-            start += lv.multiplicity
-        return out
+        bounds = self._offsets.tolist()
+        return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -110,8 +128,14 @@ class SpectrumClass:
 
 
 def _cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
-    """Connected components of the eigenvalue chain graph at distance <= gap."""
+    """Connected components of the eigenvalue chain graph at distance <= gap,
+    ordered by smallest index.  Sort and sweep: only pairs within 2|gap| in
+    Re E are compared, a superset of the pairs within gap that rounding cannot shrink."""
     n = len(values)
+    order = np.argsort(values.real)
+    re = values.real[order]
+    reach = re.searchsorted(re + 2.0 * abs(gap), "right")  # candidates of k: k+1 .. reach[k]-1
+    starts = np.flatnonzero(reach > np.arange(1, n + 1)).tolist()
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -120,10 +144,13 @@ def _cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= gap:
-                parent[find(i)] = find(j)
+    if starts:
+        order, reach, values = order.tolist(), reach.tolist(), values.tolist()
+        for k in starts:
+            i = order[k]
+            for j in order[k + 1 : reach[k]]:
+                if abs(values[i] - values[j]) <= gap:
+                    parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
@@ -179,39 +206,40 @@ def _raw_levels(H: np.ndarray, cluster_gap) -> list:
         cluster_gap = CLUSTER_GAP_FACTOR * max_abs(H)
     w, v = np.linalg.eig(H)
     groups = _cluster_indices(w, cluster_gap)
-    q = {}  # orthonormal block by the level's first index, one stacked QR per multiplicity
+    levels = []  # one stacked QR per multiplicity; a simple level's energy is w[i] itself
     for d in {len(idx) for idx in groups}:
         same = [idx for idx in groups if len(idx) == d]
-        q.update(zip([idx[0] for idx in same], np.linalg.qr(v[:, same].transpose(1, 0, 2))[0]))
-    levels = [(complex(np.mean(w[idx])), q[idx[0]]) for idx in groups]
+        energies = np.mean(w[same], axis=1) if d > 1 else w[same][:, 0]
+        levels += zip(energies.tolist(), np.linalg.qr(v[:, same].transpose(1, 0, 2))[0])
     return sorted(levels, key=lambda t: (t[0].real, t[0].imag))
 
 
 def _assemble(levels_raw: list, H: np.ndarray, tol: float) -> BiorthonormalSystem:
-    """System with phi blocks from the rows of Psi^{-1}, verified against H."""
-    # Psi stacked twice: no stacked copy stays alive in _verify_system or a refusal's traceback
-    cond = condition_number(np.hstack([q for _, q in levels_raw]))
+    """System storing Psi, Phi = Psi^{-dagger} and E once, with level blocks
+    that are views into them, verified against H."""
+    psi = np.hstack([q for _, q in levels_raw])
+    cond = condition_number(psi)
     if cond > DEFAULT_COND_CEILING:
         raise NotDiagonalizableError(
             f"eigenvector matrix condition number {cond:.3e} exceeds ceiling "
             f"{DEFAULT_COND_CEILING:.3e}; input is defective or nearly so"
         )
-    phi_rows = np.linalg.inv(np.hstack([q for _, q in levels_raw]))
-    levels, start = [], 0
-    for energy, q in levels_raw:
-        d = q.shape[1]
-        levels.append(EigenLevel(energy, q, phi_rows[start : start + d, :].conj().T))
-        start += d
+    psi, phi = _read_only(psi), _read_only(np.linalg.inv(psi).conj().T)
+    offsets = np.cumsum([0, *(q.shape[1] for _, q in levels_raw)])
+    bounds = offsets.tolist()
+    energies = [e for e, _ in levels_raw]
+    levels = [EigenLevel(e, psi[:, a:b], phi[:, a:b]) for e, a, b in zip(energies, bounds, bounds[1:])]
     sys = BiorthonormalSystem(dim=H.shape[0], levels=tuple(levels), tol=tol)
-    vars(sys)["cond"] = cond  # seeds the cached property
+    # seeds the cached properties
+    vars(sys).update(cond=cond, psi_matrix=psi, phi_matrix=phi, _offsets=offsets,
+                     energies=_read_only(np.repeat(energies, np.diff(offsets))))
     _verify_system(sys, H, tol)
     return sys
 
 
 def _verify_system(sys: BiorthonormalSystem, H: np.ndarray, tol: float) -> None:
-    psi, phi = sys.psi_matrix, sys.phi_matrix
-    energies = sys.energies
-    residuals = dict(zip(("biorthonormality", "completeness"), biorthonormality_residuals(sys)))
+    psi, phi, energies = sys.psi_matrix, sys.phi_matrix, sys.energies
+    residuals = dict(zip(("biorthonormality", "completeness"), sys._biorthonormality))
     hscale = scale_of(H)
     residuals["right_eigen"] = max_abs(H @ psi - psi * energies) / hscale
     residuals["left_eigen"] = max_abs(H.conj().T @ phi - phi * np.conj(energies)) / hscale
@@ -227,10 +255,9 @@ def _verify_system(sys: BiorthonormalSystem, H: np.ndarray, tol: float) -> None:
 
 
 def biorthonormality_residuals(sys: BiorthonormalSystem) -> tuple[float, float]:
-    """Max-norm residuals of Phi^dagger Psi = 1 and Psi Phi^dagger = 1."""
-    psi, phi = sys.psi_matrix, sys.phi_matrix
-    eye = np.eye(sys.dim)
-    return max_abs(phi.conj().T @ psi - eye), max_abs(psi @ phi.conj().T - eye)
+    """Max-norm residuals of Phi^dagger Psi = 1 and Psi Phi^dagger = 1; formed
+    once per system, and the ones ``biorthonormal_eigensystem`` verified."""
+    return sys._biorthonormality
 
 
 def classify_spectrum(

@@ -15,6 +15,7 @@ import numpy as np
 
 from ._linalg import (
     as_square_matrix,
+    cond_of,
     condition_number,
     max_abs,
     scale_of,
@@ -42,15 +43,16 @@ def symmetric_factor(c, tol: float = DEFAULT_TOL) -> np.ndarray:
     deterministic for a given input.
 
     Returns v with ``max|v v^T - c| <= tol * max|c|``; v is invertible
-    because c is.
+    because c is.  Raises ``SingularInputError`` when the condition number of
+    c, read off s, exceeds ``DEFAULT_COND_CEILING``, as ``validate_against`` does.
     """
     c = as_square_matrix(c, "c")
     if symmetric_defect(c) > tol * scale_of(c):
         raise NotSymmetricError("input is not complex symmetric")
 
     v, s = takagi_factor(c)
-    if s[0] <= 1e-12 * scale_of(s):
-        raise SingularInputError("input is numerically singular; no invertible factor exists")
+    if cond_of(s) > DEFAULT_COND_CEILING:
+        raise SingularInputError("input is singular or too ill-conditioned; no invertible factor")
     return _check_factor(v, c, tol)
 
 

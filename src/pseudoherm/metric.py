@@ -107,8 +107,9 @@ def is_pseudo_hermitian(H, eta, tol: float = DEFAULT_TOL) -> CheckResult:
 
 def _partner_columns(sys: BiorthonormalSystem, cls: SpectrumClass) -> np.ndarray:
     """Permutation pi pairing column c of level i with column c of level pairing[i]."""
-    slices = sys.level_slices()
-    return np.concatenate([np.arange(slices[j].start, slices[j].stop) for j in cls.pairing])
+    offsets = sys._offsets
+    shift = offsets[np.asarray(cls.pairing)] - offsets[:-1]
+    return np.arange(sys.dim) + np.repeat(shift, np.diff(offsets))
 
 
 def _metric(sys: BiorthonormalSystem, cls: SpectrumClass, weights=None) -> MetricOperator:
@@ -130,8 +131,7 @@ def _metric(sys: BiorthonormalSystem, cls: SpectrumClass, weights=None) -> Metri
         if np.any(w <= 0.0):
             raise ValueError("metric weights must be strictly positive")
 
-    level_w = [w[min(i, j)] for i, j in enumerate(cls.pairing)]
-    col_w = np.repeat(level_w, [lv.multiplicity for lv in sys.levels])
+    col_w = np.repeat(w[np.minimum(np.arange(k), cls.pairing)], np.diff(sys._offsets))
     phi = sys.phi_matrix
     eta = (phi * col_w) @ phi[:, _partner_columns(sys, cls)].conj().T
     real = cls.tag is SpectrumTag.ALL_REAL

@@ -87,18 +87,18 @@ def level_invariance_residuals(sys: BiorthonormalSystem, x: AntilinearOperator) 
     """Per-level residual of X mapping the level's psi space into itself.
 
     For level n with orthonormal block psi_n the residual is
-    ``max|(1 - psi_n psi_n^dagger) x conj(psi_n)| / max|x|``.
+    ``max|(1 - psi_n psi_n^dagger) x conj(psi_n)| / max|x|``: the level's columns
+    of ``|Y - Psi G|``, Y = x conj(Psi) and G the level-block diagonal of Psi^dagger Y.
     """
     if x.dim != sys.dim:
         raise DimensionMismatchError(
             f"X has dimension {x.dim}, the system has dimension {sys.dim}"
         )
-    scale = scale_of(x.matrix)
-    out = []
-    for lv in sys.levels:
-        image = x.matrix @ np.conj(lv.psi)
-        out.append(max_abs(image - lv.psi @ (lv.psi.conj().T @ image)) / scale)
-    return np.array(out)
+    psi, starts = sys.psi_matrix, sys._offsets[:-1]
+    level = np.repeat(np.arange(len(starts)), np.diff(sys._offsets))
+    y = x.matrix @ np.conj(psi)
+    g = (psi.conj().T @ y) * (level[:, None] == level)
+    return np.maximum.reduceat(np.abs(y - psi @ g).max(axis=0), starts) / scale_of(x.matrix)
 
 
 def is_exact_symmetry(

@@ -44,7 +44,7 @@ from conftest import near_real_matrix
 
 
 def count_calls(monkeypatch, fn) -> list:
-    """Replace ``fn`` by a counting wrapper wherever the package or
+    """Replace ``fn`` by a counting wrapper wherever the package, numpy or
     numpy.linalg holds a reference to it; returns the list of calls."""
     calls = []
 
@@ -53,7 +53,7 @@ def count_calls(monkeypatch, fn) -> list:
         return fn(*args, **kwargs)
 
     owners = [m for name, m in sys.modules.items() if name.startswith("pseudoherm")]
-    for owner in [*owners, np.linalg]:
+    for owner in [*owners, np, np.linalg]:
         for attr, val in list(vars(owner).items()):
             if val is fn:
                 monkeypatch.setattr(owner, attr, counted)
@@ -61,7 +61,9 @@ def count_calls(monkeypatch, fn) -> list:
 
 
 def test_report_and_analyze_solve_once(monkeypatch, rng, tmp_path, capsys):
-    h = planted_matrix(rng, 6, "real").matrix
+    planted = planted_matrix(rng, 6, "real")
+    h = planted.matrix
+    multiplicities = {d for _, d in planted.levels}
     path = tmp_path / "h.json"
     save_matrix(path, h)
     metric_calls = count_calls(monkeypatch, pseudoherm.metric._metric)
@@ -72,6 +74,7 @@ def test_report_and_analyze_solve_once(monkeypatch, rng, tmp_path, capsys):
     intertwining_calls = count_calls(monkeypatch, pseudoherm.metric.is_pseudo_hermitian)
     commutation_calls = count_calls(monkeypatch, pseudoherm.symmetry.commutes_with)
     inner_calls = count_calls(monkeypatch, pseudoherm.metric.indefinite_inner_product)
+    stacking = [count_calls(monkeypatch, fn) for fn in (np.hstack, np.linalg.qr, np.mean)]
     assert real_spectrum_equivalence_report(h)["spectrum_class"] == "all_real"
     # one SVD, of Psi: kappa(A) = kappa(Psi) and kappa(eta) = kappa(Psi)^2;
     # X and A H A^{-1} are products of Psi and Phi, not solves; each identity
@@ -80,11 +83,22 @@ def test_report_and_analyze_solve_once(monkeypatch, rng, tmp_path, capsys):
     assert counts == [1, 0, 1, 0]
     checks = (reconstruct_calls, intertwining_calls, commutation_calls, inner_calls)
     assert [len(c) for c in checks] == [0, 1, 1, 0]
+    # Psi stacked once, one QR per distinct multiplicity, np.mean only for d >= 2
+    want_stacking = [1, len(multiplicities), len(multiplicities - {1})]
+    assert [len(c) for c in stacking] == want_stacking
 
     system_calls = count_calls(monkeypatch, pseudoherm.eigensystem.biorthonormal_eigensystem)
     to_dict_calls = count_calls(monkeypatch, pseudoherm.io.matrix_to_dict)
+    for c in stacking:
+        c.clear()
     assert cli_main(["analyze", str(path)]) == 0
     assert (len(system_calls), len(to_dict_calls)) == (1, 0)
+    assert [len(c) for c in stacking] == want_stacking
+    simple = planted_matrix(rng, 6, "real", degenerate=False)
+    for c in stacking:
+        c.clear()
+    real_spectrum_equivalence_report(simple.matrix)
+    assert [len(c) for c in stacking] == [1, 1, 0]
     assert cli_main(["symmetry", str(path)]) == 0
     assert len(reconstruct_calls) == 0
 

@@ -14,7 +14,7 @@ from pseudoherm import (
     classify_spectrum,
     reconstruct,
 )
-from pseudoherm.eigensystem import BiorthonormalSystem, _classify
+from pseudoherm.eigensystem import BiorthonormalSystem, _classify, _cluster_indices
 from pseudoherm.ensembles import planted_matrix
 
 from conftest import planted_3x3_conjugate
@@ -256,3 +256,72 @@ def test_classify_matches_pairing_scan(seed):
         outcomes.add(want if isinstance(want, str) else want[0])
     assert {SpectrumTag.ALL_REAL, SpectrumTag.CONJUGATE_PAIRED, SpectrumTag.UNPAIRED} <= outcomes
     assert any(isinstance(o, str) for o in outcomes)
+
+
+def union_find_clusters(values, gap):
+    """The all-pairs union-find that _cluster_indices replaced, kept as reference."""
+    n = len(values)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(values[i] - values[j]) <= gap:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def clustered_set(rng):
+    """Random values in clusters whose members lie about one gap apart (so
+    chains form), with shared real parts, exact repeats and real-only sets."""
+    gap = [0.0, 1e-8, 0.1, 1.0][rng.integers(4)]
+    n = int(rng.integers(1, 25))
+    centers = rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n) * rng.integers(2)
+    if rng.random() < 0.3:  # ties in Re E
+        centers.real = rng.choice(centers.real[: max(1, n // 3)], n)
+    values = centers[rng.integers(n, size=n)]
+    step = gap * rng.uniform(0.0, 1.2, n) * np.exp(2j * np.pi * rng.random(n))
+    return values + step * (rng.random(n) < 0.7), gap
+
+
+def test_cluster_sweep_matches_union_find():
+    rng = np.random.default_rng(2024)
+    for _ in range(3000):
+        values, gap = clustered_set(rng)
+        assert _cluster_indices(values, gap) == union_find_clusters(values, gap)
+    a = 1.0 + 2.0j
+    chain = np.array([a + 1.8, 7.0, a, a + 0.9, a - 0.9j])  # |a - (a + 1.8)| > gap, joined via a + 0.9
+    assert _cluster_indices(chain, 1.0) == [[0, 2, 3, 4], [1]] == union_find_clusters(chain, 1.0)
+    ties = np.array([1.0 + 1j, 1.0 - 1j, 1.0 + 1j, 1.0])
+    assert _cluster_indices(ties, 0.0) == [[0, 2], [1], [3]] == union_find_clusters(ties, 0.0)
+    assert _cluster_indices(np.array([3.0 + 0j]), 0.0) == [[0]]
+
+
+@pytest.mark.parametrize("kind", ["real", "paired"])
+def test_assembled_levels_are_read_only_views(kind):
+    rng = np.random.default_rng(9)
+    sys_ = biorthonormal_eigensystem(planted_matrix(rng, 7, kind).matrix)
+    for lv in sys_.levels:
+        assert np.shares_memory(lv.psi, sys_.psi_matrix)
+        assert np.shares_memory(lv.phi, sys_.phi_matrix)
+    blocks = [a for lv in sys_.levels for a in (lv.psi, lv.phi)]
+    for a in (sys_.psi_matrix, sys_.phi_matrix, sys_.energies, *blocks):
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+
+
+def test_biorthonormality_residuals_are_the_verified_ones(planted_paired):
+    sys_ = biorthonormal_eigensystem(planted_paired.matrix)
+    assert "_biorthonormality" in vars(sys_)  # formed while verifying, not again
+    psi, phi = sys_.psi_matrix, sys_.phi_matrix
+    eye = np.eye(sys_.dim)
+    fresh = (np.max(np.abs(phi.conj().T @ psi - eye)), np.max(np.abs(psi @ phi.conj().T - eye)))
+    assert biorthonormality_residuals(sys_) == fresh

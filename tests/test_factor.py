@@ -22,12 +22,14 @@ from pseudoherm import (
     symmetric_factor,
 )
 from pseudoherm.antilinear import CoefficientFamily
+from pseudoherm.cli import cli_main
 from pseudoherm.ensembles import (
     planted_matrix,
     random_coefficients,
     random_symmetric_invertible,
     random_unitary,
 )
+from pseudoherm.io import save_matrix
 
 
 def reconstruction_error(v, c):
@@ -277,3 +279,24 @@ def test_canonicalize_refusals():
     with pytest.raises(PseudoHermError, match="factorization residual"):
         canonicalize([[2.0, 1j], [1j, 3.0]], tol=1e-20)
     canonicalize([[2.0, 1j], [1j, 3.0]])
+
+
+@pytest.mark.parametrize("small, refused", [(1e-10, True), (1e-7, False)])
+def test_factor_and_canonicalize_share_the_ceiling(small, refused, tmp_path, capsys):
+    """symmetric_factor, the factor command and canonicalize_tau refuse a
+    block exactly when its condition number exceeds 1e8."""
+    block = np.diag([1.0, small]).astype(complex)
+    sys_ = biorthonormal_eigensystem(np.diag([1.0, 1.0, 2.0]))
+    coeffs = CoefficientFamily((block, np.array([[1.0 + 0j]])))
+    path = tmp_path / "c.json"
+    save_matrix(path, block)
+    if refused:
+        with pytest.raises(SingularInputError):
+            symmetric_factor(block)
+        with pytest.raises(SingularCoefficientsError):
+            canonicalize_tau(sys_, coeffs)
+        assert cli_main(["factor", str(path)]) == 2
+    else:
+        assert reconstruction_error(symmetric_factor(block), block) <= 1e-10
+        canonicalize_tau(sys_, coeffs)
+        assert cli_main(["factor", str(path)]) == 0

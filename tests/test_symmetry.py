@@ -158,3 +158,29 @@ def test_exactness_separates_real_from_paired(rng):
         sys_, cls, eta, tau, x = full_chain(pm.matrix)
         verdicts[kind] = is_exact_symmetry(sys_, x, 1e-9)
     assert verdicts == {"real": True, "paired": False}
+
+
+def per_level_invariance(sys_, x):
+    """The per-level loop that level_invariance_residuals replaced, kept as reference."""
+    out = []
+    for lv in sys_.levels:
+        image = x.matrix @ np.conj(lv.psi)
+        out.append(np.max(np.abs(image - lv.psi @ (lv.psi.conj().T @ image))))
+    return np.array(out) / np.max(np.abs(x.matrix))
+
+
+@pytest.mark.parametrize("kind", ["real", "paired"])
+@pytest.mark.parametrize("seed", range(6))
+def test_level_invariance_block_product_matches_loop(kind, seed):
+    """Real and paired spectra, with a degenerate level for odd seeds; the
+    canonical X and a random antilinear operator."""
+    rng = np.random.default_rng(seed)
+    pm = planted_matrix(rng, 7, kind, degenerate=bool(seed % 2))
+    sys_, _, _, _, x = full_chain(pm.matrix)
+    rand = AntilinearOperator(rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))
+    for op in (x, rand):
+        got, want = level_invariance_residuals(sys_, op), per_level_invariance(sys_, op)
+        assert got.shape == (len(sys_.levels),)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(got <= 1e-10, want <= 1e-10)
+    assert bool(np.all(level_invariance_residuals(sys_, x) <= 1e-10)) is (kind == "real")
