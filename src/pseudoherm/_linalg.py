@@ -90,6 +90,19 @@ def cond_of(s) -> float:
     return float("inf") if s.min() == 0.0 else float(s.max() / s.min())
 
 
+def block_diag(*blocks) -> np.ndarray:
+    """Square blocks placed along the diagonal of a zero matrix, in order
+    (``scipy.linalg.block_diag`` for square blocks; placement is exact)."""
+    blocks = [np.atleast_2d(b) for b in blocks]
+    out = np.zeros((sum(b.shape[0] for b in blocks),) * 2, dtype=np.result_type(*blocks))
+    start = 0
+    for b in blocks:
+        stop = start + b.shape[0]
+        out[start:stop, start:stop] = b
+        start = stop
+    return out
+
+
 def solve(a: np.ndarray, b: np.ndarray, error_cls, what: str):
     """np.linalg.solve wrapping singularity in a package error."""
     if condition_number(a) > DEFAULT_COND_CEILING:

@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._linalg import (
     CheckResult,
     as_square_matrix,
+    block_diag,
     cond_of,
     make_check,
     max_abs,
@@ -127,7 +127,7 @@ def build_tau(
     if coeffs is None:
         return AntilinearOperator(phi @ phi.T)
     coeffs.validate_against(sys)
-    return AntilinearOperator(phi @ scipy.linalg.block_diag(*coeffs.blocks) @ phi.T)
+    return AntilinearOperator(phi @ block_diag(*coeffs.blocks) @ phi.T)
 
 
 def canonical_tau(sys: BiorthonormalSystem) -> AntilinearOperator:
@@ -144,7 +144,7 @@ def invert_tau(
     if coeffs is None:
         return AntilinearOperator(psi @ psi.T)
     coeffs.validate_against(sys)
-    c_inv = scipy.linalg.block_diag(*[np.conj(np.linalg.inv(b)) for b in coeffs.blocks])
+    c_inv = block_diag(*[np.conj(np.linalg.inv(b)) for b in coeffs.blocks])
     return AntilinearOperator(psi @ c_inv @ psi.T)
 
 

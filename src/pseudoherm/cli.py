@@ -15,7 +15,7 @@ import sys
 
 from . import io
 from ._linalg import hermitian_defect, max_abs, scale_of, symmetric_defect
-from .antilinear import build_tau, canonical_tau, is_anti_pseudo_hermitian
+from .antilinear import build_tau, is_anti_pseudo_hermitian
 from .eigensystem import DEFAULT_REALNESS_TOL, biorthonormal_eigensystem, classify_spectrum
 from .errors import (
     AmbiguousPairingError,
@@ -30,15 +30,7 @@ from .errors import (
 from .factor import symmetric_factor
 from .hermitize import ReportStageError, _report, hermitizing_transform
 from .metric import _metric, evolution_invariance_check, is_pseudo_hermitian
-from .ptmodel import (
-    build_pt_hamiltonian,
-    eta_from_tau_pt,
-    make_lattice,
-    parity_matrix,
-    pt_adapted_eigensystem,
-    pt_commutation_residuals,
-    time_reversal,
-)
+from .ptmodel import _pt_model, build_pt_hamiltonian, make_lattice
 from .symmetry import _canonical_symmetry, commutes_with, level_invariance_residuals
 
 VERIFICATION_ERRORS = (
@@ -185,20 +177,8 @@ def cmd_evolve_check(args) -> int:
 def cmd_pt_model(args) -> int:
     spec = make_lattice(args.n, args.L, args.mass, args.v1, args.v2, args.eps)
     h = build_pt_hamiltonian(spec)
-    p = parity_matrix(args.n)
-    r_parity, r_ptsym = pt_commutation_residuals(h, p)
-    system = pt_adapted_eigensystem(h, p, args.tol, cluster_gap=args.cluster_gap)
-    cls = classify_spectrum(system)
-    tau = canonical_tau(system)
-    eta = eta_from_tau_pt(h, tau, p, args.tol)
-    payload = {
-        "spectrum_class": cls.tag.value,
-        "parity_intertwining_residual": r_parity / scale_of(h),
-        "pt_commutation_residual": r_ptsym / scale_of(h),
-        "eta_intertwining_residual": is_pseudo_hermitian(h, eta, args.tol).residual,
-        "time_reversal_intertwining": is_anti_pseudo_hermitian(h, time_reversal(args.n), args.tol).residual,
-        "levels": _levels_payload(system),
-    }
+    system, cls, residuals = _pt_model(h, args.tol, args.cluster_gap)
+    payload = {"spectrum_class": cls.tag.value, **residuals, "levels": _levels_payload(system)}
     if args.save:
         io.save_matrix(args.save, h)
         payload["saved"] = args.save

@@ -129,12 +129,15 @@ class SpectrumClass:
 
 def _cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
     """Connected components of the eigenvalue chain graph at distance <= gap,
-    ordered by smallest index.  Sort and sweep: only pairs within 2|gap| in
-    Re E are compared, a superset of the pairs within gap that rounding cannot shrink."""
+    ordered by smallest index.  Sort and sweep along whichever of Re E and
+    Im E spreads wider: only pairs within 2|gap| on that axis are compared,
+    a superset of the pairs within gap that rounding cannot shrink."""
     n = len(values)
-    order = np.argsort(values.real)
-    re = values.real[order]
-    reach = re.searchsorted(re + 2.0 * abs(gap), "right")  # candidates of k: k+1 .. reach[k]-1
+    re, im = values.real, values.imag
+    axis = re if re.max() - re.min() >= im.max() - im.min() else im
+    order = np.argsort(axis)
+    coord = axis[order]
+    reach = coord.searchsorted(coord + 2.0 * abs(gap), "right")  # candidates of k: k+1 .. reach[k]-1
     starts = np.flatnonzero(reach > np.arange(1, n + 1)).tolist()
     parent = list(range(n))
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._linalg import (
     DEFAULT_COND_CEILING,
@@ -197,8 +196,10 @@ def indefinite_inner_product(eta, xi, zeta) -> complex:
 
 def propagator(H, t: float) -> np.ndarray:
     """Evolution operator ``exp(-i H t)`` (scaling-and-squaring Pade)."""
+    from scipy.linalg import expm  # imported here: only evolution needs scipy
+
     H = as_square_matrix(H, "H")
-    return scipy.linalg.expm(-1j * t * H)
+    return expm(-1j * t * H)
 
 
 def evolution_invariance_check(

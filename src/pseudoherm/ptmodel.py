@@ -22,18 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (
+    CheckResult,
     as_square_matrix,
     hermitian_defect,
     max_abs,
     require_same_dim,
     scale_of,
+    symmetric_defect,
     takagi_factor,
 )
-from .antilinear import AntilinearOperator
+from .antilinear import AntilinearOperator, canonical_tau
 from .eigensystem import (
     DEFAULT_REALNESS_TOL,
     DEFAULT_TOL,
     BiorthonormalSystem,
+    SpectrumClass,
     _assemble,
     _classify,
     _raw_levels,
@@ -175,24 +178,15 @@ def pt_commutation_residuals(H, parity) -> tuple[float, float]:
     )
 
 
-def eta_from_tau_pt(
-    H, tau: AntilinearOperator, parity, tol: float = DEFAULT_TOL
-) -> MetricOperator:
-    """Linear metric from composing tau with the parity-conjugation map.
-
-    The composition of the two antilinear maps is linear with matrix
-    ``m P``.  Requires H to commute with the parity-conjugation map; the
-    result must come out Hermitian and intertwining, otherwise the supplied
-    tau is inconsistent with H (e.g. built on a gauge that is not
-    parity-conjugation adapted).
-    """
-    H = as_square_matrix(H, "H")
-    p = as_square_matrix(parity, "parity")
-    require_same_dim(H, p, "H and parity")
-    require_same_dim(H, tau.matrix, "H and tau")
-    if max_abs(H @ p - p @ np.conj(H)) > tol * scale_of(H):
+def _require_pt_symmetric(r_ptsym: float, H: np.ndarray, tol: float) -> None:
+    """Refuse H whose raw ``H P - P conj(H)`` residual exceeds tol * max|H|."""
+    if r_ptsym > tol * scale_of(H):
         raise NotPTSymmetricError("H does not commute with the parity-conjugation map")
-    eta = tau.matrix @ np.conj(p)
+
+
+def _checked_eta(H: np.ndarray, eta: np.ndarray, tol: float) -> tuple[np.ndarray, CheckResult]:
+    """eta = m P symmetrized, with its ``H^dagger eta = eta H`` check; refuses
+    a non-Hermitian eta or a failed identity."""
     if hermitian_defect(eta) > tol * scale_of(eta):
         raise ResultNotHermitianError(
             "tau composed with parity-conjugation is not Hermitian; "
@@ -204,9 +198,70 @@ def eta_from_tau_pt(
         raise ResultNotHermitianError(
             f"composed metric fails the intertwining identity (residual {check.residual:.3e})"
         )
-    positive = bool(np.linalg.eigvalsh(eta)[0] > 0.0)
-    factor = np.linalg.cholesky(eta) if positive else None
-    return MetricOperator(matrix=eta, positive_definite=positive, factor=factor)
+    return eta, check
+
+
+def eta_from_tau_pt(
+    H, tau: AntilinearOperator, parity, tol: float = DEFAULT_TOL
+) -> MetricOperator:
+    """Linear metric from composing tau with the parity-conjugation map.
+
+    The composition of the two antilinear maps is linear with matrix
+    ``m P``.  Requires H to commute with the parity-conjugation map; the
+    result must come out Hermitian and intertwining, otherwise the supplied
+    tau is inconsistent with H (e.g. built on a gauge that is not
+    parity-conjugation adapted).  Positive-definiteness is decided by one
+    Cholesky factorization, which is kept as the factor.
+    """
+    H = as_square_matrix(H, "H")
+    p = as_square_matrix(parity, "parity")
+    require_same_dim(H, p, "H and parity")
+    require_same_dim(H, tau.matrix, "H and tau")
+    _require_pt_symmetric(max_abs(H @ p - p @ np.conj(H)), H, tol)
+    eta, _ = _checked_eta(H, tau.matrix @ np.conj(p), tol)
+    try:
+        factor = np.linalg.cholesky(eta)
+    except np.linalg.LinAlgError:  # not positive definite
+        factor = None
+    return MetricOperator(matrix=eta, positive_definite=factor is not None, factor=factor)
+
+
+def _adapted(
+    H: np.ndarray, parity, tol: float, realness_tol: float, cluster_gap
+) -> tuple[BiorthonormalSystem, SpectrumClass, float]:
+    """The parity-conjugation adapted system of H, its class and the raw
+    ``H P - P conj(H)`` residual, which is also the refusal.
+
+    ``parity=None`` is the site reversal, applied by indexing: P x = x[::-1]
+    and x P = x[:, ::-1], both exact.
+    """
+    if parity is None:
+        r_ptsym = max_abs(H[:, ::-1] - np.conj(H)[::-1])
+    else:
+        r_ptsym = max_abs(H @ parity - parity @ np.conj(H))
+    _require_pt_symmetric(r_ptsym, H, tol)
+    raw = _raw_levels(H, cluster_gap)
+    cls = _classify(raw, realness_tol)
+    new_psi: list[np.ndarray] = []
+    for i, (_, q) in enumerate(raw):
+        j = cls.pairing[i]
+        if j == i:
+            # parity-conjugation restricted to the level is an antiunitary
+            # involution g conj(.) in the basis q; g is unitary symmetric, so
+            # its Takagi factor u is unitary and u conj(u)^{-1} = u u^T = g.
+            # q^dagger P is made contiguous so g matches the dense product bit for bit
+            if parity is None:
+                row = np.ascontiguousarray(q.conj().T[:, ::-1])
+            else:
+                row = q.conj().T @ parity
+            new_psi.append(q @ takagi_factor(row @ np.conj(q))[0])
+        elif j > i:
+            new_psi.append(q)
+        else:
+            partner = np.conj(new_psi[j])
+            new_psi.append(partner[::-1] if parity is None else parity @ partner)
+    system = _assemble([(e, q) for (e, _), q in zip(raw, new_psi)], H, tol)
+    return system, cls, r_ptsym
 
 
 def pt_adapted_eigensystem(
@@ -222,26 +277,35 @@ def pt_adapted_eigensystem(
     (``P conj(psi) = psi``) and each conjugate pair uses the parity image of
     its partner's basis.  The canonical automorphism of such a system then
     commutes with the parity-conjugation map, which makes ``eta = m P``
-    Hermitian.
+    Hermitian.  The default parity is the site reversal.
     """
     H = as_square_matrix(H, "H")
-    p = parity_matrix(H.shape[0]) if parity is None else as_square_matrix(parity, "parity")
-    if max_abs(H @ p - p @ np.conj(H)) > tol * scale_of(H):
-        raise NotPTSymmetricError("H does not commute with the parity-conjugation map")
+    p = None if parity is None else as_square_matrix(parity, "parity")
+    return _adapted(H, p, tol, realness_tol, cluster_gap)[0]
 
-    raw = _raw_levels(H, cluster_gap)
-    pairing = _classify(raw, realness_tol).pairing
-    new_psi: list[np.ndarray] = []
-    for i, (_, q) in enumerate(raw):
-        j = pairing[i]
-        if j == i:
-            # parity-conjugation restricted to the level is an antiunitary
-            # involution g conj(.) in the basis q; g is unitary symmetric, so
-            # its Takagi factor u is unitary and u conj(u)^{-1} = u u^T = g
-            g = q.conj().T @ p @ np.conj(q)
-            new_psi.append(q @ takagi_factor(g)[0])
-        elif j > i:
-            new_psi.append(q)
-        else:
-            new_psi.append(p @ np.conj(new_psi[j]))
-    return _assemble([(e, q) for (e, _), q in zip(raw, new_psi)], H, tol)
+
+def _pt_model(
+    H, tol: float, cluster_gap: float | None
+) -> tuple[BiorthonormalSystem, SpectrumClass, dict]:
+    """The lattice chain in one pass, for the site-reversal parity P.
+
+    Each fact is formed once: the two structural residuals, one eig and one
+    classification of the adapted system, one canonical tau and eta = tau P,
+    and one ``H^dagger eta = eta H`` check.  P is applied by
+    index reversal, never as a matrix.  Time reversal (the identity matrix
+    with conjugation) intertwines H^dagger with conj(H) iff H^T = H, so its
+    residual is ``max|H - H^T| / max|H|``.  Returns the system, its class
+    and the normalized residuals.
+    """
+    H = as_square_matrix(H, "H")
+    r_parity = max_abs(H.conj().T[:, ::-1] - H[::-1])
+    system, cls, r_ptsym = _adapted(H, None, tol, DEFAULT_REALNESS_TOL, cluster_gap)
+    _, check = _checked_eta(H, canonical_tau(system).matrix[:, ::-1], tol)
+    hscale = scale_of(H)
+    residuals = {
+        "parity_intertwining_residual": r_parity / hscale,
+        "pt_commutation_residual": r_ptsym / hscale,
+        "eta_intertwining_residual": check.residual,
+        "time_reversal_intertwining": symmetric_defect(H) / hscale,
+    }
+    return system, cls, residuals

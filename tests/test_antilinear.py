@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -232,3 +233,22 @@ def test_misaligned_coefficients_rejected():
     sys_ = biorthonormal_eigensystem(np.diag([1.0, 2.0]))
     with pytest.raises(DimensionMismatchError):
         build_tau(sys_, CoefficientFamily((np.eye(1, dtype=complex),)))
+
+
+@pytest.mark.parametrize("kind", ["real", "paired"])
+def test_tau_block_diagonal_is_bitwise_scipy(kind):
+    """build_tau and invert_tau with a coefficient family place the blocks
+    with numpy; the products equal, bit for bit, the ones built on
+    scipy.linalg.block_diag."""
+    rng = np.random.default_rng(5)
+    while True:
+        sys_ = biorthonormal_eigensystem(planted_matrix(rng, 7, kind).matrix)
+        if any(lv.multiplicity > 1 for lv in sys_.levels):
+            break
+    coeffs = random_coefficients(rng, sys_)
+    phi, psi = sys_.phi_matrix, sys_.psi_matrix
+    tau_ref = phi @ scipy.linalg.block_diag(*coeffs.blocks) @ phi.T
+    c_inv = [np.conj(np.linalg.inv(b)) for b in coeffs.blocks]
+    inv_ref = psi @ scipy.linalg.block_diag(*c_inv) @ psi.T
+    assert build_tau(sys_, coeffs).matrix.tobytes() == tau_ref.tobytes()
+    assert invert_tau(sys_, coeffs).matrix.tobytes() == inv_ref.tobytes()

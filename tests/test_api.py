@@ -8,7 +8,10 @@ not need to be listed here.
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -130,3 +133,17 @@ def test_no_condition_ceiling_knobs():
     assert len(found) > 80  # the walk reaches functions and methods alike
     knobs = [(q, p) for q, fn in found for p in inspect.signature(fn).parameters if p in KNOBS]
     assert knobs == []
+
+
+def test_import_leaves_scipy_out():
+    """Importing the package and its CLI loads no scipy; only evolution
+    (``metric.propagator``) imports it, when called."""
+    code = (
+        "import sys, numpy, pseudoherm, pseudoherm.cli\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "pseudoherm.metric.propagator(numpy.eye(2), 0.5)\n"
+        "assert 'scipy' in sys.modules"
+    )
+    src = os.path.dirname(os.path.dirname(pseudoherm.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)

@@ -12,6 +12,7 @@ import pseudoherm.eigensystem
 import pseudoherm.hermitize
 import pseudoherm.io
 import pseudoherm.metric
+import pseudoherm.ptmodel
 import pseudoherm.symmetry
 from pseudoherm import (
     AntilinearOperator,
@@ -101,6 +102,28 @@ def test_report_and_analyze_solve_once(monkeypatch, rng, tmp_path, capsys):
     assert [len(c) for c in stacking] == [1, 1, 0]
     assert cli_main(["symmetry", str(path)]) == 0
     assert len(reconstruct_calls) == 0
+
+
+@pytest.mark.parametrize("v2, eps", [("x^3", 0.1), ("x", 1.0)])
+def test_pt_model_runs_one_pass(monkeypatch, capsys, v2, eps):
+    """One pt-model command: one eig, one classification, one SVD (kappa(Psi))
+    and one inverse (Phi); no eigvalsh or cholesky, as positivity is not
+    reported, and no dense parity matrix."""
+    counted = {
+        "eig": np.linalg.eig,
+        "svd": np.linalg.svd,
+        "inv": np.linalg.inv,
+        "eigvalsh": np.linalg.eigvalsh,
+        "cholesky": np.linalg.cholesky,
+        "parity_matrix": pseudoherm.ptmodel.parity_matrix,
+        "_classify": pseudoherm.eigensystem._classify,
+    }
+    calls = {name: count_calls(monkeypatch, fn) for name, fn in counted.items()}
+    argv = ["pt-model", "--n", "41", "--v2", v2, "--eps", str(eps), "--output", "json"]
+    assert cli_main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["spectrum_class"] == "conjugate_paired"
+    want = {"eig": 1, "svd": 1, "inv": 1, "eigvalsh": 0, "cholesky": 0, "parity_matrix": 0, "_classify": 1}
+    assert {name: len(c) for name, c in calls.items()} == want
 
 
 def planted_with_degenerate_level(seed: int, dim: int, kind: str):

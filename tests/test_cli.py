@@ -6,6 +6,21 @@ import json
 import numpy as np
 import pytest
 
+from pseudoherm import (
+    NotDiagonalizableError,
+    build_pt_hamiltonian,
+    canonical_tau,
+    classify_spectrum,
+    eta_from_tau_pt,
+    is_anti_pseudo_hermitian,
+    is_pseudo_hermitian,
+    make_lattice,
+    parity_matrix,
+    pt_adapted_eigensystem,
+    pt_commutation_residuals,
+    time_reversal,
+)
+from pseudoherm._linalg import scale_of
 from pseudoherm.cli import build_parser, cli_main
 from pseudoherm.io import save_coefficients, save_matrix
 from pseudoherm.antilinear import CoefficientFamily
@@ -132,6 +147,53 @@ def test_pt_model_runs(capsys, tmp_path):
     assert payload["pt_commutation_residual"] == 0.0
     assert payload["eta_intertwining_residual"] <= 1e-9
     assert out_path.exists()
+
+
+def reference_pt_model_payload(n, v2, eps, tol=1e-10) -> dict:
+    """The pt-model payload from the public functions with a dense parity
+    matrix: the command's earlier body, kept as reference."""
+    spec = make_lattice(n, 10.0, 1.0, "x^2", v2, eps)
+    h = build_pt_hamiltonian(spec)
+    p = parity_matrix(n)
+    r_parity, r_ptsym = pt_commutation_residuals(h, p)
+    system = pt_adapted_eigensystem(h, p, tol)
+    cls = classify_spectrum(system)
+    tau = canonical_tau(system)
+    eta = eta_from_tau_pt(h, tau, p, tol)
+    return {
+        "spectrum_class": cls.tag.value,
+        "parity_intertwining_residual": r_parity / scale_of(h),
+        "pt_commutation_residual": r_ptsym / scale_of(h),
+        "eta_intertwining_residual": is_pseudo_hermitian(h, eta, tol).residual,
+        "time_reversal_intertwining": is_anti_pseudo_hermitian(h, time_reversal(n), tol).residual,
+        "levels": [
+            {"energy": [lv.energy.real, lv.energy.imag], "multiplicity": lv.multiplicity}
+            for lv in system.levels
+        ],
+    }
+
+
+PT_ARGV = ["pt-model", "--L", "10", "--output", "json"]
+
+
+@pytest.mark.parametrize(
+    "n, v2, eps",
+    [(41, v2, eps) for v2 in ("x", "x^3") for eps in (0.1, 1.0)] + [(81, "x", 0.1)],
+)
+def test_pt_model_payload_matches_reference_bitwise(n, v2, eps, capsys):
+    assert cli_main([*PT_ARGV, "--n", str(n), "--v2", v2, "--eps", str(eps)]) == 0
+    out = capsys.readouterr().out
+    # json writes each float as its shortest round-trip repr, so equal text is equal bits
+    assert out == json.dumps(reference_pt_model_payload(n, v2, eps), indent=2) + "\n"
+
+
+def test_pt_model_lattice_limit_keeps_its_refusal(capsys):
+    with pytest.raises(NotDiagonalizableError) as ref:
+        reference_pt_model_payload(81, "x^3", 0.1)
+    assert cli_main([*PT_ARGV, "--n", "81", "--v2", "x^3", "--eps", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"NotDiagonalizableError: {ref.value}\n"
 
 
 def test_factor_command(tmp_path, rng, capsys):

@@ -296,7 +296,14 @@ def test_cluster_sweep_matches_union_find():
     rng = np.random.default_rng(2024)
     for _ in range(3000):
         values, gap = clustered_set(rng)
-        assert _cluster_indices(values, gap) == union_find_clusters(values, gap)
+        # the same set, also on the imaginary axis and rotated by a random angle
+        for v in (values, 1j * values, values * np.exp(2j * np.pi * rng.random())):
+            assert _cluster_indices(v, gap) == union_find_clusters(v, gap)
+    m = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    spectrum = np.linalg.eigvalsh(m + m.conj().T)
+    spectrum[5:9] = spectrum[5]  # one level of multiplicity 4
+    for v in (1j * spectrum, np.exp(0.3j) * spectrum):  # purely imaginary, rotated
+        assert _cluster_indices(v, 1e-8) == union_find_clusters(v, 1e-8)
     a = 1.0 + 2.0j
     chain = np.array([a + 1.8, 7.0, a, a + 0.9, a - 0.9j])  # |a - (a + 1.8)| > gap, joined via a + 0.9
     assert _cluster_indices(chain, 1.0) == [[0, 2, 3, 4], [1]] == union_find_clusters(chain, 1.0)

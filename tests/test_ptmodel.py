@@ -187,3 +187,51 @@ def test_adapted_gauge_on_degenerate_real_levels():
             assert np.max(np.abs(p @ np.conj(lv.psi) - lv.psi)) <= 1e-10
     eta = eta_from_tau_pt(h, canonical_tau(sys_), p)
     assert is_pseudo_hermitian(h, eta).ok
+
+
+def _real_spectrum_system():
+    """Real H with real spectrum and parity = 1: the adapted canonical tau
+    gives eta = Phi Phi^T with Phi real, a positive metric."""
+    rng = np.random.default_rng(8)
+    s = rng.standard_normal((6, 6))
+    return s @ np.diag([1.0, 1.0, 2.0, 3.0, -1.0, 4.0]) @ np.linalg.inv(s), np.eye(6)
+
+
+@pytest.mark.parametrize("case", ["real-adapted", "lattice-time-reversal", "lattice-adapted"])
+def test_eta_positivity_from_one_cholesky(case, monkeypatch):
+    if case == "real-adapted":
+        h, p = _real_spectrum_system()
+        tau = canonical_tau(pt_adapted_eigensystem(h, p))
+    else:
+        v2, eps = ("x^3", 0.1) if case == "lattice-time-reversal" else ("x", 1.0)
+        h = build_pt_hamiltonian(make_lattice(41, 10.0, 1.0, "x^2", v2, eps))
+        p = parity_matrix(41)
+        tau = time_reversal(41) if case == "lattice-time-reversal" else canonical_tau(pt_adapted_eigensystem(h, p))
+    cholesky = np.linalg.cholesky
+    calls = []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)  # positivity takes no eigvalsh
+    metric = eta_from_tau_pt(h, tau, p, 1e-9)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert metric.positive_definite is bool(np.linalg.eigvalsh(metric.matrix)[0] > 0.0)
+    assert metric.positive_definite is (case == "real-adapted")
+    if metric.positive_definite:
+        np.testing.assert_allclose(metric.factor @ metric.factor.conj().T, metric.matrix, atol=1e-12)
+    else:
+        assert metric.factor is None
+
+
+@pytest.mark.parametrize("v2, eps", [("x", 0.1), ("x", 1.0), ("x^3", 1.0)])
+def test_default_parity_is_index_reversal_bitwise(v2, eps):
+    """pt_adapted_eigensystem without a parity applies the site reversal by
+    indexing; its system equals, bit for bit, the one built with the dense
+    parity matrix, except that indexing keeps the sign of a zero that the
+    product turns into +0 (adding 0.0 maps -0 to +0 and leaves the rest)."""
+    h = build_pt_hamiltonian(make_lattice(41, 10.0, 1.0, "x^2", v2, eps))
+    by_index = pt_adapted_eigensystem(h)
+    dense = pt_adapted_eigensystem(h, parity_matrix(41))
+    pairs = [(by_index.psi_matrix, dense.psi_matrix), (by_index.phi_matrix, dense.phi_matrix),
+             (by_index.energies, dense.energies)]
+    for a, b in pairs:
+        assert (a + 0.0).tobytes() == (b + 0.0).tobytes()
