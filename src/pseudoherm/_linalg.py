@@ -83,11 +83,93 @@ def condition_number(a: np.ndarray) -> float:
     return cond_of(np.linalg.svd(np.asarray(a), compute_uv=False))
 
 
-def cond_of(s) -> float:
+def cond_of(s):
     """2-norm condition number max|s| / min|s| from the singular values s
-    (or the eigenvalues of a Hermitian matrix); inf when min|s| is 0."""
+    (or the eigenvalues of a Hermitian matrix); inf when min|s| is 0.  On a
+    stack (..., n) of such values, an array of one number per row."""
     s = np.abs(s)
-    return float("inf") if s.min() == 0.0 else float(s.max() / s.min())
+    smin = s.min(axis=-1)
+    kappa = np.divide(s.max(axis=-1), smin, out=np.full_like(smin, np.inf), where=smin != 0.0)
+    return float(kappa) if kappa.ndim == 0 else kappa
+
+
+def block_max_abs(a) -> np.ndarray:
+    """max_abs of each matrix of a stack (..., m, n)."""
+    return np.abs(a).max(axis=(-2, -1))
+
+
+def block_groups(sizes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Square blocks of a block diagonal grouped by size, one group per
+    distinct size d, ascending: the indices of the d x d blocks, in order,
+    and their rows (= columns) in the block diagonal, shape (k, d)."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    groups = []
+    for d in np.unique(sizes).tolist():
+        idx = np.flatnonzero(sizes == d)
+        groups.append((idx, starts[idx, None] + np.arange(d)))
+    return groups
+
+
+def stack_blocks(blocks, groups) -> tuple[list[np.ndarray], tuple | None]:
+    """The blocks as complex stacks (k, d, d), one per group of ``block_groups``,
+    and the first misfit, ``(index, expected shape)`` of the first block whose
+    shape is not its group's (d, d), or None; with a misfit, each stack holds
+    only the blocks before it."""
+    stacks = []
+    for idx, cols in groups:
+        shape = (len(idx), cols.shape[1], cols.shape[1])
+        try:
+            stack = np.array([blocks[k] for k in idx.tolist()], dtype=np.complex128)
+        except ValueError:  # blocks of different shapes
+            stack = None
+        if stack is None or stack.shape != shape:
+            return _stack_upto_misfit(blocks, groups)
+        stacks.append(stack)
+    return stacks, None
+
+
+def _stack_upto_misfit(blocks, groups) -> tuple[list[np.ndarray], tuple | None]:
+    """stack_blocks once the fast stacking failed; without a misfit, the
+    stacking raises its own error again."""
+    misfit = min(
+        ((k, (cols.shape[1],) * 2)
+         for idx, cols in groups
+         for k in idx.tolist()
+         if np.shape(blocks[k]) != (cols.shape[1],) * 2),
+        default=None,
+    )
+    stop = len(blocks) if misfit is None else misfit[0]
+    stacks = []
+    for idx, cols in groups:
+        picked = [blocks[k] for k in idx[idx < stop].tolist()]
+        stacks.append(np.array(picked, dtype=np.complex128).reshape(-1, *(cols.shape[1],) * 2))
+    return stacks, misfit
+
+
+def unstack(groups, stacks, count: int) -> list:
+    """The per-group stacks of ``stack_blocks`` as one list of blocks in index order."""
+    out = [None] * count
+    for (idx, _), stack in zip(groups, stacks):
+        for k, block in zip(idx.tolist(), stack):
+            out[k] = block
+    return out
+
+
+def raise_first(faults) -> None:
+    """Raise the error of the fault with the lowest block index; faults holds
+    (index, rank, error) and rank orders the checks made on one block."""
+    if faults:
+        raise min(faults, key=lambda f: f[:2])[2]
+
+
+def first_faults(idx, bad: np.ndarray, rank: int, make) -> list:
+    """[(idx[j], rank, make(j))] for the first position j flagged in bad, if any:
+    the fault of the first flagged block of a stack numbered by idx."""
+    if not bad.any():
+        return []
+    j = int(bad.argmax())
+    return [(int(idx[j]), rank, make(j))]
 
 
 def block_diag(*blocks) -> np.ndarray:
@@ -122,11 +204,16 @@ def takagi_factor(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``[[Re c, -Im c], [-Im c, -Re c]]`` give ``u = x - i y`` with
     ``c conj(u) = u diag(s)``; any orthonormal basis of a repeated Takagi
     value will do, so clustered values need no grouping rule.  A singular c
-    may come out with tiny negative values in s; callers refuse it.
+    may come out with tiny negative values in s; callers refuse it.  A stack
+    (..., n, n) is factored in one ``eigh``, each block as on its own.
     """
-    n = c.shape[0]
+    n = c.shape[-1]
     if n == 1:
-        return np.sqrt(c), np.abs(c[0])
-    w, x = np.linalg.eigh(np.block([[c.real, -c.imag], [-c.imag, -c.real]]))
-    s = w[n:]
-    return (x[:n, n:] - 1j * x[n:, n:]) * np.sqrt(np.maximum(s, 0.0)), s
+        return np.sqrt(c), np.abs(c[..., 0])
+    embedding = np.empty(c.shape[:-2] + (2 * n, 2 * n))
+    embedding[..., :n, :n] = c.real
+    embedding[..., :n, n:] = embedding[..., n:, :n] = -c.imag
+    embedding[..., n:, n:] = -c.real
+    w, x = np.linalg.eigh(embedding)
+    s = w[..., n:]
+    return (x[..., :n, n:] - 1j * x[..., n:, n:]) * np.sqrt(np.maximum(s, 0.0))[..., None, :], s

@@ -25,13 +25,18 @@ from ._linalg import (
     CheckResult,
     as_square_matrix,
     block_diag,
+    block_max_abs,
     cond_of,
+    first_faults,
     make_check,
     max_abs,
+    raise_first,
     require_same_dim,
     scale_of,
+    stack_blocks,
     symmetric_defect,
     takagi_factor,
+    unstack,
 )
 from .eigensystem import DEFAULT_COND_CEILING, DEFAULT_TOL, BiorthonormalSystem
 from .errors import (
@@ -85,26 +90,40 @@ class CoefficientFamily:
         """Check the blocks against sys and return their Takagi factors v (c = v v^T):
         each must be symmetric within ``1e-10 * max(max|c|, 1)`` and have a condition
         number, read off its Takagi values, at most ``DEFAULT_COND_CEILING``."""
+        return unstack(sys._groups, [v for _, v in self._factored(sys)], len(self.blocks))
+
+    def _factored(self, sys: BiorthonormalSystem) -> list[tuple[np.ndarray, np.ndarray]]:
+        """validate_against per distinct multiplicity, in the order of ``sys._groups``:
+        the blocks c as one complex stack and their Takagi factors v, with one
+        symmetry test, one stacked factorization and one condition test per
+        multiplicity.  A refusal names the first faulty block in level order."""
         if len(self.blocks) != len(sys.levels):
             raise DimensionMismatchError(
                 f"{len(self.blocks)} coefficient blocks for {len(sys.levels)} levels"
             )
-        factors = []
-        for k, (block, lv) in enumerate(zip(self.blocks, sys.levels)):
-            b = np.asarray(block, dtype=np.complex128)
-            if b.shape != (lv.multiplicity, lv.multiplicity):
-                raise DimensionMismatchError(
-                    f"block {k} has shape {b.shape}, level multiplicity is {lv.multiplicity}"
-                )
-            if symmetric_defect(b) > 1e-10 * max(max_abs(b), 1.0):
-                raise AsymmetricCoefficientsError(f"coefficient block {k} is not symmetric")
-            v, s = takagi_factor(b)  # s: the singular values of b
-            if cond_of(s) > DEFAULT_COND_CEILING:
-                raise SingularCoefficientsError(
-                    f"coefficient block {k} is singular or too ill-conditioned"
-                )
-            factors.append(v)
-        return factors
+        stacks, misfit = stack_blocks(self.blocks, sys._groups)
+        faults = []
+        if misfit is not None:
+            k, (d, _) = misfit
+            faults.append((k, 0, DimensionMismatchError(
+                f"block {k} has shape {np.shape(self.blocks[k])}, level multiplicity is {d}"
+            )))
+        out = []
+        for (idx, _), c in zip(sys._groups, stacks):
+            idx = idx[: len(c)]
+            defect = block_max_abs(c - c.swapaxes(-1, -2))
+            asymmetric = defect > 1e-10 * np.maximum(block_max_abs(c), 1.0)
+            v, s = takagi_factor(c)  # s: the singular values of each c
+            singular = cond_of(s) > DEFAULT_COND_CEILING
+            faults += first_faults(idx, asymmetric, 1, lambda j: AsymmetricCoefficientsError(
+                f"coefficient block {idx[j]} is not symmetric"
+            ))
+            faults += first_faults(idx, singular, 2, lambda j: SingularCoefficientsError(
+                f"coefficient block {idx[j]} is singular or too ill-conditioned"
+            ))
+            out.append((c, v))
+        raise_first(faults)
+        return out
 
 
 def compose_antilinear(s: AntilinearOperator, t: AntilinearOperator) -> np.ndarray:
@@ -143,9 +162,8 @@ def invert_tau(
     psi = sys.psi_matrix
     if coeffs is None:
         return AntilinearOperator(psi @ psi.T)
-    coeffs.validate_against(sys)
-    c_inv = block_diag(*[np.conj(np.linalg.inv(b)) for b in coeffs.blocks])
-    return AntilinearOperator(psi @ c_inv @ psi.T)
+    c_inv = [np.conj(np.linalg.inv(c)) for c, _ in coeffs._factored(sys)]
+    return AntilinearOperator(psi @ block_diag(*unstack(sys._groups, c_inv, len(sys.levels))) @ psi.T)
 
 
 def is_anti_pseudo_hermitian(
@@ -166,13 +184,17 @@ def is_anti_pseudo_hermitian(
 def recover_coefficients(sys: BiorthonormalSystem, tau: AntilinearOperator) -> CoefficientFamily:
     """Read the coefficient blocks back off an automorphism.
 
-    Uses the overlap identity ``psi_b^dagger m conj(psi_a) = c_ba`` level by
-    level; for a tau built from (sys, c) this reproduces c up to rounding.
+    Uses the overlap identity ``psi_b^dagger m conj(psi_a) = c_ba``: the
+    level-block diagonal of ``Psi^dagger Y``, Y = m conj(Psi), one stacked
+    product per multiplicity.  For a tau built from (sys, c) this reproduces
+    c up to rounding.
     """
     if tau.dim != sys.dim:
         raise DimensionMismatchError("tau dimension does not match the system")
-    blocks = []
-    for lv in sys.levels:
-        rec = lv.psi.conj().T @ tau.matrix @ np.conj(lv.psi)
-        blocks.append(rec)
-    return CoefficientFamily(tuple(blocks))
+    psi = sys.psi_matrix
+    y = tau.matrix @ np.conj(psi)
+    blocks = [
+        psi[:, cols].transpose(1, 2, 0).conj() @ y[:, cols].transpose(1, 0, 2)
+        for _, cols in sys._groups
+    ]
+    return CoefficientFamily(tuple(unstack(sys._groups, blocks, len(sys.levels))))

@@ -20,7 +20,14 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import DEFAULT_COND_CEILING, as_square_matrix, condition_number, max_abs, scale_of
+from ._linalg import (
+    DEFAULT_COND_CEILING,
+    as_square_matrix,
+    block_groups,
+    condition_number,
+    max_abs,
+    scale_of,
+)
 from .errors import AmbiguousPairingError, NotDiagonalizableError
 
 DEFAULT_TOL = 1e-10
@@ -91,6 +98,12 @@ class BiorthonormalSystem:
     def _offsets(self) -> np.ndarray:
         """First column of each level in the stacked matrices, then dim."""
         return np.cumsum([0, *(lv.multiplicity for lv in self.levels)])
+
+    @cached_property
+    def _groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Levels grouped by multiplicity d, ascending: per d the levels, in
+        order, and their columns in the stacked matrices, shape (k, d)."""
+        return block_groups(np.diff(self._offsets))
 
     @cached_property
     def _biorthonormality(self) -> tuple[float, float]:
@@ -227,16 +240,28 @@ def _assemble(levels_raw: list, H: np.ndarray, tol: float) -> BiorthonormalSyste
             f"eigenvector matrix condition number {cond:.3e} exceeds ceiling "
             f"{DEFAULT_COND_CEILING:.3e}; input is defective or nearly so"
         )
-    psi, phi = _read_only(psi), _read_only(np.linalg.inv(psi).conj().T)
     offsets = np.cumsum([0, *(q.shape[1] for _, q in levels_raw)])
-    bounds = offsets.tolist()
     energies = [e for e, _ in levels_raw]
-    levels = [EigenLevel(e, psi[:, a:b], phi[:, a:b]) for e, a, b in zip(energies, bounds, bounds[1:])]
-    sys = BiorthonormalSystem(dim=H.shape[0], levels=tuple(levels), tol=tol)
-    # seeds the cached properties
-    vars(sys).update(cond=cond, psi_matrix=psi, phi_matrix=phi, _offsets=offsets,
-                     energies=_read_only(np.repeat(energies, np.diff(offsets))))
+    sys = _on_stored(
+        _read_only(psi), _read_only(np.linalg.inv(psi).conj().T), energies, offsets, tol,
+        cond=cond, energies=_read_only(np.repeat(energies, np.diff(offsets))),
+    )
     _verify_system(sys, H, tol)
+    return sys
+
+
+def _on_stored(
+    psi: np.ndarray, phi: np.ndarray, level_energies: list, offsets: np.ndarray, tol: float, **cached
+) -> BiorthonormalSystem:
+    """System over the read-only Psi and Phi with level blocks that are views
+    into them; seeds psi_matrix, phi_matrix, _offsets and the ``cached``
+    properties, and leaves the rest to be measured on first access."""
+    bounds = offsets.tolist()
+    levels = tuple(
+        EigenLevel(e, psi[:, a:b], phi[:, a:b]) for e, a, b in zip(level_energies, bounds, bounds[1:])
+    )
+    sys = BiorthonormalSystem(dim=psi.shape[0], levels=levels, tol=tol)
+    vars(sys).update(psi_matrix=psi, phi_matrix=phi, _offsets=offsets, **cached)
     return sys
 
 

@@ -22,7 +22,7 @@ from pseudoherm import (
 )
 from pseudoherm.ensembles import planted_matrix, random_coefficients
 
-from conftest import planted_3x3_conjugate
+from conftest import mixed_multiplicity_matrix, planted_3x3_conjugate
 
 
 def test_apply_is_conjugation_for_identity():
@@ -252,3 +252,34 @@ def test_tau_block_diagonal_is_bitwise_scipy(kind):
     inv_ref = psi @ scipy.linalg.block_diag(*c_inv) @ psi.T
     assert build_tau(sys_, coeffs).matrix.tobytes() == tau_ref.tobytes()
     assert invert_tau(sys_, coeffs).matrix.tobytes() == inv_ref.tobytes()
+
+
+def reference_recover_coefficients(sys_, tau):
+    """recover_coefficients level by level: psi_n^dagger m conj(psi_n)."""
+    return [lv.psi.conj().T @ tau.matrix @ np.conj(lv.psi) for lv in sys_.levels]
+
+
+@pytest.mark.parametrize("kind", ["mixed", "paired"])
+def test_recover_coefficients_matches_the_level_loop(kind):
+    if kind == "mixed":
+        sys_ = biorthonormal_eigensystem(mixed_multiplicity_matrix())
+    else:
+        sys_ = biorthonormal_eigensystem(planted_matrix(np.random.default_rng(2), 8, "paired").matrix)
+    coeffs = random_coefficients(np.random.default_rng(3), sys_)
+    tau = build_tau(sys_, coeffs)
+    got = recover_coefficients(sys_, tau).blocks
+    want = reference_recover_coefficients(sys_, tau)
+    scale = max(np.max(np.abs(b)) for b in want)
+    assert [b.shape for b in got] == [b.shape for b in want]
+    assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) <= 1e-14 * scale
+
+
+def test_invert_tau_inverts_each_block_bitwise():
+    """One stacked inverse per multiplicity places, bit for bit, the per-block
+    inverses, including two levels of the same d >= 2."""
+    sys_ = biorthonormal_eigensystem(mixed_multiplicity_matrix())
+    coeffs = random_coefficients(np.random.default_rng(4), sys_)
+    psi = sys_.psi_matrix
+    c_inv = [np.conj(np.linalg.inv(b)) for b in coeffs.blocks]
+    want = psi @ scipy.linalg.block_diag(*c_inv) @ psi.T
+    assert invert_tau(sys_, coeffs).matrix.tobytes() == want.tobytes()

@@ -41,7 +41,7 @@ from pseudoherm.ensembles import planted_matrix, random_coefficients, random_uni
 from pseudoherm.hermitize import _report
 from pseudoherm.io import save_matrix
 
-from conftest import near_real_matrix
+from conftest import mixed_multiplicity_matrix, near_real_matrix
 
 
 def count_calls(monkeypatch, fn) -> list:
@@ -157,7 +157,30 @@ def test_each_condition_number_measured_once(monkeypatch, rng, tmp_path, capsys)
     assert svds(metric_from_matrix, np.diag([2.0, -1.0, 0.5])) == 0
     takagi_calls.clear()
     assert svds(canonicalize_tau, sys_, coeffs) == 0
-    assert len(takagi_calls) == len(sys_.levels)
+    assert len(takagi_calls) == len({lv.multiplicity for lv in sys_.levels})
+
+
+@pytest.mark.parametrize("kind", ["simple", "mixed"])
+def test_gauge_op_lapack_budget(monkeypatch, kind):
+    """canonicalize_tau takes one eigh (the Takagi factors) and one inv (the
+    psi gauge) per distinct multiplicity d >= 2 and none for simple levels;
+    basis_change one SVD (the block conditions) per distinct multiplicity."""
+    if kind == "simple":
+        h = np.random.default_rng(5).standard_normal((32, 32)) + 0j
+    else:
+        h = mixed_multiplicity_matrix()
+    sys_ = biorthonormal_eigensystem(h)
+    coeffs = random_coefficients(np.random.default_rng(6), sys_)
+    dims = {lv.multiplicity for lv in sys_.levels}
+    assert dims == ({1} if kind == "simple" else {1, 2, 3})
+    calls = {name: count_calls(monkeypatch, getattr(np.linalg, name)) for name in ("inv", "eigh", "svd")}
+    canonicalize_tau(sys_, coeffs)
+    want = len(dims - {1})
+    assert {name: len(c) for name, c in calls.items()} == {"inv": want, "eigh": want, "svd": 0}
+    for c in calls.values():
+        c.clear()
+    basis_change(sys_, coeffs.blocks)
+    assert {name: len(c) for name, c in calls.items()} == {"inv": want, "eigh": 0, "svd": len(dims)}
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -21,8 +21,10 @@ from pseudoherm import (
     recover_coefficients,
     symmetric_factor,
 )
+from pseudoherm._linalg import cond_of, takagi_factor
 from pseudoherm.antilinear import CoefficientFamily
 from pseudoherm.cli import cli_main
+from pseudoherm.eigensystem import BiorthonormalSystem, EigenLevel
 from pseudoherm.ensembles import (
     planted_matrix,
     random_coefficients,
@@ -30,6 +32,8 @@ from pseudoherm.ensembles import (
     random_unitary,
 )
 from pseudoherm.io import save_matrix
+
+from conftest import mixed_multiplicity_matrix
 
 
 def reconstruction_error(v, c):
@@ -300,3 +304,172 @@ def test_factor_and_canonicalize_share_the_ceiling(small, refused, tmp_path, cap
         assert reconstruction_error(symmetric_factor(block), block) <= 1e-10
         canonicalize_tau(sys_, coeffs)
         assert cli_main(["factor", str(path)]) == 0
+
+
+def reference_canonicalize_tau(sys_, coeffs, tol=1e-10):
+    """The gauge op level by level: validate each block, factor it, check the
+    factor and re-gauge its level, as canonicalize_tau did before it ran once
+    per multiplicity."""
+    factors = []
+    for k, (block, lv) in enumerate(zip(coeffs.blocks, sys_.levels)):
+        b = np.asarray(block, dtype=complex)
+        if b.shape != (lv.multiplicity, lv.multiplicity):
+            raise DimensionMismatchError(
+                f"block {k} has shape {b.shape}, level multiplicity is {lv.multiplicity}"
+            )
+        if np.max(np.abs(b - b.T)) > 1e-10 * max(np.max(np.abs(b)), 1.0):
+            raise AsymmetricCoefficientsError(f"coefficient block {k} is not symmetric")
+        v, s = takagi_factor(b)
+        if cond_of(s) > 1e8:
+            raise SingularCoefficientsError(f"coefficient block {k} is singular or too ill-conditioned")
+        factors.append(v)
+    levels = []
+    for lv, c, v in zip(sys_.levels, coeffs.blocks, factors):
+        residual = np.max(np.abs(v @ v.T - c))
+        if residual > tol * max(np.max(np.abs(c)), 1e-300):
+            raise PseudoHermError(f"factorization residual {residual:.3e} exceeds tolerance")
+        levels.append(EigenLevel(lv.energy, lv.psi @ np.linalg.inv(v.conj().T), lv.phi @ v))
+    new_sys = BiorthonormalSystem(dim=sys_.dim, levels=tuple(levels), tol=sys_.tol)
+    return new_sys, build_tau(new_sys, None)
+
+
+@pytest.fixture
+def mixed():
+    """A system with multiplicities (1, 1, 2, 2, 3) and a random family on it."""
+    sys_ = biorthonormal_eigensystem(mixed_multiplicity_matrix())
+    return sys_, random_coefficients(np.random.default_rng(8), sys_)
+
+
+def test_takagi_factor_of_a_matrix_is_the_block_embedding_bitwise():
+    """A 2-D call factors the embedding built with np.block, bit for bit."""
+    rng = np.random.default_rng(4)
+    for d in (1, 2, 3, 5):
+        c = random_symmetric_invertible(rng, d)
+        v, s = takagi_factor(c)
+        if d == 1:
+            want_v, want_s = np.sqrt(c), np.abs(c[0])
+        else:
+            w, x = np.linalg.eigh(np.block([[c.real, -c.imag], [-c.imag, -c.real]]))
+            want_s = w[d:]
+            want_v = (x[:d, d:] - 1j * x[d:, d:]) * np.sqrt(np.maximum(want_s, 0.0))
+        assert v.tobytes() == want_v.tobytes() and s.tobytes() == want_s.tobytes()
+
+
+def test_validate_against_factors_are_the_per_block_factors_bitwise(mixed):
+    sys_, coeffs = mixed
+    factors = coeffs.validate_against(sys_)
+    assert len(factors) == len(sys_.levels)
+    for v, c in zip(factors, coeffs.blocks):
+        assert v.tobytes() == takagi_factor(c)[0].tobytes()
+
+
+def test_canonicalize_matches_the_level_loop(mixed):
+    sys_, coeffs = mixed
+    new_sys, tau = canonicalize_tau(sys_, coeffs)
+    ref_sys, ref_tau = reference_canonicalize_tau(sys_, coeffs)
+    scale = np.max(np.abs(ref_tau.matrix))
+    assert np.max(np.abs(tau.matrix - ref_tau.matrix)) <= 1e-14 * scale
+    for block in recover_coefficients(new_sys, tau).blocks:
+        np.testing.assert_allclose(block, np.eye(len(block)), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(new_sys.psi_matrix, ref_sys.psi_matrix, rtol=0, atol=1e-13)
+    assert [lv.energy for lv in new_sys.levels] == [lv.energy for lv in sys_.levels]
+
+
+@pytest.mark.parametrize("regauge", ["canonicalize", "basis_change"])
+def test_regauged_system_stores_read_only_psi_and_phi(mixed, regauge):
+    sys_, coeffs = mixed
+    if regauge == "canonicalize":
+        new_sys = canonicalize_tau(sys_, coeffs)[0]
+    else:
+        new_sys = basis_change(sys_, coeffs.blocks)
+    psi, phi = new_sys.psi_matrix, new_sys.phi_matrix
+    assert not psi.flags.writeable and not phi.flags.writeable
+    for lv, sl in zip(new_sys.levels, new_sys.level_slices()):
+        assert np.shares_memory(lv.psi, psi) and np.shares_memory(lv.phi, phi)
+        np.testing.assert_array_equal(lv.psi, psi[:, sl])
+    assert new_sys.energies is sys_.energies
+    assert "cond" not in vars(new_sys)
+
+
+def test_basis_change_matches_the_level_loop(mixed):
+    sys_, coeffs = mixed
+    out = basis_change(sys_, coeffs.blocks)
+    for lv_in, lv_out, u in zip(sys_.levels, out.levels, coeffs.blocks):
+        np.testing.assert_allclose(lv_out.psi, lv_in.psi @ u, rtol=0, atol=1e-13)
+        want = lv_in.phi @ np.linalg.inv(u).conj().T
+        np.testing.assert_allclose(lv_out.phi, want, rtol=0, atol=1e-13)
+
+
+def refusal(fn, *args):
+    """(type, message) of the error fn raises."""
+    with pytest.raises(PseudoHermError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+ASYMMETRIC = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
+SINGULAR = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
+# asymmetry 5e-11 passes the absolute symmetry test of a block with
+# max|c| < 1 but not the relative factorization residual
+RESIDUAL = 1e-3 * np.array([[1.0, 0.5 + 5e-8], [0.5, 1.0]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "faults, cause",
+    [
+        ({3: ASYMMETRIC}, AsymmetricCoefficientsError),
+        ({2: SINGULAR}, SingularCoefficientsError),
+        ({1: np.zeros((1, 1), dtype=complex)}, SingularCoefficientsError),
+        ({3: RESIDUAL}, PseudoHermError),
+        ({4: np.eye(3)[:, :2], 3: np.eye(3)}, DimensionMismatchError),
+        ({4: ASYMMETRIC}, DimensionMismatchError),
+        ({3: ASYMMETRIC, 1: np.zeros((1, 1), dtype=complex)}, SingularCoefficientsError),
+        ({2: SINGULAR, 3: ASYMMETRIC}, SingularCoefficientsError),
+        ({2: ASYMMETRIC, 3: SINGULAR}, AsymmetricCoefficientsError),
+        ({2: RESIDUAL, 3: SINGULAR}, SingularCoefficientsError),
+        ({2: RESIDUAL, 3: RESIDUAL * 1.5}, PseudoHermError),
+        ({4: ASYMMETRIC, 2: SINGULAR}, SingularCoefficientsError),
+    ],
+    ids=[
+        "asymmetric", "singular", "singular-simple", "residual", "shape", "shape-after",
+        "two-lower-named", "singular-then-asymmetric", "asymmetric-then-singular",
+        "validation-before-residual", "two-residuals", "shape-after-singular",
+    ],
+)
+def test_refusals_name_the_first_faulty_level(mixed, faults, cause):
+    """One stacked check per multiplicity refuses as the level loop did:
+    same type and message, the lowest faulty level named."""
+    sys_, coeffs = mixed
+    blocks = list(coeffs.blocks)
+    for k, block in faults.items():
+        blocks[k] = block
+    bad = CoefficientFamily(tuple(blocks))
+    got = refusal(canonicalize_tau, sys_, bad)
+    assert got == refusal(reference_canonicalize_tau, sys_, bad)
+    assert got[0] is cause
+    if cause is not PseudoHermError:
+        assert refusal(build_tau, sys_, bad) == got
+
+
+@pytest.mark.parametrize(
+    "faults, cause",
+    [
+        ({2: SINGULAR}, SingularBlockError),
+        ({4: np.eye(2), 2: SINGULAR}, SingularBlockError),
+        ({3: SINGULAR, 1: np.zeros((1, 1))}, SingularBlockError),
+        ({1: np.eye(2), 3: SINGULAR}, DimensionMismatchError),
+    ],
+    ids=["singular", "shape-after-singular", "singular-twice", "shape-first"],
+)
+def test_basis_change_refuses_the_first_faulty_level(mixed, faults, cause):
+    sys_, coeffs = mixed
+    blocks = list(coeffs.blocks)
+    for k, block in faults.items():
+        blocks[k] = block
+    k = min(faults)
+    d = sys_.levels[k].multiplicity
+    if cause is DimensionMismatchError:
+        want = f"basis-change block {k} has shape {np.shape(blocks[k])}, expected {(d, d)}"
+    else:
+        want = f"basis-change block {k} is singular or ill-conditioned"
+    assert refusal(basis_change, sys_, blocks) == (cause, want)
