@@ -172,16 +172,12 @@ def first_faults(idx, bad: np.ndarray, rank: int, make) -> list:
     return [(int(idx[j]), rank, make(j))]
 
 
-def block_diag(*blocks) -> np.ndarray:
-    """Square blocks placed along the diagonal of a zero matrix, in order
-    (``scipy.linalg.block_diag`` for square blocks; placement is exact)."""
-    blocks = [np.atleast_2d(b) for b in blocks]
-    out = np.zeros((sum(b.shape[0] for b in blocks),) * 2, dtype=np.result_type(*blocks))
-    start = 0
-    for b in blocks:
-        stop = start + b.shape[0]
-        out[start:stop, start:stop] = b
-        start = stop
+def place_blocks(groups, stacks, n: int) -> np.ndarray:
+    """The per-group stacks of ``stack_blocks`` placed along the diagonal of an
+    n x n complex zero matrix, one scatter per group (placement is exact)."""
+    out = np.zeros((n, n), dtype=np.complex128)
+    for (_, cols), stack in zip(groups, stacks):
+        out[cols[:, :, None], cols[:, None, :]] = stack
     return out
 
 

@@ -24,12 +24,12 @@ import numpy as np
 from ._linalg import (
     CheckResult,
     as_square_matrix,
-    block_diag,
     block_max_abs,
     cond_of,
     first_faults,
     make_check,
     max_abs,
+    place_blocks,
     raise_first,
     require_same_dim,
     scale_of,
@@ -84,7 +84,7 @@ class CoefficientFamily:
 
     @classmethod
     def identity_for(cls, sys: BiorthonormalSystem) -> "CoefficientFamily":
-        return cls(tuple(np.eye(lv.multiplicity, dtype=np.complex128) for lv in sys.levels))
+        return cls(tuple(np.eye(d, dtype=np.complex128) for d in np.diff(sys._offsets).tolist()))
 
     def validate_against(self, sys: BiorthonormalSystem) -> list[np.ndarray]:
         """Check the blocks against sys and return their Takagi factors v (c = v v^T):
@@ -97,9 +97,9 @@ class CoefficientFamily:
         the blocks c as one complex stack and their Takagi factors v, with one
         symmetry test, one stacked factorization and one condition test per
         multiplicity.  A refusal names the first faulty block in level order."""
-        if len(self.blocks) != len(sys.levels):
+        if len(self.blocks) != len(sys._level_energies):
             raise DimensionMismatchError(
-                f"{len(self.blocks)} coefficient blocks for {len(sys.levels)} levels"
+                f"{len(self.blocks)} coefficient blocks for {len(sys._level_energies)} levels"
             )
         stacks, misfit = stack_blocks(self.blocks, sys._groups)
         faults = []
@@ -137,16 +137,16 @@ def build_tau(
 ) -> AntilinearOperator:
     """Anti-Hermitian automorphism tau attached to (sys, coeffs).
 
-    The matrix is ``Phi blockdiag(c) Phi^T``; unspecified coefficients give
-    the canonical choice ``Phi Phi^T``, which needs no validation.  The
-    result satisfies m = m^T up to accumulation error and intertwines
-    H^dagger with conj(H).
+    The matrix is ``Phi blockdiag(c) Phi^T``, the blocks placed with one
+    scatter per multiplicity; unspecified coefficients give the canonical
+    choice ``Phi Phi^T``, which needs no validation.  The result satisfies
+    m = m^T up to accumulation error and intertwines H^dagger with conj(H).
     """
     phi = sys.phi_matrix
     if coeffs is None:
         return AntilinearOperator(phi @ phi.T)
-    coeffs.validate_against(sys)
-    return AntilinearOperator(phi @ block_diag(*coeffs.blocks) @ phi.T)
+    c = [c for c, _ in coeffs._factored(sys)]
+    return AntilinearOperator(phi @ place_blocks(sys._groups, c, sys.dim) @ phi.T)
 
 
 def canonical_tau(sys: BiorthonormalSystem) -> AntilinearOperator:
@@ -163,7 +163,7 @@ def invert_tau(
     if coeffs is None:
         return AntilinearOperator(psi @ psi.T)
     c_inv = [np.conj(np.linalg.inv(c)) for c, _ in coeffs._factored(sys)]
-    return AntilinearOperator(psi @ block_diag(*unstack(sys._groups, c_inv, len(sys.levels))) @ psi.T)
+    return AntilinearOperator(psi @ place_blocks(sys._groups, c_inv, sys.dim) @ psi.T)
 
 
 def is_anti_pseudo_hermitian(
@@ -197,4 +197,4 @@ def recover_coefficients(sys: BiorthonormalSystem, tau: AntilinearOperator) -> C
         psi[:, cols].transpose(1, 2, 0).conj() @ y[:, cols].transpose(1, 0, 2)
         for _, cols in sys._groups
     ]
-    return CoefficientFamily(tuple(unstack(sys._groups, blocks, len(sys.levels))))
+    return CoefficientFamily(tuple(unstack(sys._groups, blocks, len(sys._level_energies))))

@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 
+import numpy as np
 
 from . import io
 from ._linalg import hermitian_defect, max_abs, scale_of, symmetric_defect
@@ -72,9 +73,10 @@ def _analysis(args) -> tuple:
 
 
 def _levels_payload(system) -> list:
+    e = system._level_energies
     return [
-        {"energy": [lv.energy.real, lv.energy.imag], "multiplicity": lv.multiplicity}
-        for lv in system.levels
+        {"energy": [real, imag], "multiplicity": d}
+        for real, imag, d in zip(e.real.tolist(), e.imag.tolist(), np.diff(system._offsets).tolist())
     ]
 
 

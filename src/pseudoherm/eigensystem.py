@@ -48,8 +48,9 @@ class EigenLevel:
     """One eigenvalue with its degenerate right/left eigenvector blocks.
 
     ``psi`` and ``phi`` are n x d arrays of the level's right and left
-    eigenvectors, read-only views of the system's stored Psi and Phi when it
-    was assembled; the psi columns are orthonormal (the gauge is fixed by QR).
+    eigenvectors; for a system the package solved they are read-only views
+    of its stored Psi and Phi, made when ``levels`` is first read.  The psi
+    columns are orthonormal (the gauge is fixed by QR).
     """
 
     energy: complex
@@ -65,13 +66,26 @@ class EigenLevel:
 class BiorthonormalSystem:
     """Grouped eigensystem with paired left/right eigenvector blocks.
 
-    Psi, Phi and E are stored once, read-only; ``_assemble`` seeds them and
-    slices the level blocks as views, caller levels are stacked on first access.
+    Psi, Phi and E are stored once, read-only.  A system the package solved
+    (``_on_stored``) is those arrays: its ``levels`` tuple is built on first
+    read, from views into Psi and Phi, and then kept.  Caller levels are
+    stacked on first access instead.
     """
 
     dim: int
     levels: tuple[EigenLevel, ...]
     tol: float
+
+    def __getattr__(self, name: str):
+        """``levels`` of a stored system, built once from the stored arrays."""
+        if name != "levels" or "_level_energies" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        psi, phi, bounds = self.psi_matrix, self.phi_matrix, self._offsets.tolist()
+        levels = vars(self)["levels"] = tuple(
+            EigenLevel(e, psi[:, a:b], phi[:, a:b])
+            for e, a, b in zip(self._level_energies.tolist(), bounds, bounds[1:])
+        )
+        return levels
 
     @cached_property
     def cond(self) -> float:
@@ -92,7 +106,12 @@ class BiorthonormalSystem:
     @cached_property
     def energies(self) -> np.ndarray:
         """Level energy repeated per column, aligned with psi_matrix; read-only."""
-        return _read_only(np.repeat([lv.energy for lv in self.levels], np.diff(self._offsets)))
+        return _read_only(np.repeat(self._level_energies, np.diff(self._offsets)))
+
+    @cached_property
+    def _level_energies(self) -> np.ndarray:
+        """One energy per level, in level order; read-only."""
+        return _read_only(np.array([lv.energy for lv in self.levels]))
 
     @cached_property
     def _offsets(self) -> np.ndarray:
@@ -231,8 +250,7 @@ def _raw_levels(H: np.ndarray, cluster_gap) -> list:
 
 
 def _assemble(levels_raw: list, H: np.ndarray, tol: float) -> BiorthonormalSystem:
-    """System storing Psi, Phi = Psi^{-dagger} and E once, with level blocks
-    that are views into them, verified against H."""
+    """System storing Psi, Phi = Psi^{-dagger} and E once, verified against H."""
     psi = np.hstack([q for _, q in levels_raw])
     cond = condition_number(psi)
     if cond > DEFAULT_COND_CEILING:
@@ -241,7 +259,7 @@ def _assemble(levels_raw: list, H: np.ndarray, tol: float) -> BiorthonormalSyste
             f"{DEFAULT_COND_CEILING:.3e}; input is defective or nearly so"
         )
     offsets = np.cumsum([0, *(q.shape[1] for _, q in levels_raw)])
-    energies = [e for e, _ in levels_raw]
+    energies = _read_only(np.array([e for e, _ in levels_raw]))
     sys = _on_stored(
         _read_only(psi), _read_only(np.linalg.inv(psi).conj().T), energies, offsets, tol,
         cond=cond, energies=_read_only(np.repeat(energies, np.diff(offsets))),
@@ -251,17 +269,18 @@ def _assemble(levels_raw: list, H: np.ndarray, tol: float) -> BiorthonormalSyste
 
 
 def _on_stored(
-    psi: np.ndarray, phi: np.ndarray, level_energies: list, offsets: np.ndarray, tol: float, **cached
+    psi: np.ndarray, phi: np.ndarray, level_energies: np.ndarray, offsets: np.ndarray, tol: float,
+    **cached,
 ) -> BiorthonormalSystem:
-    """System over the read-only Psi and Phi with level blocks that are views
-    into them; seeds psi_matrix, phi_matrix, _offsets and the ``cached``
+    """System that is its read-only Psi and Phi, per-level energies and level
+    offsets: it builds no ``EigenLevel`` (``levels`` is made on first read);
+    seeds psi_matrix, phi_matrix, _level_energies, _offsets and the ``cached``
     properties, and leaves the rest to be measured on first access."""
-    bounds = offsets.tolist()
-    levels = tuple(
-        EigenLevel(e, psi[:, a:b], phi[:, a:b]) for e, a, b in zip(level_energies, bounds, bounds[1:])
+    sys = object.__new__(BiorthonormalSystem)
+    vars(sys).update(
+        dim=psi.shape[0], tol=tol, psi_matrix=psi, phi_matrix=phi,
+        _level_energies=level_energies, _offsets=offsets, **cached,
     )
-    sys = BiorthonormalSystem(dim=psi.shape[0], levels=levels, tol=tol)
-    vars(sys).update(psi_matrix=psi, phi_matrix=phi, _offsets=offsets, **cached)
     return sys
 
 
@@ -305,12 +324,11 @@ def classify_spectrum(
         of the conjugate target — a sign that realness_tol is coarser than
         the level spacing.  The message names the first such level.
     """
-    return _classify([(lv.energy, lv.psi) for lv in sys.levels], realness_tol)
+    return _classify(sys._level_energies, np.diff(sys._offsets), realness_tol)
 
 
-def _classify(levels_raw: list, realness_tol: float) -> SpectrumClass:
-    """classify_spectrum on (energy, psi block) pairs."""
-    energies = np.array([e for e, _ in levels_raw])
+def _classify(energies: np.ndarray, mult: np.ndarray, realness_tol: float) -> SpectrumClass:
+    """classify_spectrum on the arrays of level energies and multiplicities."""
     pairing = np.arange(len(energies))
     nonreal = np.flatnonzero(np.abs(energies.imag) > realness_tol)
     if nonreal.size == 0:
@@ -328,7 +346,6 @@ def _classify(levels_raw: list, realness_tol: float) -> SpectrumClass:
             f"level {i} (E={energies[i]:.6g}) has {count[a]} conjugate-partner "
             f"candidates within tolerance {realness_tol:.1e}"
         )
-    mult = np.array([q.shape[1] for _, q in levels_raw])
     partner = nonreal[np.argmax(near, axis=1)]
     paired = (count == 1) & (mult[partner] == mult[nonreal])
     pairing[nonreal[paired]] = partner[paired]

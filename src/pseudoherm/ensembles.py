@@ -77,7 +77,7 @@ def random_symmetric_invertible(
 def random_coefficients(rng: np.random.Generator, sys: BiorthonormalSystem) -> CoefficientFamily:
     """Random symmetric invertible coefficient family aligned with a system."""
     return CoefficientFamily(
-        tuple(random_symmetric_invertible(rng, lv.multiplicity) for lv in sys.levels)
+        tuple(random_symmetric_invertible(rng, d) for d in np.diff(sys._offsets).tolist())
     )
 
 

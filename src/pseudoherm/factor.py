@@ -128,7 +128,7 @@ def _regauge(sys: BiorthonormalSystem, gauges) -> BiorthonormalSystem:
         new_psi[:, cols] = (psi[:, cols].transpose(1, 0, 2) @ g).transpose(1, 0, 2)
         new_phi[:, cols] = (phi[:, cols].transpose(1, 0, 2) @ h).transpose(1, 0, 2)
     return _on_stored(
-        _read_only(new_psi), _read_only(new_phi), [lv.energy for lv in sys.levels],
+        _read_only(new_psi), _read_only(new_phi), sys._level_energies,
         sys._offsets, sys.tol, energies=sys.energies, _groups=sys._groups,
     )
 

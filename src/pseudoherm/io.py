@@ -2,7 +2,7 @@
 
 The shared matrix format is ``{"n": int, "data": [[re, im], ...]}`` with
 n*n row-major entries written at full double precision.  Readers reject
-wrong-length data arrays.
+wrong-length data arrays, a non-integer n and non-numeric data.
 """
 
 from __future__ import annotations
@@ -25,11 +25,17 @@ def matrix_to_dict(m) -> dict:
 
 
 def matrix_from_dict(payload: dict) -> np.ndarray:
-    n = int(payload["n"])
-    data = payload["data"]
+    """The matrix of the shared format: ``n`` must be an integer, and data
+    holding strings, nulls or only booleans is refused."""
+    n = payload["n"]
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DimensionMismatchError(f"matrix dimension must be an integer, got {n!r}")
     if n < 1:
         raise DimensionMismatchError("matrix dimension must be at least 1")
-    values = np.array(data, dtype=np.float64)
+    values = np.array(payload["data"])
+    if values.dtype.kind not in "iuf":  # strings, nulls and all-boolean data
+        raise ValueError(f"matrix data must be numbers, got array of dtype {values.dtype}")
+    values = values.astype(np.float64, copy=False)
     if values.shape != (n * n, 2):
         raise DimensionMismatchError(f"data has shape {values.shape}, expected ({n * n}, 2)")
     if not np.all(np.isfinite(values)):

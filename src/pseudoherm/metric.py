@@ -118,7 +118,7 @@ def _metric(sys: BiorthonormalSystem, cls: SpectrumClass, weights=None) -> Metri
         raise UnpairedSpectrumError(
             "spectrum has an unpaired complex eigenvalue; no Hermitian metric exists"
         )
-    k = len(sys.levels)
+    k = len(sys._level_energies)
     if len(cls.pairing) != k:
         raise DimensionMismatchError("spectrum class does not match the system")
     if weights is None:

@@ -241,7 +241,8 @@ def _adapted(
         r_ptsym = max_abs(H @ parity - parity @ np.conj(H))
     _require_pt_symmetric(r_ptsym, H, tol)
     raw = _raw_levels(H, cluster_gap)
-    cls = _classify(raw, realness_tol)
+    mult = np.array([q.shape[1] for _, q in raw])
+    cls = _classify(np.array([e for e, _ in raw]), mult, realness_tol)
     new_psi: list[np.ndarray] = []
     for i, (_, q) in enumerate(raw):
         j = cls.pairing[i]

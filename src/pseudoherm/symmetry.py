@@ -87,18 +87,22 @@ def level_invariance_residuals(sys: BiorthonormalSystem, x: AntilinearOperator) 
     """Per-level residual of X mapping the level's psi space into itself.
 
     For level n with orthonormal block psi_n the residual is
-    ``max|(1 - psi_n psi_n^dagger) x conj(psi_n)| / max|x|``: the level's columns
-    of ``|Y - Psi G|``, Y = x conj(Psi) and G the level-block diagonal of Psi^dagger Y.
+    ``max|(1 - psi_n psi_n^dagger) x conj(psi_n)| / max|x|`` with Y = x conj(Psi)
+    formed once: per multiplicity d, the levels' blocks ``g_n = psi_n^dagger y_n``
+    and ``y_n - psi_n g_n`` as one stacked product each.
     """
     if x.dim != sys.dim:
         raise DimensionMismatchError(
             f"X has dimension {x.dim}, the system has dimension {sys.dim}"
         )
-    psi, starts = sys.psi_matrix, sys._offsets[:-1]
-    level = np.repeat(np.arange(len(starts)), np.diff(sys._offsets))
+    psi = sys.psi_matrix
     y = x.matrix @ np.conj(psi)
-    g = (psi.conj().T @ y) * (level[:, None] == level)
-    return np.maximum.reduceat(np.abs(y - psi @ g).max(axis=0), starts) / scale_of(x.matrix)
+    out = np.empty(len(sys._level_energies))
+    for idx, cols in sys._groups:
+        p, yk = psi[:, cols].transpose(1, 0, 2), y[:, cols].transpose(1, 0, 2)  # (k, n, d)
+        g = p.conj().swapaxes(-1, -2) @ yk
+        out[idx] = np.abs(yk - p @ g).max(axis=(1, 2))
+    return out / scale_of(x.matrix)
 
 
 def is_exact_symmetry(

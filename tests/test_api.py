@@ -6,6 +6,7 @@ tests in the same change and say so in CHANGES.md; a name added later does
 not need to be listed here.
 """
 
+import dataclasses
 import importlib
 import inspect
 import os
@@ -96,6 +97,13 @@ PUBLIC_NAMES = [
 @pytest.mark.parametrize("name", PUBLIC_NAMES)
 def test_public_name_still_exported(name):
     assert hasattr(pseudoherm, name)
+
+
+def test_eigensystem_fields_are_kept():
+    """A solved system builds its levels on first read, but the dataclass keeps
+    its fields."""
+    names = [f.name for f in dataclasses.fields(pseudoherm.BiorthonormalSystem)]
+    assert names == ["dim", "levels", "tol"]
 
 
 def test_condition_ceiling_importable_from_eigensystem():

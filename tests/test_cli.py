@@ -241,7 +241,9 @@ EXIT_CODES = {
     "unpaired": [0, 1, 1, 1, 1],
     "near-real-5e-9": [1, 1, 1, 1, 1],
     "near-real-5e-10": [1, 0, 1, 1, 1],  # eta intertwines, X does not commute
+    "string-data": [2, 2, 2, 2, 2],  # malformed input, refused before any analysis
 }
+MALFORMED = {"string-data": {"n": 1, "data": [["1.5", "0"]]}}
 
 
 NEAR_REAL = {"near-real-5e-9": 5e-9, "near-real-5e-10": 5e-10}
@@ -256,9 +258,12 @@ def _exit_table_matrix(name):
 @pytest.mark.parametrize("name", list(EXIT_CODES))
 def test_exit_code_table(name, tmp_path, capsys):
     path = tmp_path / "h.json"
-    save_matrix(path, _exit_table_matrix(name))
+    if name in MALFORMED:
+        path.write_text(json.dumps(MALFORMED[name]))
+    else:
+        save_matrix(path, _exit_table_matrix(name))
     codes = [cli_main([cmd[0], str(path), *cmd[1:]]) for cmd in COMMANDS]
-    assert 2 not in codes
+    assert (2 in codes) is (name in MALFORMED)
     assert codes == EXIT_CODES[name]
 
 

@@ -1,5 +1,7 @@
 """Biorthonormal eigensystem construction, classification, reconstruction."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,20 @@ from pseudoherm import (
     classify_spectrum,
     reconstruct,
 )
-from pseudoherm.eigensystem import BiorthonormalSystem, _classify, _cluster_indices
-from pseudoherm.ensembles import planted_matrix
+from pseudoherm import (
+    basis_change,
+    build_pt_hamiltonian,
+    canonicalize_tau,
+    make_lattice,
+    pt_adapted_eigensystem,
+    real_spectrum_equivalence_report,
+)
+from pseudoherm.cli import cli_main
+from pseudoherm.eigensystem import BiorthonormalSystem, EigenLevel, _classify, _cluster_indices
+from pseudoherm.ensembles import planted_matrix, random_coefficients, random_unitary
+from pseudoherm.io import save_matrix
 
-from conftest import planted_3x3_conjugate
+from conftest import mixed_multiplicity_matrix, planted_3x3_conjugate
 
 
 def test_identity_is_one_degenerate_level():
@@ -248,7 +260,8 @@ def test_classify_matches_pairing_scan(seed):
         levels = [(complex(e), np.zeros((1, int(rng.integers(1, 3))))) for e in energies]
         want = _classify_by_scan(levels, tol)
         try:
-            cls = _classify(levels, tol)
+            mult = np.array([q.shape[1] for _, q in levels])
+            cls = _classify(np.array([e for e, _ in levels]), mult, tol)
             got = (cls.tag, cls.pairing)
         except AmbiguousPairingError as exc:
             got = str(exc)
@@ -332,3 +345,97 @@ def test_biorthonormality_residuals_are_the_verified_ones(planted_paired):
     eye = np.eye(sys_.dim)
     fresh = (np.max(np.abs(phi.conj().T @ psi - eye)), np.max(np.abs(psi @ phi.conj().T - eye)))
     assert biorthonormality_residuals(sys_) == fresh
+
+
+@pytest.fixture
+def level_inits(monkeypatch):
+    """A one-item list counting the EigenLevel objects created during the test."""
+    count = [0]
+    init = EigenLevel.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EigenLevel, "__init__", counting)
+    return count
+
+
+def planted_with_double_level(kind):
+    """A planted n=8 matrix of the given kind with a level of multiplicity 2."""
+    rng = np.random.default_rng(8)
+    while True:
+        pm = planted_matrix(rng, 8, kind)
+        if any(d == 2 for _, d in pm.levels):
+            return pm.matrix
+
+
+@pytest.mark.parametrize("kind", ["real", "paired"])
+def test_report_analyze_and_gauge_create_no_levels(kind, level_inits, tmp_path, capsys):
+    h = planted_with_double_level(kind)
+    report = real_spectrum_equivalence_report(h)
+    path = tmp_path / "h.json"
+    save_matrix(path, h)
+    capsys.readouterr()
+    assert cli_main(["analyze", str(path), "--output", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["spectrum_class"] == report["spectrum_class"]
+    assert any(lv["multiplicity"] == 2 for lv in payload["levels"])
+    sys_ = biorthonormal_eigensystem(h)
+    canonicalize_tau(sys_, random_coefficients(np.random.default_rng(1), sys_))
+    assert level_inits[0] == 0
+
+
+def test_pt_model_creates_no_levels(level_inits, capsys):
+    assert cli_main(["pt-model", "--n", "41", "--L", "10", "--output", "json"]) == 0
+    assert level_inits[0] == 0
+
+
+def solved_system(builder):
+    """A system the package solved, from the named public builder."""
+    if builder == "pt_adapted_eigensystem":
+        return pt_adapted_eigensystem(build_pt_hamiltonian(make_lattice(41, 10.0)))
+    sys_ = biorthonormal_eigensystem(mixed_multiplicity_matrix())
+    rng = np.random.default_rng(12)
+    if builder == "basis_change":
+        return basis_change(sys_, [random_unitary(rng, d) for d in np.diff(sys_._offsets)])
+    if builder == "canonicalize_tau":
+        return canonicalize_tau(sys_, random_coefficients(rng, sys_))[0]
+    return sys_
+
+
+@pytest.mark.parametrize(
+    "builder",
+    ["biorthonormal_eigensystem", "pt_adapted_eigensystem", "basis_change", "canonicalize_tau"],
+)
+def test_levels_are_built_on_first_read(builder, level_inits):
+    sys_ = solved_system(builder)
+    assert level_inits[0] == 0 and "levels" not in vars(sys_)
+    levels = sys_.levels
+    assert level_inits[0] == len(levels) == len(sys_._offsets) - 1
+    assert sys_.levels is levels
+    assert level_inits[0] == len(levels)  # the second read builds none
+    assert [lv.energy for lv in levels] == sys_._level_energies.tolist()
+    for lv, cols in zip(levels, sys_.level_slices()):
+        for block, whole in ((lv.psi, sys_.psi_matrix), (lv.phi, sys_.phi_matrix)):
+            assert np.shares_memory(block, whole)
+            assert not block.flags.writeable
+            assert block.shape == whole[:, cols].shape
+            assert block.tobytes() == whole[:, cols].tobytes()
+    assert sys_ == sys_ and repr(sys_).startswith(f"BiorthonormalSystem(dim={sys_.dim}, levels=(")
+
+
+def test_caller_levels_are_kept(level_inits):
+    psi = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+    phi = np.linalg.inv(psi).conj().T
+    levels = (EigenLevel(1.0, psi[:, :1], phi[:, :1]), EigenLevel(2.0 + 0j, psi[:, 1:], phi[:, 1:]))
+    sys_ = BiorthonormalSystem(dim=3, levels=levels, tol=1e-10)
+    assert level_inits[0] == 2
+    assert sys_.levels is levels and vars(sys_)["levels"] is levels
+    np.testing.assert_array_equal(sys_.psi_matrix, psi)
+    np.testing.assert_array_equal(sys_.phi_matrix, phi)
+    np.testing.assert_array_equal(sys_.energies, [1.0, 2.0, 2.0])
+    assert sys_._offsets.tolist() == [0, 1, 3]
+    assert classify_spectrum(sys_).is_real
+    assert sys_ == BiorthonormalSystem(dim=3, levels=levels, tol=1e-10)
+    assert level_inits[0] == 2

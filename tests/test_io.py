@@ -55,6 +55,26 @@ def test_malformed_entry_rejected():
         matrix_from_dict({"n": 1, "data": [[1.0, 0.0, 2.0]]})
 
 
+@pytest.mark.parametrize(
+    "payload, error",
+    [
+        ({"n": 1, "data": [["1.5", "0"]]}, ValueError),  # strings, not numbers
+        ({"n": 1, "data": [[True, False]]}, ValueError),  # booleans, not numbers
+        ({"n": 1, "data": [[None, 0.0]]}, ValueError),  # null is not NaN
+        ({"n": 2.7, "data": [[1.0, 0.0]] * 4}, DimensionMismatchError),  # not truncated to 2
+        ({"n": True, "data": [[1.0, 0.0]]}, DimensionMismatchError),
+    ],
+)
+def test_non_numeric_input_rejected(payload, error):
+    with pytest.raises(error) as exc:
+        matrix_from_dict(payload)
+    assert not isinstance(exc.value, NonFiniteError)
+
+
+def test_integer_entries_accepted():
+    np.testing.assert_array_equal(matrix_from_dict({"n": 1, "data": [[2, -1]]}), [[2 - 1j]])
+
+
 def test_nonfinite_rejected():
     with pytest.raises(NonFiniteError):
         matrix_from_dict({"n": 1, "data": [[float("nan"), 0.0]]})
