@@ -111,44 +111,18 @@ def block_groups(sizes) -> list[tuple[np.ndarray, np.ndarray]]:
     return groups
 
 
-def stack_blocks(blocks, groups) -> tuple[list[np.ndarray], tuple | None]:
-    """The blocks as complex stacks (k, d, d), one per group of ``block_groups``,
-    and the first misfit, ``(index, expected shape)`` of the first block whose
-    shape is not its group's (d, d), or None; with a misfit, each stack holds
-    only the blocks before it."""
-    stacks = []
-    for idx, cols in groups:
-        shape = (len(idx), cols.shape[1], cols.shape[1])
-        try:
-            stack = np.array([blocks[k] for k in idx.tolist()], dtype=np.complex128)
-        except ValueError:  # blocks of different shapes
-            stack = None
-        if stack is None or stack.shape != shape:
-            return _stack_upto_misfit(blocks, groups)
-        stacks.append(stack)
-    return stacks, None
-
-
-def _stack_upto_misfit(blocks, groups) -> tuple[list[np.ndarray], tuple | None]:
-    """stack_blocks once the fast stacking failed; without a misfit, the
-    stacking raises its own error again."""
-    misfit = min(
-        ((k, (cols.shape[1],) * 2)
-         for idx, cols in groups
-         for k in idx.tolist()
-         if np.shape(blocks[k]) != (cols.shape[1],) * 2),
-        default=None,
-    )
-    stop = len(blocks) if misfit is None else misfit[0]
-    stacks = []
-    for idx, cols in groups:
-        picked = [blocks[k] for k in idx[idx < stop].tolist()]
-        stacks.append(np.array(picked, dtype=np.complex128).reshape(-1, *(cols.shape[1],) * 2))
-    return stacks, misfit
+def stack_group(blocks, idx, d: int) -> np.ndarray | None:
+    """The blocks numbered by idx as one complex stack (k, d, d), or None
+    when one of them is not d x d."""
+    try:
+        stack = np.array([blocks[k] for k in idx.tolist()], dtype=np.complex128)
+    except ValueError:  # blocks of different shapes
+        return None
+    return stack if stack.shape == (len(idx), d, d) else None
 
 
 def unstack(groups, stacks, count: int) -> list:
-    """The per-group stacks of ``stack_blocks`` as one list of blocks in index order."""
+    """Stacks, one per group of ``block_groups``, as one list of blocks in index order."""
     out = [None] * count
     for (idx, _), stack in zip(groups, stacks):
         for k, block in zip(idx.tolist(), stack):
@@ -156,24 +130,8 @@ def unstack(groups, stacks, count: int) -> list:
     return out
 
 
-def raise_first(faults) -> None:
-    """Raise the error of the fault with the lowest block index; faults holds
-    (index, rank, error) and rank orders the checks made on one block."""
-    if faults:
-        raise min(faults, key=lambda f: f[:2])[2]
-
-
-def first_faults(idx, bad: np.ndarray, rank: int, make) -> list:
-    """[(idx[j], rank, make(j))] for the first position j flagged in bad, if any:
-    the fault of the first flagged block of a stack numbered by idx."""
-    if not bad.any():
-        return []
-    j = int(bad.argmax())
-    return [(int(idx[j]), rank, make(j))]
-
-
 def place_blocks(groups, stacks, n: int) -> np.ndarray:
-    """The per-group stacks of ``stack_blocks`` placed along the diagonal of an
+    """Stacks, one per group of ``block_groups``, placed along the diagonal of an
     n x n complex zero matrix, one scatter per group (placement is exact)."""
     out = np.zeros((n, n), dtype=np.complex128)
     for (_, cols), stack in zip(groups, stacks):

@@ -26,14 +26,12 @@ from ._linalg import (
     as_square_matrix,
     block_max_abs,
     cond_of,
-    first_faults,
     make_check,
     max_abs,
     place_blocks,
-    raise_first,
     require_same_dim,
     scale_of,
-    stack_blocks,
+    stack_group,
     symmetric_defect,
     takagi_factor,
     unstack,
@@ -96,34 +94,40 @@ class CoefficientFamily:
         """validate_against per distinct multiplicity, in the order of ``sys._groups``:
         the blocks c as one complex stack and their Takagi factors v, with one
         symmetry test, one stacked factorization and one condition test per
-        multiplicity.  A refusal names the first faulty block in level order."""
+        multiplicity.  When a test fails, ``_refuse`` names the first faulty block
+        in level order."""
         if len(self.blocks) != len(sys._level_energies):
             raise DimensionMismatchError(
                 f"{len(self.blocks)} coefficient blocks for {len(sys._level_energies)} levels"
             )
-        stacks, misfit = stack_blocks(self.blocks, sys._groups)
-        faults = []
-        if misfit is not None:
-            k, (d, _) = misfit
-            faults.append((k, 0, DimensionMismatchError(
-                f"block {k} has shape {np.shape(self.blocks[k])}, level multiplicity is {d}"
-            )))
         out = []
-        for (idx, _), c in zip(sys._groups, stacks):
-            idx = idx[: len(c)]
-            defect = block_max_abs(c - c.swapaxes(-1, -2))
-            asymmetric = defect > 1e-10 * np.maximum(block_max_abs(c), 1.0)
+        for idx, cols in sys._groups:
+            c = stack_group(self.blocks, idx, cols.shape[1])
+            if c is None:
+                self._refuse(sys)
             v, s = takagi_factor(c)  # s: the singular values of each c
+            defect = block_max_abs(c - c.swapaxes(-1, -2))
             singular = cond_of(s) > DEFAULT_COND_CEILING
-            faults += first_faults(idx, asymmetric, 1, lambda j: AsymmetricCoefficientsError(
-                f"coefficient block {idx[j]} is not symmetric"
-            ))
-            faults += first_faults(idx, singular, 2, lambda j: SingularCoefficientsError(
-                f"coefficient block {idx[j]} is singular or too ill-conditioned"
-            ))
+            if singular.any() or (defect > 1e-10 * np.maximum(block_max_abs(c), 1.0)).any():
+                self._refuse(sys)
             out.append((c, v))
-        raise_first(faults)
         return out
+
+    def _refuse(self, sys: BiorthonormalSystem) -> None:
+        """The tests of validate_against level by level: raise the refusal of the
+        first faulty block.  Each test decides a block as its stacked form does."""
+        for k, (block, d) in enumerate(zip(self.blocks, np.diff(sys._offsets).tolist())):
+            if np.shape(block) != (d, d):
+                raise DimensionMismatchError(
+                    f"block {k} has shape {np.shape(block)}, level multiplicity is {d}"
+                )
+            c = np.asarray(block, dtype=np.complex128)
+            if max_abs(c - c.T) > 1e-10 * max(max_abs(c), 1.0):
+                raise AsymmetricCoefficientsError(f"coefficient block {k} is not symmetric")
+            if cond_of(takagi_factor(c)[1]) > DEFAULT_COND_CEILING:
+                raise SingularCoefficientsError(
+                    f"coefficient block {k} is singular or too ill-conditioned"
+                )
 
 
 def compose_antilinear(s: AntilinearOperator, t: AntilinearOperator) -> np.ndarray:

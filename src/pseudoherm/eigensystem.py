@@ -66,19 +66,30 @@ class EigenLevel:
 class BiorthonormalSystem:
     """Grouped eigensystem with paired left/right eigenvector blocks.
 
-    Psi, Phi and E are stored once, read-only.  A system the package solved
+    A system stores Psi and Phi (``psi_matrix``, ``phi_matrix``: all right and
+    left eigenvectors stacked as columns, level by level), one energy per
+    level and the level offsets once, read-only; the constructor stacks the
+    caller's levels into them.  A system the package solved
     (``_on_stored``) is those arrays: its ``levels`` tuple is built on first
-    read, from views into Psi and Phi, and then kept.  Caller levels are
-    stacked on first access instead.
+    read, from views into Psi and Phi, and then kept.
     """
 
     dim: int
     levels: tuple[EigenLevel, ...]
     tol: float
 
+    def __post_init__(self):
+        levels = self.levels
+        vars(self).update(
+            psi_matrix=_read_only(np.hstack([lv.psi for lv in levels])),
+            phi_matrix=_read_only(np.hstack([lv.phi for lv in levels])),
+            _level_energies=_read_only(np.array([lv.energy for lv in levels])),
+            _offsets=np.cumsum([0, *(lv.multiplicity for lv in levels)]),
+        )
+
     def __getattr__(self, name: str):
         """``levels`` of a stored system, built once from the stored arrays."""
-        if name != "levels" or "_level_energies" not in vars(self):
+        if name != "levels":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         psi, phi, bounds = self.psi_matrix, self.phi_matrix, self._offsets.tolist()
         levels = vars(self)["levels"] = tuple(
@@ -94,29 +105,9 @@ class BiorthonormalSystem:
         return condition_number(self.psi_matrix)
 
     @cached_property
-    def psi_matrix(self) -> np.ndarray:
-        """All right eigenvectors stacked as columns, level by level; read-only."""
-        return _read_only(np.hstack([lv.psi for lv in self.levels]))
-
-    @cached_property
-    def phi_matrix(self) -> np.ndarray:
-        """All left eigenvectors stacked as columns, aligned with psi_matrix; read-only."""
-        return _read_only(np.hstack([lv.phi for lv in self.levels]))
-
-    @cached_property
     def energies(self) -> np.ndarray:
         """Level energy repeated per column, aligned with psi_matrix; read-only."""
         return _read_only(np.repeat(self._level_energies, np.diff(self._offsets)))
-
-    @cached_property
-    def _level_energies(self) -> np.ndarray:
-        """One energy per level, in level order; read-only."""
-        return _read_only(np.array([lv.energy for lv in self.levels]))
-
-    @cached_property
-    def _offsets(self) -> np.ndarray:
-        """First column of each level in the stacked matrices, then dim."""
-        return np.cumsum([0, *(lv.multiplicity for lv in self.levels)])
 
     @cached_property
     def _groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -274,8 +265,8 @@ def _on_stored(
 ) -> BiorthonormalSystem:
     """System that is its read-only Psi and Phi, per-level energies and level
     offsets: it builds no ``EigenLevel`` (``levels`` is made on first read);
-    seeds psi_matrix, phi_matrix, _level_energies, _offsets and the ``cached``
-    properties, and leaves the rest to be measured on first access."""
+    seeds the ``cached`` properties and leaves the rest to be measured on
+    first access."""
     sys = object.__new__(BiorthonormalSystem)
     vars(sys).update(
         dim=psi.shape[0], tol=tol, psi_matrix=psi, phi_matrix=phi,

@@ -1,7 +1,8 @@
 """Planted random instances for exercising and verifying the toolkit.
 
 Matrices are built as ``S diag(E) S^{-1}`` from a prescribed level
-structure and a random well-conditioned similarity, so every ground truth
+structure and a random similarity of bounded condition number, drawn in
+closed form, so every ground truth
 (eigenvalues, multiplicities, spectrum class) is known exactly.
 """
 
@@ -49,12 +50,10 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_invertible(
     rng: np.random.Generator, n: int, max_cond: float = 50.0
 ) -> np.ndarray:
-    """Complex Gaussian matrix, redrawn until its condition number is modest."""
-    while True:
-        s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        sv = np.linalg.svd(s, compute_uv=False)
-        if sv[0] / sv[-1] <= max_cond:
-            return s
+    """``u diag(sigma) v`` with Haar unitaries u, v and sigma log-uniform in
+    [1, max_cond], so its condition number is at most max_cond."""
+    sigma = np.exp(rng.uniform(0.0, np.log(max_cond), n))
+    return (random_unitary(rng, n) * sigma) @ random_unitary(rng, n)
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -65,13 +64,12 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_symmetric_invertible(
     rng: np.random.Generator, n: int, max_cond: float = 50.0
 ) -> np.ndarray:
-    """Complex symmetric block with a controlled condition number."""
-    while True:
-        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        c = (b + b.T) / 2.0
-        sv = np.linalg.svd(c, compute_uv=False)
-        if sv[-1] >= 0.2 and sv[0] / sv[-1] <= max_cond:
-            return c
+    """Complex symmetric ``u diag(sigma) u^T`` with u a Haar unitary and sigma,
+    its singular values, log-uniform in [0.2, 0.2 max_cond], so its condition
+    number is at most max_cond."""
+    sigma = 0.2 * np.exp(rng.uniform(0.0, np.log(max_cond), n))
+    u = random_unitary(rng, n)
+    return (u * sigma) @ u.T
 
 
 def random_coefficients(rng: np.random.Generator, sys: BiorthonormalSystem) -> CoefficientFamily:

@@ -18,10 +18,10 @@ from ._linalg import (
     block_groups,
     block_max_abs,
     cond_of,
-    first_faults,
-    raise_first,
+    condition_number,
+    max_abs,
     scale_of,
-    stack_blocks,
+    stack_group,
     symmetric_defect,
     takagi_factor,
     unstack,
@@ -63,40 +63,42 @@ def symmetric_factor(c, tol: float = DEFAULT_TOL) -> np.ndarray:
     v, s = takagi_factor(c)
     if cond_of(s) > DEFAULT_COND_CEILING:
         raise SingularInputError("input is singular or too ill-conditioned; no invertible factor")
-    raise_first(_factor_faults([0], c[None], v[None], tol))
+    _check_factor(c, v, tol)
     return v
 
 
-def _factor_faults(idx, c: np.ndarray, v: np.ndarray, tol: float) -> list:
-    """The first block of the stack c (k, d, d), numbered by idx, whose factor
-    misses ``c = v v^T`` by more than ``tol * max|c|``, as a ``raise_first`` fault."""
-    residual = block_max_abs(v @ v.swapaxes(-1, -2) - c)
-    bad = residual > tol * np.maximum(block_max_abs(c), 1e-300)
-    return first_faults(idx, bad, 0, lambda j: PseudoHermError(
-        f"factorization residual {residual[j]:.3e} exceeds tolerance"
-    ))
+def _check_factor(c: np.ndarray, v: np.ndarray, tol: float) -> None:
+    """Refuse a factor v that misses ``c = v v^T`` by more than ``tol * max|c|``."""
+    residual = max_abs(v @ v.T - c)
+    if residual > tol * scale_of(c):
+        raise PseudoHermError(f"factorization residual {residual:.3e} exceeds tolerance")
 
 
-def _check_blocks(blocks, groups, what: str) -> list[np.ndarray]:
-    """The blocks as complex stacks, one per group of ``block_groups``, each
-    block of the expected shape and invertible (one SVD per stack)."""
-    count = sum(len(idx) for idx, _ in groups)
-    if len(blocks) != count:
-        raise DimensionMismatchError(f"{len(blocks)} {what} blocks, expected {count}")
-    stacks, misfit = stack_blocks(blocks, groups)
-    faults = []
-    if misfit is not None:
-        k, shape = misfit
-        faults.append((k, 0, DimensionMismatchError(
-            f"{what} block {k} has shape {np.shape(blocks[k])}, expected {shape}"
-        )))
-    for (idx, _), b in zip(groups, stacks):
-        singular = cond_of(np.linalg.svd(b, compute_uv=False)) > DEFAULT_COND_CEILING
-        faults += first_faults(idx, singular, 1, lambda j: SingularBlockError(
-            f"{what} block {idx[j]} is singular or ill-conditioned"
-        ))
-    raise_first(faults)
+def _invertible_stacks(blocks, sizes: list, groups, what: str) -> list[np.ndarray]:
+    """The blocks, one per level of the given sizes, as complex stacks, one per
+    group of ``block_groups(sizes)``: one SVD per stack tests that each block is
+    invertible, and when a test fails ``_refuse_blocks`` names the first faulty block."""
+    if len(blocks) != len(sizes):
+        raise DimensionMismatchError(f"{len(blocks)} {what} blocks, expected {len(sizes)}")
+    stacks = []
+    for idx, cols in groups:
+        u = stack_group(blocks, idx, cols.shape[1])
+        if u is None or (cond_of(np.linalg.svd(u, compute_uv=False)) > DEFAULT_COND_CEILING).any():
+            _refuse_blocks(blocks, sizes, what)
+        stacks.append(u)
     return stacks
+
+
+def _refuse_blocks(blocks, sizes: list, what: str) -> None:
+    """The tests of ``_invertible_stacks`` level by level: raise the refusal of
+    the first faulty block.  Each test decides a block as its stacked form does."""
+    for k, (block, d) in enumerate(zip(blocks, sizes)):
+        if np.shape(block) != (d, d):
+            raise DimensionMismatchError(
+                f"{what} block {k} has shape {np.shape(block)}, expected {(d, d)}"
+            )
+        if condition_number(np.asarray(block, dtype=np.complex128)) > DEFAULT_COND_CEILING:
+            raise SingularBlockError(f"{what} block {k} is singular or ill-conditioned")
 
 
 def _inv_adjoint(v: np.ndarray) -> np.ndarray:
@@ -139,7 +141,8 @@ def basis_change(sys: BiorthonormalSystem, u_blocks) -> BiorthonormalSystem:
     Biorthonormality and completeness are preserved exactly; residuals grow
     at most by the block condition numbers.
     """
-    stacks = _check_blocks(u_blocks, sys._groups, "basis-change")
+    sizes = np.diff(sys._offsets).tolist()
+    stacks = _invertible_stacks(u_blocks, sizes, sys._groups, "basis-change")
     return _regauge(sys, [(u, _inv_adjoint(u)) for u in stacks])
 
 
@@ -150,13 +153,16 @@ def coefficient_transform(coeffs: CoefficientFamily, u_blocks) -> CoefficientFam
     from the re-gauged basis is the same operator; symmetry of the blocks
     is preserved.
     """
-    groups = block_groups([len(c) for c in coeffs.blocks])
-    cs, misfit = stack_blocks(coeffs.blocks, groups)
-    if misfit is not None:
-        raise DimensionMismatchError(f"coefficient block {misfit[0]} is not square")
-    us = _check_blocks(u_blocks, groups, "transform")
+    sizes = [len(c) for c in coeffs.blocks]
+    groups = block_groups(sizes)
+    cs = [stack_group(coeffs.blocks, idx, cols.shape[1]) for idx, cols in groups]
+    if any(c is None for c in cs):
+        for k, c in enumerate(coeffs.blocks):
+            if np.asarray(c, dtype=np.complex128).shape != (len(c),) * 2:
+                raise DimensionMismatchError(f"coefficient block {k} is not square")
+    us = _invertible_stacks(u_blocks, sizes, groups, "transform")
     out = [u.conj().swapaxes(-1, -2) @ c @ np.conj(u) for c, u in zip(cs, us)]
-    return CoefficientFamily(tuple(unstack(groups, out, len(coeffs.blocks))))
+    return CoefficientFamily(tuple(unstack(groups, out, len(sizes))))
 
 
 def canonicalize_tau(
@@ -167,15 +173,18 @@ def canonicalize_tau(
     Checks each block's Takagi factor ``c = v v^T`` from ``validate_against``
     as ``symmetric_factor`` does and applies the basis change with
     ``u = (v^dagger)^{-1}``, so the phi gauge ``(u^{-1})^dagger`` is v
-    itself; both run once per multiplicity.  The returned automorphism is
-    ``Phi' Phi'^T``, identity coefficients on the new basis, and equals the
-    operator built from (sys, coeffs) up to rounding: the automorphism is
-    unique up to the choice of eigenbasis.
+    itself; both run once per multiplicity, and when a factor fails its
+    check a level loop names the first faulty level.  The returned
+    automorphism is ``Phi' Phi'^T``, identity coefficients on the new basis,
+    and equals the operator built from (sys, coeffs) up to rounding: the
+    automorphism is unique up to the choice of eigenbasis.
     """
     factored = coeffs._factored(sys)
-    faults = []
-    for (idx, _), (c, v) in zip(sys._groups, factored):
-        faults += _factor_faults(idx, c, v, tol)
-    raise_first(faults)
+    for c, v in factored:
+        residual = block_max_abs(v @ v.swapaxes(-1, -2) - c)
+        if (residual > tol * np.maximum(block_max_abs(c), 1e-300)).any():
+            for block in coeffs.blocks:  # the same check level by level
+                b = np.asarray(block, dtype=np.complex128)
+                _check_factor(b, takagi_factor(b)[0], tol)
     new_sys = _regauge(sys, [(_inv_adjoint(v), v) for _, v in factored])
     return new_sys, build_tau(new_sys, None)

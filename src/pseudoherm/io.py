@@ -25,8 +25,10 @@ def matrix_to_dict(m) -> dict:
 
 
 def matrix_from_dict(payload: dict) -> np.ndarray:
-    """The matrix of the shared format: ``n`` must be an integer, and data
-    holding strings, nulls or only booleans is refused."""
+    """The matrix of the shared format: payload must be an object, ``n`` an
+    integer, and data holding strings, nulls or only booleans is refused."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"a matrix must be a JSON object, got {type(payload).__name__}")
     n = payload["n"]
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise DimensionMismatchError(f"matrix dimension must be an integer, got {n!r}")
@@ -58,6 +60,8 @@ def coefficients_to_list(coeffs: CoefficientFamily) -> list[dict]:
 
 
 def coefficients_from_list(payload: list) -> CoefficientFamily:
+    if not isinstance(payload, list):
+        raise ValueError(f"a coefficient family must be a JSON list, got {type(payload).__name__}")
     return CoefficientFamily(tuple(matrix_from_dict(item) for item in payload))
 
 

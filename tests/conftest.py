@@ -51,13 +51,15 @@ def near_real_matrix(im):
     return s @ np.diag([1 + im * 1j, 2, 3, 4]) @ np.linalg.inv(s)
 
 
-def mixed_multiplicity_matrix(seed=11):
-    """S diag(E) S^-1 with levels of multiplicities (1, 1, 2, 2, 3) in level
-    order: two simple levels and two levels of the same d >= 2."""
+def mixed_multiplicity_matrix(seed=11, mults=(1, 1, 2, 2, 3)):
+    """S diag(E) S^-1 with levels of the given multiplicities in level order,
+    by default (1, 1, 2, 2, 3): two simple levels and two levels of the same
+    d >= 2."""
     rng = np.random.default_rng(seed)
+    n = sum(mults)
     while True:
-        s = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         if np.linalg.cond(s) < 50:
             break
-    energies = np.repeat([-2.0, -1.0, 0.5, 1.5, 3.0], [1, 1, 2, 2, 3])
+    energies = np.repeat([-2.0, -1.0, 0.5, 1.5, 3.0], mults)
     return s @ np.diag(energies) @ np.linalg.inv(s)

@@ -120,6 +120,16 @@ def test_tau_with_coefficients(tmp_path, rng, capsys):
     assert "intertwining_residual" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("payload", [[[1, 2]], ["abc"], {"n": 1, "data": [[1.0, 0.0]]}])
+def test_tau_refuses_coefficients_that_are_not_objects(payload, tmp_path, capsys):
+    matrix_path = tmp_path / "m.json"
+    save_matrix(matrix_path, np.diag([1.0, 2.0, 3.0]))
+    coeff_path = tmp_path / "c.json"
+    coeff_path.write_text(json.dumps(payload))
+    assert cli_main(["tau", str(matrix_path), "--coeffs", str(coeff_path)]) == 2
+    assert capsys.readouterr().err.startswith("ValueError: ")
+
+
 def test_symmetry_command(paired_matrix, capsys):
     assert cli_main(["symmetry", "--output", "json", paired_matrix]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -242,8 +252,10 @@ EXIT_CODES = {
     "near-real-5e-9": [1, 1, 1, 1, 1],
     "near-real-5e-10": [1, 0, 1, 1, 1],  # eta intertwines, X does not commute
     "string-data": [2, 2, 2, 2, 2],  # malformed input, refused before any analysis
+    "list-file": [2, 2, 2, 2, 2],
+    "string-file": [2, 2, 2, 2, 2],
 }
-MALFORMED = {"string-data": {"n": 1, "data": [["1.5", "0"]]}}
+MALFORMED = {"string-data": {"n": 1, "data": [["1.5", "0"]]}, "list-file": [1, 2], "string-file": "abc"}
 
 
 NEAR_REAL = {"near-real-5e-9": 5e-9, "near-real-5e-10": 5e-10}

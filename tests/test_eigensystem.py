@@ -439,3 +439,20 @@ def test_caller_levels_are_kept(level_inits):
     assert classify_spectrum(sys_).is_real
     assert sys_ == BiorthonormalSystem(dim=3, levels=levels, tol=1e-10)
     assert level_inits[0] == 2
+
+
+def test_caller_levels_are_stacked_at_construction():
+    """The constructor stores Psi, Phi, the level energies and offsets once,
+    read-only, so a malformed level is refused when the system is built."""
+    psi = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+    phi = np.linalg.inv(psi).conj().T
+    levels = (EigenLevel(1.0, psi[:, :1], phi[:, :1]), EigenLevel(2.0 + 0j, psi[:, 1:], phi[:, 1:]))
+    sys_ = BiorthonormalSystem(dim=3, levels=levels, tol=1e-10)
+    stored = vars(sys_)
+    for name in ("psi_matrix", "phi_matrix", "_level_energies"):
+        assert not stored[name].flags.writeable
+    np.testing.assert_array_equal(stored["_level_energies"], [1.0, 2.0])
+    assert stored["_offsets"].tolist() == [0, 1, 3]
+    short = EigenLevel(2.0 + 0j, psi[:2, 1:], phi[:2, 1:])  # two rows, not three
+    with pytest.raises(ValueError):
+        BiorthonormalSystem(dim=3, levels=(levels[0], short), tol=1e-10)

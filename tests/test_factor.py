@@ -21,7 +21,8 @@ from pseudoherm import (
     recover_coefficients,
     symmetric_factor,
 )
-from pseudoherm._linalg import cond_of, takagi_factor
+from pseudoherm import factor
+from pseudoherm._linalg import block_max_abs, cond_of, max_abs, takagi_factor
 from pseudoherm.antilinear import CoefficientFamily
 from pseudoherm.cli import cli_main
 from pseudoherm.eigensystem import BiorthonormalSystem, EigenLevel
@@ -32,6 +33,7 @@ from pseudoherm.ensembles import (
     random_unitary,
 )
 from pseudoherm.io import save_matrix
+from pseudoherm.ptmodel import build_pt_hamiltonian, make_lattice, pt_adapted_eigensystem
 
 from conftest import mixed_multiplicity_matrix
 
@@ -473,3 +475,185 @@ def test_basis_change_refuses_the_first_faulty_level(mixed, faults, cause):
     else:
         want = f"basis-change block {k} is singular or ill-conditioned"
     assert refusal(basis_change, sys_, blocks) == (cause, want)
+
+
+def reference_block_refusal(blocks, sizes, what):
+    """The basis-change block check level by level: shape, then invertibility."""
+    for k, (block, d) in enumerate(zip(blocks, sizes)):
+        if np.shape(block) != (d, d):
+            raise DimensionMismatchError(
+                f"{what} block {k} has shape {np.shape(block)}, expected {(d, d)}"
+            )
+        if np.linalg.cond(block) > 1e8:
+            raise SingularBlockError(f"{what} block {k} is singular or ill-conditioned")
+
+
+def reference_coefficient_transform(coeffs, u_blocks):
+    """coefficient_transform level by level."""
+    for k, c in enumerate(coeffs.blocks):
+        if np.shape(c) != (len(c), len(c)):
+            raise DimensionMismatchError(f"coefficient block {k} is not square")
+    if len(u_blocks) != len(coeffs.blocks):
+        raise DimensionMismatchError(
+            f"{len(u_blocks)} transform blocks, expected {len(coeffs.blocks)}"
+        )
+    reference_block_refusal(u_blocks, [len(c) for c in coeffs.blocks], "transform")
+    return [np.conj(u).T @ c @ np.conj(u) for c, u in zip(coeffs.blocks, u_blocks)]
+
+
+@pytest.fixture
+def unsorted():
+    """A system with multiplicities (3, 1, 2, 1, 2) in level order, so the
+    multiplicity groups (d = 1, 2, 3) do not run in level order, and a random
+    family on it."""
+    sys_ = biorthonormal_eigensystem(mixed_multiplicity_matrix(mults=(3, 1, 2, 1, 2)))
+    assert [lv.multiplicity for lv in sys_.levels] == [3, 1, 2, 1, 2]
+    return sys_, random_coefficients(np.random.default_rng(8), sys_)
+
+
+def with_faults(blocks, faults):
+    blocks = list(blocks)
+    for k, block in faults.items():
+        blocks[k] = block
+    return blocks
+
+
+SINGULAR3 = np.ones((3, 3), dtype=complex)
+ASYMMETRIC3 = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+# a d=3 block that passes validation but not its factor check; its residual
+# (about 8e-11) differs from RESIDUAL's (about 5e-11), so the message names the level
+RESIDUAL3 = 1e-3 * np.array([[1.0, 0.5 + 8e-8, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+ZERO1 = np.zeros((1, 1), dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "faults, cause",
+    [
+        ({0: RESIDUAL3, 2: RESIDUAL}, PseudoHermError),
+        ({4: RESIDUAL, 2: RESIDUAL * 1.5}, PseudoHermError),
+        ({0: RESIDUAL3, 3: ZERO1}, SingularCoefficientsError),
+        ({0: ASYMMETRIC3, 1: ZERO1}, AsymmetricCoefficientsError),
+        ({1: np.eye(2), 0: SINGULAR3}, SingularCoefficientsError),
+        ({3: ASYMMETRIC, 2: SINGULAR}, SingularCoefficientsError),
+        ({4: SINGULAR, 3: ZERO1}, SingularCoefficientsError),
+        ({4: ASYMMETRIC3, 1: np.eye(3)}, DimensionMismatchError),
+    ],
+    ids=[
+        "residual-d3-before-d2", "residual-two-d2", "validation-before-residual",
+        "asymmetric-d3-before-singular-d1", "singular-d3-before-shape-d1",
+        "singular-d2-before-shape-d1", "singular-d1-before-d2", "shape-d1-before-d2",
+    ],
+)
+def test_refusals_follow_level_order_not_group_order(unsorted, faults, cause):
+    """canonicalize_tau and build_tau name the lowest faulty level, although
+    the multiplicity groups run in ascending d."""
+    sys_, coeffs = unsorted
+    bad = CoefficientFamily(tuple(with_faults(coeffs.blocks, faults)))
+    got = refusal(canonicalize_tau, sys_, bad)
+    assert got == refusal(reference_canonicalize_tau, sys_, bad)
+    assert got[0] is cause
+    if cause is PseudoHermError:  # the lowest level's residual, not the other one
+        later = CoefficientFamily(tuple(with_faults(coeffs.blocks, {max(faults): faults[max(faults)]})))
+        assert got[1] != refusal(canonicalize_tau, sys_, later)[1]
+    else:
+        assert refusal(build_tau, sys_, bad) == got
+
+
+BLOCK_FAULTS = [
+    {0: SINGULAR3, 1: ZERO1},
+    {4: np.eye(3), 2: SINGULAR},
+    {3: np.eye(2), 0: np.zeros((3, 3))},
+    {2: np.eye(3), 1: ZERO1},
+]
+
+
+@pytest.mark.parametrize("faults", BLOCK_FAULTS, ids=["d3-d1", "d2-d2", "d3-d1-shape", "d1-d2-shape"])
+def test_basis_change_refusals_follow_level_order(unsorted, faults):
+    sys_, coeffs = unsorted
+    blocks = with_faults(coeffs.blocks, faults)
+    sizes = [lv.multiplicity for lv in sys_.levels]
+    want = refusal(reference_block_refusal, blocks, sizes, "basis-change")
+    assert refusal(basis_change, sys_, blocks) == want
+
+
+@pytest.mark.parametrize(
+    "coeff_faults, u_faults",
+    [({}, faults) for faults in BLOCK_FAULTS]
+    + [({4: np.ones((2, 1)), 0: np.ones((3, 2))}, {}), ({2: np.ones((2, 3))}, BLOCK_FAULTS[0])],
+    ids=["d3-d1", "d2-d2", "d3-d1-shape", "d1-d2-shape", "not-square", "not-square-first"],
+)
+def test_coefficient_transform_refusals_follow_level_order(unsorted, coeff_faults, u_faults):
+    sys_, coeffs = unsorted
+    family = CoefficientFamily(tuple(with_faults(coeffs.blocks, coeff_faults)))
+    u_blocks = with_faults(coeffs.blocks, u_faults)
+    want = refusal(reference_coefficient_transform, family, u_blocks)
+    assert refusal(coefficient_transform, family, u_blocks) == want
+
+
+def test_coefficient_transform_matches_the_level_loop(unsorted):
+    sys_, coeffs = unsorted
+    u_blocks = [random_unitary(np.random.default_rng(k), len(c)) for k, c in enumerate(coeffs.blocks)]
+    got = coefficient_transform(coeffs, u_blocks).blocks
+    for block, want in zip(got, reference_coefficient_transform(coeffs, u_blocks)):
+        np.testing.assert_allclose(block, want, rtol=0, atol=1e-14)
+
+
+@pytest.fixture
+def level_loops(monkeypatch):
+    """Calls of the per-level refusal loops, by name."""
+    calls = dict.fromkeys(("coefficients", "factors", "blocks"), 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(CoefficientFamily, "_refuse", counting("coefficients", CoefficientFamily._refuse))
+    monkeypatch.setattr(factor, "_check_factor", counting("factors", factor._check_factor))
+    monkeypatch.setattr(factor, "_refuse_blocks", counting("blocks", factor._refuse_blocks))
+    return calls
+
+
+@pytest.mark.parametrize("system", ["mixed", "lattice"])
+def test_healthy_input_never_takes_the_level_loop(system, level_loops):
+    if system == "mixed":
+        sys_ = biorthonormal_eigensystem(mixed_multiplicity_matrix())
+    else:
+        sys_ = pt_adapted_eigensystem(build_pt_hamiltonian(make_lattice(41, 10.0)))
+    coeffs = random_coefficients(np.random.default_rng(5), sys_)
+    canonicalize_tau(sys_, coeffs)
+    build_tau(sys_, coeffs)
+    basis_change(sys_, coeffs.blocks)
+    assert level_loops == {"coefficients": 0, "factors": 0, "blocks": 0}
+    # a faulty block takes the loops
+    bad = with_faults(coeffs.blocks, {len(coeffs.blocks) - 1: np.zeros_like(coeffs.blocks[-1])})
+    with pytest.raises(SingularCoefficientsError):
+        build_tau(sys_, CoefficientFamily(tuple(bad)))
+    with pytest.raises(SingularBlockError):
+        basis_change(sys_, bad)
+    with pytest.raises(PseudoHermError, match="factorization residual"):
+        canonicalize_tau(sys_, coeffs, 1e-20)
+    assert level_loops["coefficients"] == level_loops["blocks"] == 1
+    assert level_loops["factors"] >= 1
+
+
+def test_stacked_decisions_are_the_single_block_ones_bitwise():
+    """The stacked tests decide each block as the level loops do: the Takagi
+    values, singular values, symmetric defects and factor residuals of a stack
+    are those of its blocks, bit for bit, so a stack fails exactly when one of
+    its blocks does."""
+    rng = np.random.default_rng(6)
+    for d in (1, 2, 3, 5):
+        c = np.array([random_symmetric_invertible(rng, d, 1e9) for _ in range(4)])
+        c[0] += 1e-12 * rng.standard_normal((d, d))  # not symmetric
+        v, s = takagi_factor(c)
+        sv = np.linalg.svd(c, compute_uv=False)
+        defect = block_max_abs(c - c.swapaxes(-1, -2))
+        residual = block_max_abs(v @ v.swapaxes(-1, -2) - c)
+        for j, b in enumerate(c):
+            vb, sb = takagi_factor(b)
+            assert vb.tobytes() == v[j].tobytes() and sb.tobytes() == s[j].tobytes()
+            assert np.linalg.svd(b, compute_uv=False).tobytes() == sv[j].tobytes()
+            assert max_abs(b - b.T) == defect[j]
+            assert max_abs(vb @ vb.T - b) == residual[j]

@@ -63,6 +63,8 @@ def test_malformed_entry_rejected():
         ({"n": 1, "data": [[None, 0.0]]}, ValueError),  # null is not NaN
         ({"n": 2.7, "data": [[1.0, 0.0]] * 4}, DimensionMismatchError),  # not truncated to 2
         ({"n": True, "data": [[1.0, 0.0]]}, DimensionMismatchError),
+        ([1, 2], ValueError),  # not an object
+        ("abc", ValueError),
     ],
 )
 def test_non_numeric_input_rejected(payload, error):
@@ -94,6 +96,12 @@ def test_coefficients_roundtrip(rng):
     recovered = coefficients_from_list(coefficients_to_list(family))
     for got, want in zip(recovered.blocks, blocks):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("payload", [[[1, 2]], ["abc"], {"n": 1, "data": [[1.0, 0.0]]}, 3])
+def test_coefficients_must_be_a_list_of_objects(payload):
+    with pytest.raises(ValueError):
+        coefficients_from_list(payload)
 
 
 def test_metric_roundtrip():
