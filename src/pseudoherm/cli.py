@@ -1,8 +1,10 @@
 """Command line front end.
 
+Each ``cmd_*`` computes and returns ``(ok, payload)``; :func:`cli_main`
+prints the payload with :func:`_emit`, the only place that formats output.
 Exit codes: 0 success, 1 verification failure (a residual exceeded the
 tolerance or a theorem-level obstruction such as an unpaired spectrum),
-2 input or usage error.
+2 input or usage error, or a failed write of the output (a closed pipe).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 import numpy as np
 
 from . import io
-from ._linalg import hermitian_defect, max_abs, scale_of, symmetric_defect
+from ._linalg import max_abs, scale_of, symmetric_defect
 from .antilinear import build_tau, is_anti_pseudo_hermitian
 from .eigensystem import DEFAULT_REALNESS_TOL, biorthonormal_eigensystem, classify_spectrum
 from .errors import (
@@ -29,10 +31,10 @@ from .errors import (
     UnpairedSpectrumError,
 )
 from .factor import symmetric_factor
-from .hermitize import ReportStageError, _report, hermitizing_transform
+from .hermitize import ReportStageError, _hermitized, _report, hermitizing_transform
 from .metric import _metric, evolution_invariance_check, is_pseudo_hermitian
 from .ptmodel import _pt_model, build_pt_hamiltonian, make_lattice
-from .symmetry import _canonical_symmetry, commutes_with, level_invariance_residuals
+from .symmetry import _canonical_symmetry, _symmetry_check
 
 VERIFICATION_ERRORS = (
     NotDiagonalizableError,
@@ -45,24 +47,20 @@ VERIFICATION_ERRORS = (
 )
 
 
-def _common(parser: argparse.ArgumentParser, clustered: bool) -> None:
-    parser.add_argument("--tol", type=float, default=1e-10, help="verification tolerance")
-    if clustered:
-        parser.add_argument("--cluster-gap", type=float, default=None, help="eigenvalue grouping gap")
-    parser.add_argument("--output", choices=("json", "text"), default="text")
-
-
 def _emit(args, payload: dict) -> None:
+    """Print a command's payload: a matrix (an array) is written in the shared
+    matrix format as json, or elided in text."""
     if args.output == "json":
-        print(json.dumps(payload, indent=2, default=float))
-    else:
-        for key, value in payload.items():
-            if isinstance(value, dict):
-                print(f"{key}:")
-                for k, v in value.items():
-                    print(f"  {k}: {v}")
-            else:
-                print(f"{key}: {value}")
+        arrays = {k: io.matrix_to_dict(v) for k, v in payload.items() if isinstance(v, np.ndarray)}
+        print(json.dumps({**payload, **arrays}, indent=2, default=float))
+        return
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            print(f"{key}:")
+            for k, v in value.items():
+                print(f"  {k}: {v}")
+        else:
+            print(f"{key}: {'(use --output json)' if isinstance(value, np.ndarray) else value}")
 
 
 def _analysis(args) -> tuple:
@@ -80,7 +78,7 @@ def _levels_payload(system) -> list:
     ]
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[bool, dict]:
     h = io.load_matrix(args.matrix)
     try:
         report, system, cls = _report(h, args.tol, DEFAULT_REALNESS_TOL, args.cluster_gap, args.seed)
@@ -96,87 +94,62 @@ def cmd_analyze(args) -> int:
         "refusals": report["refusals"],
         "exact_symmetry": report["exact_symmetry"],
     }
-    _emit(args, payload)
-    worst = max(report["residuals"].values())
-    return 0 if worst <= args.tol else 1
+    return max(report["residuals"].values()) <= args.tol, payload
 
 
-def cmd_metric(args) -> int:
+def cmd_metric(args) -> tuple[bool, dict]:
     h, system, cls = _analysis(args)
     metric = _metric(system, cls)
     check = is_pseudo_hermitian(h, metric, args.tol)
-    _emit(
-        args,
-        {
-            "spectrum_class": cls.tag.value,
-            "positive_definite": metric.positive_definite,
-            "intertwining_residual": check.residual,
-            "eta": io.matrix_to_dict(metric.matrix) if args.output == "json" else "(use --output json)",
-        },
-    )
-    return 0 if check.ok else 1
+    return check.ok, {
+        "spectrum_class": cls.tag.value,
+        "positive_definite": metric.positive_definite,
+        "intertwining_residual": check.residual,
+        "eta": metric.matrix,
+    }
 
 
-def cmd_tau(args) -> int:
+def cmd_tau(args) -> tuple[bool, dict]:
     h, system, cls = _analysis(args)
     coeffs = io.load_coefficients(args.coeffs) if args.coeffs else None
     tau = build_tau(system, coeffs)
     check = is_anti_pseudo_hermitian(h, tau, args.tol)
     sym = symmetric_defect(tau.matrix) / scale_of(tau.matrix)
-    _emit(
-        args,
-        {
-            "symmetry_defect": sym,
-            "intertwining_residual": check.residual,
-            "tau": io.matrix_to_dict(tau.matrix) if args.output == "json" else "(use --output json)",
-        },
-    )
-    return 0 if check.ok and sym <= args.tol else 1
+    return check.ok and sym <= args.tol, {
+        "symmetry_defect": sym,
+        "intertwining_residual": check.residual,
+        "tau": tau.matrix,
+    }
 
 
-def cmd_symmetry(args) -> int:
+def cmd_symmetry(args) -> tuple[bool, dict]:
     h, system, cls = _analysis(args)
     _metric(system, cls)  # refuses an unpaired spectrum or an ill-conditioned eta
     x = _canonical_symmetry(system, cls)
-    check = commutes_with(h, x, args.tol)
-    exact = check.ok and all(level_invariance_residuals(system, x) <= args.tol)
-    _emit(
-        args,
-        {
-            "spectrum_class": cls.tag.value,
-            "commutation_residual": check.residual,
-            "exact_symmetry": exact,
-            "X": io.matrix_to_dict(x.matrix) if args.output == "json" else "(use --output json)",
-        },
-    )
-    return 0 if check.ok else 1
+    check, exact = _symmetry_check(h, system, x, args.tol)
+    return check.ok, {
+        "spectrum_class": cls.tag.value,
+        "commutation_residual": check.residual,
+        "exact_symmetry": exact,
+        "X": x.matrix,
+    }
 
 
-def cmd_hermitize(args) -> int:
+def cmd_hermitize(args) -> tuple[bool, dict]:
     h, system, cls = _analysis(args)
     transform = hermitizing_transform(system, cls)
-    h_t = transform.matrix @ h @ system.psi_matrix  # A H A^{-1} with A^{-1} = Psi
-    resid = hermitian_defect(h_t) / scale_of(h_t)
-    _emit(
-        args,
-        {
-            "hermiticity_residual": resid,
-            "A": io.matrix_to_dict(transform.matrix) if args.output == "json" else "(use --output json)",
-            "transformed": io.matrix_to_dict(h_t) if args.output == "json" else "(use --output json)",
-        },
-    )
-    return 0 if resid <= args.tol else 1
+    h_t, r = _hermitized(h, system, transform)
+    return r <= args.tol, {"hermiticity_residual": r, "A": transform.matrix, "transformed": h_t}
 
 
-def cmd_evolve_check(args) -> int:
+def cmd_evolve_check(args) -> tuple[bool, dict]:
     h, system, cls = _analysis(args)
     metric = _metric(system, cls)
     check = evolution_invariance_check(h, metric, args.t, args.tol, strict=True)
-    _emit(args, {"t": args.t, "invariant": check.ok, "residual": check.residual})
-    return 0 if check.ok else 1
+    return check.ok, {"t": args.t, "invariant": check.ok, "residual": check.residual}
 
 
-def cmd_pt_model(args) -> int:
+def cmd_pt_model(args) -> tuple[bool, dict]:
     spec = make_lattice(args.n, args.L, args.mass, args.v1, args.v2, args.eps)
     h = build_pt_hamiltonian(spec)
     system, cls, residuals = _pt_model(h, args.tol, args.cluster_gap)
@@ -184,22 +157,14 @@ def cmd_pt_model(args) -> int:
     if args.save:
         io.save_matrix(args.save, h)
         payload["saved"] = args.save
-    _emit(args, payload)
-    return 0
+    return True, payload
 
 
-def cmd_factor(args) -> int:
+def cmd_factor(args) -> tuple[bool, dict]:
     c = io.load_matrix(args.matrix)
     v = symmetric_factor(c, args.tol)
     resid = max_abs(v @ v.T - c) / scale_of(c)
-    _emit(
-        args,
-        {
-            "residual": resid,
-            "v": io.matrix_to_dict(v) if args.output == "json" else "(use --output json)",
-        },
-    )
-    return 0 if resid <= args.tol else 1
+    return resid <= args.tol, {"residual": resid, "v": v}
 
 
 @functools.cache
@@ -212,34 +177,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, clustered=True):
+    def add(name, fn, help_text, matrix="matrix JSON file", clustered=True):
         p = sub.add_parser(name, help=help_text)
-        _common(p, clustered)
+        if matrix:
+            p.add_argument("matrix", help=matrix)
+        p.add_argument("--tol", type=float, default=1e-10, help="verification tolerance")
+        if clustered:
+            p.add_argument("--cluster-gap", type=float, help="eigenvalue grouping gap")
+        p.add_argument("--output", choices=("json", "text"), default="text")
         p.set_defaults(fn=fn)
         return p
 
     p = add("analyze", cmd_analyze, "eigensystem, classification and residual report")
-    p.add_argument("matrix", help="matrix JSON file")
-    p.add_argument("--seed", type=int, default=None, help="seed for randomized spot checks")
-
-    p = add("metric", cmd_metric, "build a Hermitian metric and verify intertwining")
-    p.add_argument("matrix")
-
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
+    add("metric", cmd_metric, "build a Hermitian metric and verify intertwining")
     p = add("tau", cmd_tau, "build the anti-Hermitian automorphism")
-    p.add_argument("matrix")
     p.add_argument("--coeffs", default=None, help="coefficient family JSON file")
-
-    p = add("symmetry", cmd_symmetry, "build the antilinear symmetry X and test exactness")
-    p.add_argument("matrix")
-
-    p = add("hermitize", cmd_hermitize, "map a real-spectrum matrix to a Hermitian one")
-    p.add_argument("matrix")
-
+    add("symmetry", cmd_symmetry, "build the antilinear symmetry X and test exactness")
+    add("hermitize", cmd_hermitize, "map a real-spectrum matrix to a Hermitian one")
     p = add("evolve-check", cmd_evolve_check, "metric invariance under exp(-iHt)")
-    p.add_argument("matrix")
     p.add_argument("--t", type=float, required=True, help="evolution time")
 
-    p = add("pt-model", cmd_pt_model, "build and analyze the parity-symmetric lattice model")
+    p = add("pt-model", cmd_pt_model, "build and analyze the parity-symmetric lattice model", None)
     p.add_argument("--n", type=int, default=41, help="site count (odd)")
     p.add_argument("--L", type=float, default=10.0, help="half-width of the grid")
     p.add_argument("--mass", type=float, default=1.0)
@@ -248,9 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.1, help="strength of the odd potential")
     p.add_argument("--save", default=None, help="write the lattice matrix to this JSON file")
 
-    p = add("factor", cmd_factor, "symmetric factorization c = v v^T", clustered=False)
-    p.add_argument("matrix", help="complex symmetric matrix JSON file")
-
+    add("factor", cmd_factor, "symmetric factorization c = v v^T",
+        "complex symmetric matrix JSON file", clustered=False)
     return parser
 
 
@@ -261,7 +219,9 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        return args.fn(args)
+        ok, payload = args.fn(args)
+        _emit(args, payload)  # inside the try: a closed stdout still exits 2
+        return 0 if ok else 1
     except VERIFICATION_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -115,9 +115,14 @@ def is_exact_symmetry(
     NotASymmetryError
         If X does not commute with the reconstructed H in the first place.
     """
-    check = commutes_with(reconstruct(sys), x, tol)
+    check, exact = _symmetry_check(reconstruct(sys), sys, x, tol)
     if not check.ok:
-        raise NotASymmetryError(
-            f"X does not commute with H (residual {check.residual:.3e})"
-        )
-    return bool(np.all(level_invariance_residuals(sys, x) <= tol))
+        raise NotASymmetryError(f"X does not commute with H (residual {check.residual:.3e})")
+    return exact
+
+
+def _symmetry_check(H, sys: BiorthonormalSystem, x: AntilinearOperator, tol: float) -> tuple:
+    """(commutation check of X with H, exactness): X is exact when it commutes
+    with H and maps every level of sys into itself."""
+    check = commutes_with(H, x, tol)
+    return check, check.ok and all(level_invariance_residuals(sys, x) <= tol)

@@ -1,6 +1,7 @@
 """The chain solved once: call counts, chain objects read off the
 eigensystem, and scale-invariant report residuals."""
 
+import dataclasses
 import json
 import sys
 
@@ -246,7 +247,8 @@ def test_report_chain_matches_public_constructions(monkeypatch, h):
             zeta = rng.standard_normal(sys_.dim) + 1j * rng.standard_normal(sys_.dim)
             lhs = indefinite_inner_product(certs["eta"], xi, h @ zeta)
             rhs = np.conj(indefinite_inner_product(certs["eta"], zeta, h @ xi))
-            worst = max(worst, abs(lhs - rhs) / scale_of([lhs, rhs]))
+            scale = np.linalg.norm(xi) * np.linalg.norm(zeta) * scale_of(certs["eta"]) * scale_of(h)
+            worst = max(worst, abs(lhs - rhs) / scale)
         assert abs(report["residuals"]["inner_product_hermiticity"] - worst) <= 1e-12
     else:
         assert certs["A"] is None
@@ -287,6 +289,58 @@ def test_lattice_n81_x_eps1_report_passes(capsys, tmp_path):
     save_matrix(path, h)
     assert cli_main(["symmetry", str(path), "--output", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["exact_symmetry"] is False
+
+
+@pytest.mark.parametrize("name", ["real", "paired", "lattice"])
+def test_exact_symmetry_agrees_across_entry_points(name, tmp_path, capsys):
+    """The report, the `symmetry` command and is_exact_symmetry read one
+    exactness rule: X commutes with H and keeps every level."""
+    if name == "lattice":
+        h = build_pt_hamiltonian(make_lattice(81, 10.0, 1.0, "x^2", "x", 1.0))
+    else:
+        h = planted_matrix(np.random.default_rng(1), 6, name).matrix
+    report, sys_, _ = _report(h, 1e-10, 1e-8, None, 0)
+    path = tmp_path / "h.json"
+    save_matrix(path, h)
+    assert cli_main(["symmetry", str(path), "--output", "json"]) == 0
+    by_cli = json.loads(capsys.readouterr().out)["exact_symmetry"]
+    by_fn = is_exact_symmetry(sys_, AntilinearOperator(report["certificates"]["X"]))
+    assert report["exact_symmetry"] is by_cli is by_fn is (name == "real")
+
+
+def test_spot_check_passes_an_ill_conditioned_real_input():
+    """kappa(S) up to 1e4: divided by max(|lhs|, |rhs|), which cancellation
+    makes small, the spot check read 3.9e-10 here while every other
+    residual was at most 4.6e-11."""
+    h = planted_matrix(np.random.default_rng(5), 16, "real", max_cond=1e4).matrix
+    report = real_spectrum_equivalence_report(h, tol=1e-10, seed=0)
+    assert report["spectrum_class"] == "all_real"
+    assert max(report["residuals"].values()) <= 1e-10
+
+
+def test_spot_check_fails_a_perturbed_metric(monkeypatch):
+    """eta + 1e-6 max|eta| R, R Hermitian with max|R| = 1, fails the spot
+    check: normalizing by operator scales is not a loosening."""
+    rng = np.random.default_rng(11)
+    r = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    r = (r + r.conj().T) / np.max(np.abs(r + r.conj().T))
+    metric = pseudoherm.hermitize._metric
+
+    def perturbed(sys_, cls):
+        eta = metric(sys_, cls)
+        return dataclasses.replace(eta, matrix=eta.matrix + 1e-6 * scale_of(eta.matrix) * r)
+
+    monkeypatch.setattr(pseudoherm.hermitize, "_metric", perturbed)
+    h = planted_matrix(np.random.default_rng(2), 6, "real").matrix
+    report = real_spectrum_equivalence_report(h, tol=1e-10, seed=0)
+    assert report["residuals"]["inner_product_hermiticity"] > 1e-8
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e6])
+def test_spot_check_is_scale_invariant(c):
+    h = c * planted_matrix(np.random.default_rng(3), 8, "real").matrix
+    report = real_spectrum_equivalence_report(h, tol=1e-10, seed=0)
+    assert report["residuals"]["inner_product_hermiticity"] <= 1e-13
 
 
 def test_raw_levels_stacked_qr_is_bitwise_per_level_qr():

@@ -1,6 +1,7 @@
 """CLI subcommands, output formats and exit codes."""
 
 import argparse
+import contextlib
 import json
 
 import numpy as np
@@ -242,18 +243,21 @@ def test_tolerance_flags_are_plumbed(identity2, capsys):
     assert "all_real" in capsys.readouterr().out
 
 
-COMMANDS = (["analyze"], ["metric"], ["symmetry"], ["hermitize"], ["evolve-check", "--t", "0.7"])
+COMMANDS = (
+    ["analyze"], ["metric"], ["symmetry"], ["hermitize"], ["evolve-check", "--t", "0.7"], ["tau"]
+)
 # Exit codes of the commands above, in that order.  A failed identity is a
-# residual above tol (exit 1), never an input or usage error (exit 2).
+# residual above tol (exit 1), never an input or usage error (exit 2).  tau
+# needs no pairing, so it exits 0 on every spectrum class.
 EXIT_CODES = {
-    "real": [0, 0, 0, 0, 0],
-    "paired": [0, 0, 0, 1, 0],
-    "unpaired": [0, 1, 1, 1, 1],
-    "near-real-5e-9": [1, 1, 1, 1, 1],
-    "near-real-5e-10": [1, 0, 1, 1, 1],  # eta intertwines, X does not commute
-    "string-data": [2, 2, 2, 2, 2],  # malformed input, refused before any analysis
-    "list-file": [2, 2, 2, 2, 2],
-    "string-file": [2, 2, 2, 2, 2],
+    "real": [0, 0, 0, 0, 0, 0],
+    "paired": [0, 0, 0, 1, 0, 0],
+    "unpaired": [0, 1, 1, 1, 1, 0],
+    "near-real-5e-9": [1, 1, 1, 1, 1, 0],
+    "near-real-5e-10": [1, 0, 1, 1, 1, 0],  # eta intertwines, X does not commute
+    "string-data": [2, 2, 2, 2, 2, 2],  # malformed input, refused before any analysis
+    "list-file": [2, 2, 2, 2, 2, 2],
+    "string-file": [2, 2, 2, 2, 2, 2],
 }
 MALFORMED = {"string-data": {"n": 1, "data": [["1.5", "0"]]}, "list-file": [1, 2], "string-file": "abc"}
 
@@ -283,3 +287,66 @@ def test_seed_is_an_analyze_option(real_matrix, capsys):
     assert cli_main(["analyze", "--seed", "3", real_matrix]) == 0
     assert cli_main(["metric", "--seed", "3", real_matrix]) == 2
     assert cli_main(["factor", "--cluster-gap", "1e-6", real_matrix]) == 2
+
+
+def _text_of(payload: dict) -> str:
+    """The text rendering of a json payload: its keys in order, scalars with
+    str, nested dicts as indented lines and each matrix elided."""
+    lines = []
+    for key, value in payload.items():
+        if isinstance(value, dict) and set(value) == {"n", "data"}:
+            lines.append(f"{key}: (use --output json)")
+        elif isinstance(value, dict):
+            lines += [f"{key}:", *(f"  {k}: {v}" for k, v in value.items())]
+        else:
+            lines.append(f"{key}: {value}")
+    return "".join(line + "\n" for line in lines)
+
+
+TEXT_ARGV = {
+    "analyze": ["analyze", "--seed", "0"],
+    "metric": ["metric"],
+    "tau": ["tau"],
+    "symmetry": ["symmetry"],
+    "hermitize": ["hermitize"],
+    "evolve-check": ["evolve-check", "--t", "0.7"],
+    "factor": ["factor"],
+    "pt-model": ["pt-model", "--n", "21", "--L", "5"],
+}
+
+
+@pytest.mark.parametrize("command", list(TEXT_ARGV))
+def test_text_output_is_the_json_payload(command, tmp_path, capsys):
+    h = planted_matrix(np.random.default_rng(1), 6, "real").matrix
+    path = tmp_path / "h.json"
+    save_matrix(path, (h + h.T) / 2 if command == "factor" else h)
+    argv = TEXT_ARGV[command] + ([] if command == "pt-model" else [str(path)])
+    assert cli_main([*argv, "--output", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert cli_main([*argv, "--output", "text"]) == 0
+    assert capsys.readouterr().out == _text_of(payload)
+
+
+def test_analyze_is_reproducible_without_seed(real_matrix, capsys):
+    outs = []
+    for _ in range(2):
+        assert cli_main(["analyze", "--output", "json", real_matrix]) == 0
+        outs.append(capsys.readouterr().out)
+    assert "inner_product_hermiticity" in outs[0]
+    assert outs[0] == outs[1]
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_closed_stdout_exits_two(output, real_matrix, capsys):
+    with contextlib.redirect_stdout(_ClosedPipe()):
+        code = cli_main(["metric", "--output", output, real_matrix])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("BrokenPipeError: ")
