@@ -13,13 +13,19 @@ DEFAULT_COND_CEILING = 1e8
 
 def max_abs(a) -> float:
     """Largest absolute entry (the max-norm used for every residual)."""
-    a = np.asarray(a)
-    return float(np.abs(a).max()) if a.size else 0.0
+    a = np.abs(a)
+    return float(np.maximum.reduce(a, axis=None)) if a.size else 0.0
 
 
 def scale_of(a) -> float:
     """max_abs(a) floored at 1e-300: the denominator of a normalized residual."""
     return max(max_abs(a), 1e-300)
+
+
+def diagonal_defect(a: np.ndarray, d) -> float:
+    """max|a - diag(d)| of a square array a, which it overwrites."""
+    a.flat[:: len(a) + 1] -= d
+    return max_abs(a)
 
 
 def hermitian_defect(a) -> float:
@@ -103,10 +109,10 @@ def block_groups(sizes) -> list[tuple[np.ndarray, np.ndarray]]:
     distinct size d, ascending: the indices of the d x d blocks, in order,
     and their rows (= columns) in the block diagonal, shape (k, d)."""
     sizes = np.asarray(sizes, dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
+    starts = sizes.cumsum() - sizes
     groups = []
-    for d in np.unique(sizes).tolist():
-        idx = np.flatnonzero(sizes == d)
+    for d in sorted(set(sizes.tolist())):
+        idx = (sizes == d).nonzero()[0]
         groups.append((idx, starts[idx, None] + np.arange(d)))
     return groups
 
@@ -130,19 +136,34 @@ def unstack(groups, stacks, count: int) -> list:
     return out
 
 
-def place_blocks(groups, stacks, n: int) -> np.ndarray:
-    """Stacks, one per group of ``block_groups``, placed along the diagonal of an
-    n x n complex zero matrix, one scatter per group (placement is exact)."""
-    out = np.zeros((n, n), dtype=np.complex128)
-    for (_, cols), stack in zip(groups, stacks):
-        out[cols[:, :, None], cols[:, None, :]] = stack
-    return out
+def times_block_diag(groups, *operands) -> list[np.ndarray]:
+    """``m @ blockdiag(blocks)`` as a new array for each operand ``(m, stacks)``,
+    stacks holding one stack per group of ``block_groups``, in one walk of the
+    groups: one column scaling of every m for the 1 x 1 blocks, then per size
+    d >= 2 one stacked product of every m on the columns of its blocks."""
+    scales = np.ones((len(operands), operands[0][0].shape[1]), dtype=np.complex128)
+    wide = []
+    for k, (_, cols) in enumerate(groups):
+        if cols.shape[1] == 1:
+            for scale, (_, stacks) in zip(scales, operands):
+                scale[cols[:, 0]] = stacks[k][:, 0, 0]
+        else:
+            wide.append((k, cols))
+    outs = [m * scale for (m, _), scale in zip(operands, scales)]
+    for k, cols in wide:
+        for out, (m, stacks) in zip(outs, operands):
+            out[:, cols] = (m[:, cols].transpose(1, 0, 2) @ stacks[k]).transpose(1, 0, 2)
+    return outs
 
 
 def solve(a: np.ndarray, b: np.ndarray, error_cls, what: str):
-    """np.linalg.solve wrapping singularity in a package error."""
-    if condition_number(a) > DEFAULT_COND_CEILING:
-        raise error_cls(f"{what} is singular or too ill-conditioned to invert")
+    """np.linalg.solve wrapping singularity in a package error, which carries
+    the condition number of a and the ceiling it exceeded."""
+    cond = condition_number(a)
+    if cond > DEFAULT_COND_CEILING:
+        raise error_cls(
+            f"{what} is singular or too ill-conditioned to invert", cond, DEFAULT_COND_CEILING
+        )
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:  # exact singularity

@@ -28,12 +28,12 @@ from ._linalg import (
     cond_of,
     make_check,
     max_abs,
-    place_blocks,
     require_same_dim,
     scale_of,
     stack_group,
     symmetric_defect,
     takagi_factor,
+    times_block_diag,
     unstack,
 )
 from .eigensystem import DEFAULT_COND_CEILING, DEFAULT_TOL, BiorthonormalSystem
@@ -82,7 +82,7 @@ class CoefficientFamily:
 
     @classmethod
     def identity_for(cls, sys: BiorthonormalSystem) -> "CoefficientFamily":
-        return cls(tuple(np.eye(d, dtype=np.complex128) for d in np.diff(sys._offsets).tolist()))
+        return cls(tuple(np.eye(d, dtype=np.complex128) for d in sys._sizes.tolist()))
 
     def validate_against(self, sys: BiorthonormalSystem) -> list[np.ndarray]:
         """Check the blocks against sys and return their Takagi factors v (c = v v^T):
@@ -116,7 +116,7 @@ class CoefficientFamily:
     def _refuse(self, sys: BiorthonormalSystem) -> None:
         """The tests of validate_against level by level: raise the refusal of the
         first faulty block.  Each test decides a block as its stacked form does."""
-        for k, (block, d) in enumerate(zip(self.blocks, np.diff(sys._offsets).tolist())):
+        for k, (block, d) in enumerate(zip(self.blocks, sys._sizes.tolist())):
             if np.shape(block) != (d, d):
                 raise DimensionMismatchError(
                     f"block {k} has shape {np.shape(block)}, level multiplicity is {d}"
@@ -141,16 +141,18 @@ def build_tau(
 ) -> AntilinearOperator:
     """Anti-Hermitian automorphism tau attached to (sys, coeffs).
 
-    The matrix is ``Phi blockdiag(c) Phi^T``, the blocks placed with one
-    scatter per multiplicity; unspecified coefficients give the canonical
-    choice ``Phi Phi^T``, which needs no validation.  The result satisfies
-    m = m^T up to accumulation error and intertwines H^dagger with conj(H).
+    The matrix is ``Phi blockdiag(c) Phi^T``: ``Phi blockdiag(c)`` is one
+    column scaling for the simple levels and one stacked product per
+    multiplicity d >= 2, then one n x n product with ``Phi^T``; unspecified
+    coefficients give the canonical choice ``Phi Phi^T``, which needs no
+    validation.  The result satisfies m = m^T up to accumulation error and
+    intertwines H^dagger with conj(H).
     """
     phi = sys.phi_matrix
     if coeffs is None:
         return AntilinearOperator(phi @ phi.T)
     c = [c for c, _ in coeffs._factored(sys)]
-    return AntilinearOperator(phi @ place_blocks(sys._groups, c, sys.dim) @ phi.T)
+    return AntilinearOperator(times_block_diag(sys._groups, (phi, c))[0] @ phi.T)
 
 
 def canonical_tau(sys: BiorthonormalSystem) -> AntilinearOperator:
@@ -162,12 +164,13 @@ def canonical_tau(sys: BiorthonormalSystem) -> AntilinearOperator:
 def invert_tau(
     sys: BiorthonormalSystem, coeffs: CoefficientFamily | None = None
 ) -> AntilinearOperator:
-    """Inverse automorphism ``tau^{-1} = Psi blockdiag(conj(c^{-1})) Psi^T``."""
+    """Inverse automorphism ``tau^{-1} = Psi blockdiag(conj(c^{-1})) Psi^T``,
+    formed as build_tau forms tau."""
     psi = sys.psi_matrix
     if coeffs is None:
         return AntilinearOperator(psi @ psi.T)
     c_inv = [np.conj(np.linalg.inv(c)) for c, _ in coeffs._factored(sys)]
-    return AntilinearOperator(psi @ place_blocks(sys._groups, c_inv, sys.dim) @ psi.T)
+    return AntilinearOperator(times_block_diag(sys._groups, (psi, c_inv))[0] @ psi.T)
 
 
 def is_anti_pseudo_hermitian(

@@ -34,7 +34,7 @@ from .factor import symmetric_factor
 from .hermitize import ReportStageError, _hermitized, _report, hermitizing_transform
 from .metric import _metric, evolution_invariance_check, is_pseudo_hermitian
 from .ptmodel import _pt_model, build_pt_hamiltonian, make_lattice
-from .symmetry import _canonical_symmetry, _symmetry_check
+from .symmetry import _canonical_symmetry, _is_exact, commutes_with
 
 VERIFICATION_ERRORS = (
     NotDiagonalizableError,
@@ -74,7 +74,7 @@ def _levels_payload(system) -> list:
     e = system._level_energies
     return [
         {"energy": [real, imag], "multiplicity": d}
-        for real, imag, d in zip(e.real.tolist(), e.imag.tolist(), np.diff(system._offsets).tolist())
+        for real, imag, d in zip(e.real.tolist(), e.imag.tolist(), system._sizes.tolist())
     ]
 
 
@@ -126,7 +126,8 @@ def cmd_symmetry(args) -> tuple[bool, dict]:
     h, system, cls = _analysis(args)
     _metric(system, cls)  # refuses an unpaired spectrum or an ill-conditioned eta
     x = _canonical_symmetry(system, cls)
-    check, exact = _symmetry_check(h, system, x, args.tol)
+    check = commutes_with(h, x, args.tol)
+    exact = _is_exact(check, system, x, args.tol)
     return check.ok, {
         "spectrum_class": cls.tag.value,
         "commutation_residual": check.residual,
@@ -138,7 +139,7 @@ def cmd_symmetry(args) -> tuple[bool, dict]:
 def cmd_hermitize(args) -> tuple[bool, dict]:
     h, system, cls = _analysis(args)
     transform = hermitizing_transform(system, cls)
-    h_t, r = _hermitized(h, system, transform)
+    h_t, r = _hermitized(transform, h @ system.psi_matrix)
     return r <= args.tol, {"hermiticity_residual": r, "A": transform.matrix, "transformed": h_t}
 
 

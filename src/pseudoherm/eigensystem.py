@@ -15,6 +15,7 @@ identities.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,8 +26,8 @@ from ._linalg import (
     as_square_matrix,
     block_groups,
     condition_number,
+    diagonal_defect,
     max_abs,
-    scale_of,
 )
 from .errors import AmbiguousPairingError, NotDiagonalizableError
 
@@ -107,25 +108,36 @@ class BiorthonormalSystem:
     @cached_property
     def energies(self) -> np.ndarray:
         """Level energy repeated per column, aligned with psi_matrix; read-only."""
-        return _read_only(np.repeat(self._level_energies, np.diff(self._offsets)))
+        return _read_only(np.repeat(self._level_energies, self._sizes))
+
+    @cached_property
+    def _sizes(self) -> np.ndarray:
+        """Multiplicity of each level."""
+        return np.diff(self._offsets)
 
     @cached_property
     def _groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Levels grouped by multiplicity d, ascending: per d the levels, in
         order, and their columns in the stacked matrices, shape (k, d)."""
-        return block_groups(np.diff(self._offsets))
+        return block_groups(self._sizes)
 
     @cached_property
     def _biorthonormality(self) -> tuple[float, float]:
         """Max-norm residuals of Phi^dagger Psi = 1 and Psi Phi^dagger = 1, formed once."""
-        psi, phi = self.psi_matrix, self.phi_matrix
-        eye = np.eye(self.dim)
-        return max_abs(phi.conj().T @ psi - eye), max_abs(psi @ phi.conj().T - eye)
+        psi, phi_h = self.psi_matrix, self.phi_matrix.conj().T
+        return diagonal_defect(phi_h @ psi, 1.0), diagonal_defect(psi @ phi_h, 1.0)
 
     def level_slices(self) -> list[slice]:
         """Column ranges of each level inside the stacked matrices."""
         bounds = self._offsets.tolist()
         return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _partner_columns(offsets: np.ndarray, pairing) -> np.ndarray:
+    """Permutation pi pairing column c of level i with column c of level
+    pairing[i], for levels at the given offsets."""
+    shift = offsets[np.asarray(pairing)] - offsets[:-1]
+    return np.arange(offsets[-1]) + np.repeat(shift, np.diff(offsets))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -161,7 +173,9 @@ def _cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
     order = np.argsort(axis)
     coord = axis[order]
     reach = coord.searchsorted(coord + 2.0 * abs(gap), "right")  # candidates of k: k+1 .. reach[k]-1
-    starts = np.flatnonzero(reach > np.arange(1, n + 1)).tolist()
+    starts = (reach > np.arange(1, n + 1)).nonzero()[0].tolist()
+    if not starts:  # no candidate pair: every value is its own cluster
+        return [[i] for i in range(n)]
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -170,13 +184,12 @@ def _cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
             i = parent[i]
         return i
 
-    if starts:
-        order, reach, values = order.tolist(), reach.tolist(), values.tolist()
-        for k in starts:
-            i = order[k]
-            for j in order[k + 1 : reach[k]]:
-                if abs(values[i] - values[j]) <= gap:
-                    parent[find(i)] = find(j)
+    order, reach, values = order.tolist(), reach.tolist(), values.tolist()
+    for k in starts:
+        i = order[k]
+        for j in order[k + 1 : reach[k]]:
+            if abs(values[i] - values[j]) <= gap:
+                parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
@@ -221,42 +234,73 @@ def biorthonormal_eigensystem(
         If the condition number of the stacked psi matrix exceeds
         ``DEFAULT_COND_CEILING`` or the verified residuals exceed ``tol``
         (defective or near-defective input, or an unreachable tolerance).
+        It carries the number (``measured``), the bound it exceeded
+        (``limit``) and the residual's name (``check``, None for the ceiling).
     """
     H = as_square_matrix(H, "H")
-    return _assemble(_raw_levels(H, cluster_gap), H, tol)
+    hmax = max_abs(H)
+    return _assemble(*_raw_levels(H, _cluster_gap(cluster_gap, hmax)), H, hmax, tol)[0]
 
 
-def _raw_levels(H: np.ndarray, cluster_gap) -> list:
-    """(energy, orthonormal psi block) per level, sorted by (Re E, Im E)."""
-    if cluster_gap is None:
-        cluster_gap = CLUSTER_GAP_FACTOR * max_abs(H)
+def _cluster_gap(cluster_gap, hmax: float) -> float:
+    """The gap levels are clustered with: cluster_gap, or ``CLUSTER_GAP_FACTOR``
+    times max|H| = hmax when it is None."""
+    return CLUSTER_GAP_FACTOR * hmax if cluster_gap is None else cluster_gap
+
+
+def _raw_levels(H: np.ndarray, cluster_gap: float) -> tuple:
+    """Psi, the level energies and the level offsets of H, levels sorted by
+    (Re E, Im E) with one lexsort.  Each level's psi columns are orthonormal,
+    by one stacked QR per multiplicity; a simple level's energy is its
+    eigenvalue, a degenerate level's the mean of its cluster."""
     w, v = np.linalg.eig(H)
     groups = _cluster_indices(w, cluster_gap)
-    levels = []  # one stacked QR per multiplicity; a simple level's energy is w[i] itself
-    for d in {len(idx) for idx in groups}:
-        same = [idx for idx in groups if len(idx) == d]
-        energies = np.mean(w[same], axis=1) if d > 1 else w[same][:, 0]
-        levels += zip(energies.tolist(), np.linalg.qr(v[:, same].transpose(1, 0, 2))[0])
-    return sorted(levels, key=lambda t: (t[0].real, t[0].imag))
+    n, k = len(w), len(groups)
+    sizes = np.fromiter(map(len, groups), np.intp, k)
+    members = np.fromiter(itertools.chain.from_iterable(groups), np.intp, n)  # level by level
+    first = np.cumsum(sizes) - sizes  # each level's first member
+    energies = w[members[first]]
+    stacks = []
+    for d in sorted(set(sizes.tolist())):
+        lv = (sizes == d).nonzero()[0]
+        same = members[first[lv, None] + np.arange(d)]
+        if d > 1:
+            energies[lv] = np.add.reduce(w[same], axis=1) / d  # their mean
+        stacks.append((lv, np.linalg.qr(v[:, same].transpose(1, 0, 2))[0]))
+    order = np.lexsort((energies.imag, energies.real))
+    offsets = np.zeros(k + 1, dtype=np.intp)
+    np.cumsum(sizes[order], out=offsets[1:])
+    at = np.empty(k, dtype=np.intp)  # each level's first column in Psi
+    at[order] = offsets[:-1]
+    psi = np.empty((n, n), dtype=np.complex128)
+    for lv, q in stacks:
+        psi[:, at[lv, None] + np.arange(q.shape[2])] = q.transpose(1, 0, 2)
+    return psi, energies[order], offsets
 
 
-def _assemble(levels_raw: list, H: np.ndarray, tol: float) -> BiorthonormalSystem:
-    """System storing Psi, Phi = Psi^{-dagger} and E once, verified against H."""
-    psi = np.hstack([q for _, q in levels_raw])
+_RESIDUALS = ("biorthonormality", "completeness", "right_eigen", "left_eigen", "reconstruction")
+
+
+def _assemble(
+    psi: np.ndarray, level_energies: np.ndarray, offsets: np.ndarray, H: np.ndarray, hmax: float,
+    tol: float,
+) -> tuple:
+    """(system, H Psi): the system stores Psi, Phi = Psi^{-dagger} and E once,
+    verified against H with max|H| = hmax; H Psi is the product its
+    verification formed."""
     cond = condition_number(psi)
     if cond > DEFAULT_COND_CEILING:
         raise NotDiagonalizableError(
             f"eigenvector matrix condition number {cond:.3e} exceeds ceiling "
-            f"{DEFAULT_COND_CEILING:.3e}; input is defective or nearly so"
+            f"{DEFAULT_COND_CEILING:.3e}; input is defective or nearly so",
+            cond, DEFAULT_COND_CEILING,
         )
-    offsets = np.cumsum([0, *(q.shape[1] for _, q in levels_raw)])
-    energies = _read_only(np.array([e for e, _ in levels_raw]))
+    energies, sizes = _read_only(level_energies), np.diff(offsets)
     sys = _on_stored(
         _read_only(psi), _read_only(np.linalg.inv(psi).conj().T), energies, offsets, tol,
-        cond=cond, energies=_read_only(np.repeat(energies, np.diff(offsets))),
+        cond=cond, _sizes=sizes, energies=_read_only(np.repeat(energies, sizes)),
     )
-    _verify_system(sys, H, tol)
-    return sys
+    return sys, _verify_system(sys, H, hmax, tol)
 
 
 def _on_stored(
@@ -275,21 +319,30 @@ def _on_stored(
     return sys
 
 
-def _verify_system(sys: BiorthonormalSystem, H: np.ndarray, tol: float) -> None:
+def _verify_system(sys: BiorthonormalSystem, H: np.ndarray, hmax: float, tol: float) -> tuple:
+    """Refuse sys when a residual in ``_RESIDUALS`` exceeds tol (those with H
+    relative to max|H| = hmax); returns H Psi."""
     psi, phi, energies = sys.psi_matrix, sys.phi_matrix, sys.energies
-    residuals = dict(zip(("biorthonormality", "completeness"), sys._biorthonormality))
-    hscale = scale_of(H)
-    residuals["right_eigen"] = max_abs(H @ psi - psi * energies) / hscale
-    residuals["left_eigen"] = max_abs(H.conj().T @ phi - phi * np.conj(energies)) / hscale
-    residuals["reconstruction"] = max_abs((psi * energies) @ phi.conj().T - H) / hscale
-    worst = max(residuals, key=residuals.get)
-    if residuals[worst] > tol:
+    hpsi, psi_e = H @ psi, psi * energies
+    hscale = max(hmax, 1e-300)
+    residuals = (
+        *sys._biorthonormality,
+        max_abs(hpsi - psi_e) / hscale,
+        max_abs(H.conj().T @ phi - phi * np.conj(energies)) / hscale,
+        max_abs(psi_e @ phi.conj().T - H) / hscale,
+    )
+    worst = max(residuals)
+    if worst > tol:
+        del hpsi, psi_e  # a kept traceback holds this frame
+        check = _RESIDUALS[residuals.index(worst)]
         raise NotDiagonalizableError(
-            f"could not reach tolerance {tol:.1e}: {worst} residual is "
-            f"{residuals[worst]:.3e}; input is near-defective, has spectral "
+            f"could not reach tolerance {tol:.1e}: {check} residual is "
+            f"{worst:.3e}; input is near-defective, has spectral "
             f"clusters wider than tol but narrower than the cluster gap, or "
-            f"tol is too tight for its conditioning"
+            f"tol is too tight for its conditioning",
+            worst, tol, check,
         )
+    return hpsi
 
 
 def biorthonormality_residuals(sys: BiorthonormalSystem) -> tuple[float, float]:
@@ -315,13 +368,13 @@ def classify_spectrum(
         of the conjugate target — a sign that realness_tol is coarser than
         the level spacing.  The message names the first such level.
     """
-    return _classify(sys._level_energies, np.diff(sys._offsets), realness_tol)
+    return _classify(sys._level_energies, sys._sizes, realness_tol)
 
 
 def _classify(energies: np.ndarray, mult: np.ndarray, realness_tol: float) -> SpectrumClass:
     """classify_spectrum on the arrays of level energies and multiplicities."""
     pairing = np.arange(len(energies))
-    nonreal = np.flatnonzero(np.abs(energies.imag) > realness_tol)
+    nonreal = (np.abs(energies.imag) > realness_tol).nonzero()[0]
     if nonreal.size == 0:
         return SpectrumClass(SpectrumTag.ALL_REAL, tuple(pairing.tolist()), realness_tol)
 

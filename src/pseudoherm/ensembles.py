@@ -75,7 +75,7 @@ def random_symmetric_invertible(
 def random_coefficients(rng: np.random.Generator, sys: BiorthonormalSystem) -> CoefficientFamily:
     """Random symmetric invertible coefficient family aligned with a system."""
     return CoefficientFamily(
-        tuple(random_symmetric_invertible(rng, d) for d in np.diff(sys._offsets).tolist())
+        tuple(random_symmetric_invertible(rng, d) for d in sys._sizes.tolist())
     )
 
 

@@ -5,6 +5,17 @@ class PseudoHermError(Exception):
     """Base class for every error raised by this package."""
 
 
+class _MeasuredError(PseudoHermError):
+    """A refusal that carries its numbers: ``measured`` exceeded ``limit``.
+    Both are None where a refusal has no single number (an exactly
+    singular matrix)."""
+
+    def __init__(self, message: str, measured: float | None = None, limit: float | None = None):
+        super().__init__(message)
+        self.measured = measured
+        self.limit = limit
+
+
 class NonFiniteError(PseudoHermError):
     """Input contains NaN or Inf entries."""
 
@@ -13,9 +24,17 @@ class DimensionMismatchError(PseudoHermError):
     """Operands have incompatible shapes."""
 
 
-class NotDiagonalizableError(PseudoHermError):
+class NotDiagonalizableError(_MeasuredError):
     """Eigenvector matrix is numerically rank-deficient or the requested
-    construction tolerance cannot be met (defective or near-defective input)."""
+    construction tolerance cannot be met (defective or near-defective input).
+
+    ``check`` names the verified residual that exceeded the tolerance, or is
+    None when the condition number of the eigenvector matrix exceeded its
+    ceiling."""
+
+    def __init__(self, message: str, measured=None, limit=None, check: str | None = None):
+        super().__init__(message, measured, limit)
+        self.check = check
 
 
 class AmbiguousPairingError(PseudoHermError):
@@ -35,11 +54,11 @@ class NonHermitianEtaError(PseudoHermError):
     """Candidate metric matrix is not Hermitian."""
 
 
-class SingularEtaError(PseudoHermError):
+class SingularEtaError(_MeasuredError):
     """Metric matrix is singular or too ill-conditioned to invert."""
 
 
-class SingularTauError(PseudoHermError):
+class SingularTauError(_MeasuredError):
     """Antilinear operator matrix is singular or too ill-conditioned to invert."""
 
 
@@ -60,7 +79,7 @@ class SpectrumNotRealError(PseudoHermError):
     """Hermitization requested for a spectrum that is not entirely real."""
 
 
-class SingularTransformError(PseudoHermError):
+class SingularTransformError(_MeasuredError):
     """Similarity transform matrix is singular or too ill-conditioned."""
 
 

@@ -24,6 +24,7 @@ from ._linalg import (
     stack_group,
     symmetric_defect,
     takagi_factor,
+    times_block_diag,
     unstack,
 )
 from .antilinear import AntilinearOperator, CoefficientFamily, build_tau
@@ -109,29 +110,16 @@ def _inv_adjoint(v: np.ndarray) -> np.ndarray:
     return np.linalg.inv(v.conj().swapaxes(-1, -2))
 
 
-def _regauge(sys: BiorthonormalSystem, gauges) -> BiorthonormalSystem:
+def _regauge(sys: BiorthonormalSystem, g: list, h: list) -> BiorthonormalSystem:
     """sys re-gauged level by level, ``psi -> psi g`` and ``phi -> phi h`` with
-    ``h = (g^{-1})^dagger``; gauges holds one pair of stacks (g, h) per group
-    of ``sys._groups``.  Psi' and Phi' are written into two new stored arrays:
-    one column scaling for every d = 1 level, then one stacked product per
+    ``h = (g^{-1})^dagger``; g and h hold one stack per group of ``sys._groups``.
+    Psi' and Phi' are two new stored arrays, formed in one walk of the groups:
+    one column scaling for every d = 1 level and one stacked product per
     multiplicity d >= 2."""
-    psi, phi = sys.psi_matrix, sys.phi_matrix
-    psi_scale = np.ones(sys.dim, dtype=np.complex128)
-    phi_scale = np.ones(sys.dim, dtype=np.complex128)
-    blocks = []
-    for (_, cols), (g, h) in zip(sys._groups, gauges):
-        if cols.shape[1] == 1:
-            psi_scale[cols[:, 0]] = g[:, 0, 0]
-            phi_scale[cols[:, 0]] = h[:, 0, 0]
-        else:
-            blocks.append((cols, g, h))
-    new_psi, new_phi = psi * psi_scale, phi * phi_scale
-    for cols, g, h in blocks:
-        new_psi[:, cols] = (psi[:, cols].transpose(1, 0, 2) @ g).transpose(1, 0, 2)
-        new_phi[:, cols] = (phi[:, cols].transpose(1, 0, 2) @ h).transpose(1, 0, 2)
+    psi, phi = times_block_diag(sys._groups, (sys.psi_matrix, g), (sys.phi_matrix, h))
     return _on_stored(
-        _read_only(new_psi), _read_only(new_phi), sys._level_energies,
-        sys._offsets, sys.tol, energies=sys.energies, _groups=sys._groups,
+        _read_only(psi), _read_only(phi), sys._level_energies, sys._offsets, sys.tol,
+        energies=sys.energies, _groups=sys._groups,
     )
 
 
@@ -141,9 +129,9 @@ def basis_change(sys: BiorthonormalSystem, u_blocks) -> BiorthonormalSystem:
     Biorthonormality and completeness are preserved exactly; residuals grow
     at most by the block condition numbers.
     """
-    sizes = np.diff(sys._offsets).tolist()
+    sizes = sys._sizes.tolist()
     stacks = _invertible_stacks(u_blocks, sizes, sys._groups, "basis-change")
-    return _regauge(sys, [(u, _inv_adjoint(u)) for u in stacks])
+    return _regauge(sys, stacks, [_inv_adjoint(u) for u in stacks])
 
 
 def coefficient_transform(coeffs: CoefficientFamily, u_blocks) -> CoefficientFamily:
@@ -186,5 +174,5 @@ def canonicalize_tau(
             for block in coeffs.blocks:  # the same check level by level
                 b = np.asarray(block, dtype=np.complex128)
                 _check_factor(b, takagi_factor(b)[0], tol)
-    new_sys = _regauge(sys, [(_inv_adjoint(v), v) for _, v in factored])
+    new_sys = _regauge(sys, [_inv_adjoint(v) for _, v in factored], [v for _, v in factored])
     return new_sys, build_tau(new_sys, None)

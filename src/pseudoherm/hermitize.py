@@ -19,25 +19,29 @@ from ._linalg import (
     DEFAULT_COND_CEILING,
     as_square_matrix,
     condition_number,
+    diagonal_defect,
     hermitian_defect,
+    make_check,
     max_abs,
     require_same_dim,
     scale_of,
     solve,
+    symmetric_defect,
 )
-from .antilinear import canonical_tau, is_anti_pseudo_hermitian
+from .antilinear import canonical_tau
 from .eigensystem import (
-    CLUSTER_GAP_FACTOR,
     DEFAULT_REALNESS_TOL,
     DEFAULT_TOL,
     BiorthonormalSystem,
     SpectrumClass,
     SpectrumTag,
-    biorthonormality_residuals,
-    biorthonormal_eigensystem,
+    _assemble,
+    _cluster_gap,
+    _raw_levels,
     classify_spectrum,
 )
 from .errors import (
+    NonHermitianEtaError,
     PseudoHermError,
     SingularEtaError,
     SingularTransformError,
@@ -45,8 +49,8 @@ from .errors import (
     UnpairedSpectrumError,
 )
 from .io import matrix_to_dict
-from .metric import MetricOperator, _metric, is_pseudo_hermitian
-from .symmetry import _canonical_symmetry, _symmetry_check
+from .metric import MetricOperator, _metric
+from .symmetry import _canonical_symmetry, _is_exact
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,11 @@ def hermitizing_transform(sys: BiorthonormalSystem, cls: SpectrumClass) -> Pseud
             f"spectrum classified as {cls.tag.value}; hermitization needs an all-real spectrum"
         )
     # kappa(eta) = kappa(A)^2 = kappa(Psi)^2 for the positive metric eta = A^dagger A
-    if sys.cond * sys.cond > DEFAULT_COND_CEILING:
-        raise SingularEtaError("the positive metric A^dagger A is too ill-conditioned")
+    kappa = sys.cond * sys.cond
+    if kappa > DEFAULT_COND_CEILING:
+        raise SingularEtaError(
+            "the positive metric A^dagger A is too ill-conditioned", kappa, DEFAULT_COND_CEILING
+        )
     return PseudoCanonicalTransform(matrix=sys.phi_matrix.conj().T)
 
 
@@ -103,18 +110,21 @@ def apply_transform(transform: PseudoCanonicalTransform, H) -> np.ndarray:
     return solve(a.T, x.T, SingularTransformError, "transform").T
 
 
-def _hermitized(H, sys: BiorthonormalSystem, transform: PseudoCanonicalTransform) -> tuple:
-    """(A H A^{-1}, its normalized Hermiticity defect) with A^{-1} = Psi; the
-    product is diag(E) by construction."""
-    h_t = transform.matrix @ H @ sys.psi_matrix
+def _hermitized(transform: PseudoCanonicalTransform, hpsi: np.ndarray) -> tuple:
+    """(A H A^{-1}, its normalized Hermiticity defect), formed as A (H Psi) from
+    the product hpsi = H Psi, as A^{-1} = Psi; it is diag(E) by construction."""
+    h_t = transform.matrix @ hpsi
     return h_t, hermitian_defect(h_t) / scale_of(h_t)
 
 
 def metric_from_transform(transform: PseudoCanonicalTransform) -> MetricOperator:
     """Positive metric ``a^dagger a`` certified by a hermitizing transform."""
     a = transform.matrix
-    if condition_number(a) > DEFAULT_COND_CEILING:
-        raise SingularTransformError("transform is singular or too ill-conditioned")
+    kappa = condition_number(a)
+    if kappa > DEFAULT_COND_CEILING:
+        raise SingularTransformError(
+            "transform is singular or too ill-conditioned", kappa, DEFAULT_COND_CEILING
+        )
     eta = a.conj().T @ a
     eta = (eta + eta.conj().T) / 2.0
     return MetricOperator(matrix=eta, positive_definite=True, factor=a.conj().T)
@@ -138,8 +148,24 @@ def real_spectrum_equivalence_report(
     commutes with H and maps every level into itself.  Stage refusals
     mandated by the theory (unpaired spectrum: no metric; non-real spectrum:
     no hermitization) are recorded in the report; a failed construction
-    (eigensystem, classification, a condition ceiling of the metric or of A)
-    is re-raised as :class:`ReportStageError` labelled with its stage.
+    (eigensystem, classification, a condition ceiling of the metric or of A,
+    a non-Hermitian eta) is re-raised as :class:`ReportStageError` labelled
+    with its stage.
+
+    Each identity is one n x n product that reads its certificate, with
+    max|H| taken once:
+
+    * tau: with P = H^dagger tau, ``H^dagger tau - tau conj(H) = P - P^T``,
+      since tau = Phi Phi^T is symmetric;
+    * eta: with P = H^dagger eta, ``H^dagger eta - eta H = P - P^dagger``,
+      since eta is Hermitian, which ``metric_hermiticity`` reports;
+    * A: ``A H A^{-1} = A (H Psi)``, with the product H Psi that verified the
+      eigensystem;
+    * X keeps its two products ``H X`` and ``X conj(H)``: the rewrite
+      ``(H Psi)[:, pi] Phi^T`` would never read X, so a wrong X could pass.
+
+    Each residual keeps its scale: ``max|H| max|tau|``, ``max|H| max|eta|``,
+    ``max|H| max|X|``, ``max|A H A^{-1}|`` and ``max|H|``.
 
     The returned dict is JSON-serializable:
     ``{"input": ..., "spectrum_class": ..., "residuals": {...},
@@ -154,17 +180,16 @@ def real_spectrum_equivalence_report(
 def _report(H, tol, realness_tol, cluster_gap, seed) -> tuple:
     """(report, eigensystem, spectrum class) of one chain run; matrices stay arrays."""
     H = as_square_matrix(H, "H")
+    hmax = max_abs(H)
+    hscale = max(hmax, 1e-300)
+    gap = _cluster_gap(cluster_gap, hmax)
     residuals: dict[str, float] = {}
     refusals: dict[str, str] = {}
     certificates: dict[str, np.ndarray | None] = {"eta": None, "A": None, "X": None}
     report = {
         "input": H,
         "spectrum_class": None,
-        "tolerances": {
-            "tol": tol,
-            "realness_tol": realness_tol,
-            "cluster_gap": cluster_gap if cluster_gap is not None else CLUSTER_GAP_FACTOR * max_abs(H),
-        },
+        "tolerances": {"tol": tol, "realness_tol": realness_tol, "cluster_gap": gap},
         "residuals": residuals,
         "refusals": refusals,
         "certificates": certificates,
@@ -181,46 +206,59 @@ def _report(H, tol, realness_tol, cluster_gap, seed) -> tuple:
         except PseudoHermError as exc:
             raise ReportStageError(stage, exc) from exc
 
-    sys = run("eigensystem", lambda: biorthonormal_eigensystem(H, tol, cluster_gap))
-    r_bi, r_comp = biorthonormality_residuals(sys)
-    residuals["biorthonormality"] = r_bi
-    residuals["completeness"] = r_comp
+    sys, hpsi = run("eigensystem", lambda: _assemble(*_raw_levels(H, gap), H, hmax, tol))
+    residuals["biorthonormality"], residuals["completeness"] = sys._biorthonormality
 
     cls = run("classification", lambda: classify_spectrum(sys, realness_tol))
     report["spectrum_class"] = cls.tag.value
 
-    tau = canonical_tau(sys)
-    residuals["tau_intertwining"] = is_anti_pseudo_hermitian(H, tau, tol).residual
+    h_conj = H.conj()  # conj(H); H^dagger is its transpose
+    tau = canonical_tau(sys).matrix
+    p = h_conj.T @ tau
+    intertwining = make_check(symmetric_defect(p), hmax * max_abs(tau), tol)
+    residuals["tau_intertwining"] = intertwining.residual
 
     metric = run("metric", lambda: _metric(sys, cls))
     if metric is not None:
+        eta = metric.matrix
         report["positive_definite_metric"] = metric.positive_definite
-        eta_scale = scale_of(metric.matrix)
-        residuals["metric_hermiticity"] = hermitian_defect(metric.matrix) / eta_scale
-        intertwining = run("metric", lambda: is_pseudo_hermitian(H, metric, tol))
+        eta_max = max_abs(eta)
+        eta_scale = max(eta_max, 1e-300)
+        defect = hermitian_defect(eta)
+        residuals["metric_hermiticity"] = defect / eta_scale
+        if defect > tol * eta_scale:
+            cause = NonHermitianEtaError("eta is not Hermitian within tolerance")
+            raise ReportStageError("metric", cause) from cause
+        p = h_conj.T @ eta
+        intertwining = make_check(hermitian_defect(p), hmax * eta_max, tol)
         residuals["metric_intertwining"] = intertwining.residual
-        certificates["eta"] = metric.matrix
+        certificates["eta"] = eta
 
         x = _canonical_symmetry(sys, cls)
-        commutation, report["exact_symmetry"] = _symmetry_check(H, sys, x, tol)
+        xm = x.matrix
+        commutation = make_check(max_abs(H @ xm - xm @ h_conj), hmax * max_abs(xm), tol)
         residuals["symmetry_commutation"] = commutation.residual
-        certificates["X"] = x.matrix
+        report["exact_symmetry"] = _is_exact(commutation, sys, x, tol)
+        certificates["X"] = xm
 
     transform = run("hermitization", lambda: hermitizing_transform(sys, cls))
     if transform is not None:
-        h_t, residuals["hermitized_hermiticity"] = _hermitized(H, sys, transform)
-        h_scale = scale_of(H)
-        residuals["hermitized_eigenvalue_match"] = max_abs(h_t - np.diag(sys.energies)) / h_scale
+        h_t, residuals["hermitized_hermiticity"] = _hermitized(transform, hpsi)
+        match = diagonal_defect(h_t.copy(), sys.energies)
+        residuals["hermitized_eigenvalue_match"] = match / hscale
         certificates["A"] = transform.matrix
 
-        # eight pairs (xi, zeta) drawn as (Re xi, Im xi, Re zeta, Im zeta);
-        # the chain's eta is the positive metric A^dagger A = Phi Phi^dagger
+        # eight pairs (xi, zeta) drawn as (Re xi, Im xi, Re zeta, Im zeta), as
+        # the rows xi_0, zeta_0, xi_1, ... of z; the chain's eta is the positive
+        # metric A^dagger A = Phi Phi^dagger
         v = np.random.default_rng(seed).standard_normal((8, 4, sys.dim))
-        xi, zeta = v[:, 0] + 1j * v[:, 1], v[:, 2] + 1j * v[:, 3]
-        lhs = np.sum((xi.conj() @ metric.matrix) * (zeta @ H.T), axis=1)
-        rhs = np.sum((zeta.conj() @ metric.matrix) * (xi @ H.T), axis=1).conj()
+        z = (v[:, 0::2] + 1j * v[:, 1::2]).reshape(16, sys.dim)
+        z_eta, hz = z.conj() @ eta, z @ H.T
+        lhs = (z_eta[0::2] * hz[1::2]).sum(axis=1)
+        rhs = (z_eta[1::2] * hz[0::2]).sum(axis=1).conj()
         # operator scales, as for every residual: |lhs| and |rhs| can cancel to near 0
-        scale = np.linalg.norm(xi, axis=1) * np.linalg.norm(zeta, axis=1) * eta_scale * h_scale
-        residuals["inner_product_hermiticity"] = float(np.max(np.abs(lhs - rhs) / scale))
+        norms = np.linalg.norm(z, axis=1)
+        scale = norms[0::2] * norms[1::2] * eta_scale * hscale
+        residuals["inner_product_hermiticity"] = float((np.abs(lhs - rhs) / scale).max())
 
     return report, sys, cls

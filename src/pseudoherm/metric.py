@@ -36,6 +36,7 @@ from .eigensystem import (
     BiorthonormalSystem,
     SpectrumClass,
     SpectrumTag,
+    _partner_columns,
     reconstruct,
 )
 from .errors import (
@@ -83,8 +84,11 @@ def metric_from_matrix(eta, tol: float = DEFAULT_TOL) -> MetricOperator:
         raise NonHermitianEtaError("candidate metric is not Hermitian within tolerance")
     m = (m + m.conj().T) / 2.0
     eigenvalues = np.linalg.eigvalsh(m)
-    if cond_of(eigenvalues) > DEFAULT_COND_CEILING:
-        raise SingularEtaError("candidate metric is singular or too ill-conditioned")
+    kappa = cond_of(eigenvalues)
+    if kappa > DEFAULT_COND_CEILING:
+        raise SingularEtaError(
+            "candidate metric is singular or too ill-conditioned", kappa, DEFAULT_COND_CEILING
+        )
     positive = bool(eigenvalues[0] > 0.0)
     factor = np.linalg.cholesky(m) if positive else None
     return MetricOperator(matrix=m, positive_definite=positive, factor=factor)
@@ -104,13 +108,6 @@ def is_pseudo_hermitian(H, eta, tol: float = DEFAULT_TOL) -> CheckResult:
     return make_check(raw, max_abs(H) * max_abs(m), tol)
 
 
-def _partner_columns(sys: BiorthonormalSystem, cls: SpectrumClass) -> np.ndarray:
-    """Permutation pi pairing column c of level i with column c of level pairing[i]."""
-    offsets = sys._offsets
-    shift = offsets[np.asarray(cls.pairing)] - offsets[:-1]
-    return np.arange(sys.dim) + np.repeat(shift, np.diff(offsets))
-
-
 def _metric(sys: BiorthonormalSystem, cls: SpectrumClass, weights=None) -> MetricOperator:
     """build_metric without its self-check: callers that hold H check
     ``H^dagger eta = eta H`` against it once themselves."""
@@ -121,24 +118,29 @@ def _metric(sys: BiorthonormalSystem, cls: SpectrumClass, weights=None) -> Metri
     k = len(sys._level_energies)
     if len(cls.pairing) != k:
         raise DimensionMismatchError("spectrum class does not match the system")
+    phi = sys.phi_matrix
     if weights is None:
-        w = np.ones(k)
+        col_w, left = None, phi
     else:
         w = np.asarray(weights, dtype=float)
         if w.shape != (k,):
             raise DimensionMismatchError(f"need {k} weights, got shape {w.shape}")
         if np.any(w <= 0.0):
             raise ValueError("metric weights must be strictly positive")
+        col_w = np.repeat(w[np.minimum(np.arange(k), cls.pairing)], sys._sizes)
+        left = phi * col_w
 
-    col_w = np.repeat(w[np.minimum(np.arange(k), cls.pairing)], np.diff(sys._offsets))
-    phi = sys.phi_matrix
-    eta = (phi * col_w) @ phi[:, _partner_columns(sys, cls)].conj().T
+    eta = left @ phi[:, _partner_columns(sys._offsets, cls.pairing)].conj().T
     real = cls.tag is SpectrumTag.ALL_REAL
     # the all-real unit-weight eta is Phi Phi^dagger: kappa(eta) = kappa(Psi)^2
     kappa = sys.cond * sys.cond if real and weights is None else condition_number(eta)
     if kappa > DEFAULT_COND_CEILING:
-        raise SingularEtaError("constructed metric is too ill-conditioned")
-    factor = phi * np.sqrt(col_w) if real else None
+        raise SingularEtaError(
+            "constructed metric is too ill-conditioned", kappa, DEFAULT_COND_CEILING
+        )
+    factor = None
+    if real:
+        factor = phi.copy() if col_w is None else phi * np.sqrt(col_w)
     return MetricOperator(matrix=eta, positive_definite=real, factor=factor)
 
 

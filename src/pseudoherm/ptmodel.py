@@ -39,6 +39,8 @@ from .eigensystem import (
     SpectrumClass,
     _assemble,
     _classify,
+    _cluster_gap,
+    _partner_columns,
     _raw_levels,
 )
 from .errors import (
@@ -240,28 +242,29 @@ def _adapted(
     else:
         r_ptsym = max_abs(H @ parity - parity @ np.conj(H))
     _require_pt_symmetric(r_ptsym, H, tol)
-    raw = _raw_levels(H, cluster_gap)
-    mult = np.array([q.shape[1] for _, q in raw])
-    cls = _classify(np.array([e for e, _ in raw]), mult, realness_tol)
-    new_psi: list[np.ndarray] = []
-    for i, (_, q) in enumerate(raw):
-        j = cls.pairing[i]
+    hmax = max_abs(H)
+    psi, energies, offsets = _raw_levels(H, _cluster_gap(cluster_gap, hmax))
+    sizes = np.diff(offsets)
+    cls = _classify(energies, sizes, realness_tol)
+    bounds = offsets.tolist()
+    for i, j in enumerate(cls.pairing):
         if j == i:
             # parity-conjugation restricted to the level is an antiunitary
             # involution g conj(.) in the basis q; g is unitary symmetric, so
             # its Takagi factor u is unitary and u conj(u)^{-1} = u u^T = g.
             # q^dagger P is made contiguous so g matches the dense product bit for bit
+            q = np.ascontiguousarray(psi[:, bounds[i] : bounds[i + 1]])
             if parity is None:
                 row = np.ascontiguousarray(q.conj().T[:, ::-1])
             else:
                 row = q.conj().T @ parity
-            new_psi.append(q @ takagi_factor(row @ np.conj(q))[0])
-        elif j > i:
-            new_psi.append(q)
-        else:
-            partner = np.conj(new_psi[j])
-            new_psi.append(partner[::-1] if parity is None else parity @ partner)
-    system = _assemble([(e, q) for (e, _), q in zip(raw, new_psi)], H, tol)
+            psi[:, bounds[i] : bounds[i + 1]] = q @ takagi_factor(row @ np.conj(q))[0]
+    # the second level of a conjugate pair is the parity image of the first
+    pairing = np.asarray(cls.pairing)
+    second = np.repeat(pairing < np.arange(len(pairing)), sizes)
+    first = np.conj(psi[:, _partner_columns(offsets, pairing)[second]])
+    psi[:, second] = first[::-1] if parity is None else parity @ first
+    system = _assemble(psi, energies, offsets, H, hmax, tol)[0]
     return system, cls, r_ptsym
 
 

@@ -22,8 +22,14 @@ from ._linalg import (
     solve,
 )
 from .antilinear import AntilinearOperator
-from .eigensystem import DEFAULT_TOL, BiorthonormalSystem, SpectrumClass, reconstruct
-from .metric import _eta_matrix, _partner_columns
+from .eigensystem import (
+    DEFAULT_TOL,
+    BiorthonormalSystem,
+    SpectrumClass,
+    _partner_columns,
+    reconstruct,
+)
+from .metric import _eta_matrix
 from .errors import (
     DimensionMismatchError,
     NotASymmetryError,
@@ -43,7 +49,8 @@ def _canonical_symmetry(sys: BiorthonormalSystem, cls: SpectrumClass) -> Antilin
     """X = eta^{-1} tau for the unit-weight metric and the canonical tau,
     read off the system as ``Psi[:, pi] Phi^T``: eta^{-1} = Psi[:, pi] Psi^dagger
     with pi the partner-column permutation, and tau = Phi Phi^T."""
-    return AntilinearOperator(sys.psi_matrix[:, _partner_columns(sys, cls)] @ sys.phi_matrix.T)
+    pi = _partner_columns(sys._offsets, cls.pairing)
+    return AntilinearOperator(sys.psi_matrix[:, pi] @ sys.phi_matrix.T)
 
 
 def commutes_with(H, x: AntilinearOperator, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -115,14 +122,15 @@ def is_exact_symmetry(
     NotASymmetryError
         If X does not commute with the reconstructed H in the first place.
     """
-    check, exact = _symmetry_check(reconstruct(sys), sys, x, tol)
+    check = commutes_with(reconstruct(sys), x, tol)
     if not check.ok:
         raise NotASymmetryError(f"X does not commute with H (residual {check.residual:.3e})")
-    return exact
+    return _is_exact(check, sys, x, tol)
 
 
-def _symmetry_check(H, sys: BiorthonormalSystem, x: AntilinearOperator, tol: float) -> tuple:
-    """(commutation check of X with H, exactness): X is exact when it commutes
-    with H and maps every level of sys into itself."""
-    check = commutes_with(H, x, tol)
-    return check, check.ok and all(level_invariance_residuals(sys, x) <= tol)
+def _is_exact(
+    check: CheckResult, sys: BiorthonormalSystem, x: AntilinearOperator, tol: float
+) -> bool:
+    """The exactness rule: X, whose commutation with H is ``check``, is exact
+    when it commutes with H and maps every level of sys into itself."""
+    return check.ok and all(level_invariance_residuals(sys, x) <= tol)

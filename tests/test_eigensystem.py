@@ -102,6 +102,63 @@ def test_near_defective_split_levels_accepted(eps):
     assert sys_.cond == pytest.approx(np.linalg.cond(sys_.psi_matrix), rel=1e-12)
 
 
+RESIDUAL_MESSAGE = (
+    "could not reach tolerance {tol:.1e}: {check} residual is {measured:.3e}; input is "
+    "near-defective, has spectral clusters wider than tol but narrower than the cluster "
+    "gap, or tol is too tight for its conditioning"
+)
+
+
+def test_condition_ceiling_refusal_carries_its_numbers():
+    """Two levels 1.5e-8 apart, just above the cluster gap: kappa(Psi) =
+    1.33e8 is refused, and the error carries it next to the ceiling."""
+    with pytest.raises(NotDiagonalizableError) as err:
+        biorthonormal_eigensystem(np.array([[1.0, 1.0], [0.0, 1.0 + 1.5e-8]]))
+    exc = err.value
+    assert (exc.check, exc.limit) == (None, 1e8)
+    assert exc.measured == pytest.approx(2.0 / 1.5e-8, rel=1e-6)
+    assert str(exc) == (
+        f"eigenvector matrix condition number {exc.measured:.3e} exceeds ceiling "
+        "1.000e+08; input is defective or nearly so"
+    )
+
+
+def lattice(v2, eps):
+    return build_pt_hamiltonian(make_lattice(81, 10.0, 1.0, "x^2", v2, eps))
+
+
+@pytest.mark.parametrize(
+    "h, tol, check",
+    [
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), 1e-10, "right_eigen"),
+        (np.diag([1.0, 1.0 + 1e-9]), 1e-12, "right_eigen"),
+        (lattice("x^3", 0.1), 1e-10, "biorthonormality"),
+        (lattice("x^3", 1.0), 1e-10, "left_eigen"),
+    ],
+    ids=["jordan", "tight-tol", "lattice-x3-0.1", "lattice-x3-1"],
+)
+def test_residual_refusal_carries_its_numbers(h, tol, check):
+    """The verified-residual refusal names the residual (.check) and carries
+    its value (.measured) and tol (.limit); the message reads them."""
+    with pytest.raises(NotDiagonalizableError) as err:
+        biorthonormal_eigensystem(h, tol=tol)
+    exc = err.value
+    assert (exc.check, exc.limit) == (check, tol)
+    assert exc.measured > tol
+    assert str(exc) == RESIDUAL_MESSAGE.format(tol=tol, check=check, measured=exc.measured)
+
+
+def test_refusal_traceback_holds_no_product():
+    """A caller that keeps the refusal keeps its frames; the verification
+    drops H Psi before raising, so they hold no array beyond the system's."""
+    with pytest.raises(NotDiagonalizableError) as err:
+        biorthonormal_eigensystem(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    tb = err.value.__traceback__
+    while tb is not None:
+        assert "hpsi" not in tb.tb_frame.f_locals
+        tb = tb.tb_next
+
+
 def test_tolerance_too_tight_rejected():
     # eigenvalues 1e-9 apart: wider than any sane tol, narrower than the gap
     h = np.diag([1.0, 1.0 + 1e-9])

@@ -8,8 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudoherm import (
+    AntilinearOperator,
     PseudoCanonicalTransform,
+    SingularEtaError,
     SingularTransformError,
+    antilinear_symmetry,
+    build_metric,
+    metric_from_matrix,
     SpectrumNotRealError,
     apply_transform,
     biorthonormal_eigensystem,
@@ -116,6 +121,41 @@ def test_transform_condition_ceiling_is_1e8():
         apply_transform(transform, np.eye(2))
     with pytest.raises(SingularTransformError):
         metric_from_transform(transform)
+
+
+def test_transform_refusals_carry_their_numbers():
+    """kappa(transform) = 1e10 against the ceiling 1e8, on both consumers."""
+    transform = PseudoCanonicalTransform(np.diag([1.0, 1e-10]).astype(complex))
+    refusals = (lambda: apply_transform(transform, np.eye(2)), lambda: metric_from_transform(transform))
+    for refuse in refusals:
+        with pytest.raises(SingularTransformError) as err:
+            refuse()
+        assert err.value.measured == pytest.approx(1e10, rel=1e-12)
+        assert err.value.limit == 1e8
+    assert str(err.value) == "transform is singular or too ill-conditioned"
+
+
+def test_positive_metric_ceiling_carries_kappa_of_eta():
+    """kappa(Psi) = 2e5 passes the eigensystem; kappa(eta) = kappa(Psi)^2 =
+    4e10 is refused by hermitization and by the metric, with that number."""
+    sys_, cls = analyzed(np.array([[1.0, 1.0], [0.0, 1.0 + 1e-5]]))
+    for refuse in (lambda: hermitizing_transform(sys_, cls), lambda: build_metric(sys_, cls)):
+        with pytest.raises(SingularEtaError) as err:
+            refuse()
+        assert err.value.measured == sys_.cond * sys_.cond == pytest.approx(4e10, rel=1e-6)
+        assert err.value.limit == 1e8
+    assert str(err.value) == "constructed metric is too ill-conditioned"
+
+
+def test_metric_refusals_carry_their_numbers():
+    with pytest.raises(SingularEtaError) as err:
+        metric_from_matrix(np.diag([1.0, -1e-9]))
+    assert (err.value.measured, err.value.limit) == (pytest.approx(1e9, rel=1e-12), 1e8)
+    assert str(err.value) == "candidate metric is singular or too ill-conditioned"
+    with pytest.raises(SingularEtaError) as err:
+        antilinear_symmetry(np.diag([1.0, 1e-10]), AntilinearOperator(np.eye(2, dtype=complex)))
+    assert (err.value.measured, err.value.limit) == (pytest.approx(1e10, rel=1e-12), 1e8)
+    assert str(err.value) == "eta is singular or too ill-conditioned to invert"
 
 
 def test_metric_from_transform_certifies(planted_real):
