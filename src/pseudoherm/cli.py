@@ -19,7 +19,7 @@ import numpy as np
 from . import io
 from ._linalg import max_abs, scale_of, symmetric_defect
 from .antilinear import build_tau, is_anti_pseudo_hermitian
-from .eigensystem import DEFAULT_REALNESS_TOL, biorthonormal_eigensystem, classify_spectrum
+from .eigensystem import DEFAULT_TOL, biorthonormal_eigensystem, classify_spectrum
 from .errors import (
     AmbiguousPairingError,
     NotDiagonalizableError,
@@ -81,7 +81,7 @@ def _levels_payload(system) -> list:
 def cmd_analyze(args) -> tuple[bool, dict]:
     h = io.load_matrix(args.matrix)
     try:
-        report, system, cls = _report(h, args.tol, DEFAULT_REALNESS_TOL, args.cluster_gap, args.seed)
+        report, system, cls = _report(h, args.tol, args.cluster_gap, args.seed)
     except ReportStageError as exc:
         if exc.stage in ("eigensystem", "classification"):
             raise exc.__cause__ from None  # no analysis at all: report the cause itself
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         if matrix:
             p.add_argument("matrix", help=matrix)
-        p.add_argument("--tol", type=float, default=1e-10, help="verification tolerance")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="verification tolerance")
         if clustered:
             p.add_argument("--cluster-gap", type=float, help="eigenvalue grouping gap")
         p.add_argument("--output", choices=("json", "text"), default="text")

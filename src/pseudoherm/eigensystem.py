@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,7 +32,6 @@ from ._linalg import (
 from .errors import AmbiguousPairingError, NotDiagonalizableError
 
 DEFAULT_TOL = 1e-10
-DEFAULT_REALNESS_TOL = 1e-8
 CLUSTER_GAP_FACTOR = 1e-8
 
 
@@ -106,6 +105,11 @@ class BiorthonormalSystem:
         return condition_number(self.psi_matrix)
 
     @cached_property
+    def _hmax(self) -> float:
+        """max|H|; seeded by ``_assemble``, else measured once from ``reconstruct``."""
+        return max_abs(reconstruct(self))
+
+    @cached_property
     def energies(self) -> np.ndarray:
         """Level energy repeated per column, aligned with psi_matrix; read-only."""
         return _read_only(np.repeat(self._level_energies, self._sizes))
@@ -155,7 +159,7 @@ class SpectrumClass:
 
     tag: SpectrumTag
     pairing: tuple[int, ...]
-    realness_tol: float
+    realness_tol: float = field(init=False)  # 1e-8 max|H|, set by the classification
 
     @property
     def is_real(self) -> bool:
@@ -242,10 +246,14 @@ def biorthonormal_eigensystem(
     return _assemble(*_raw_levels(H, _cluster_gap(cluster_gap, hmax)), H, hmax, tol)[0]
 
 
+def _realness_tol(hmax: float) -> float:
+    """Realness and pairing tolerance: the default cluster gap, whatever gap is used."""
+    return CLUSTER_GAP_FACTOR * hmax
+
+
 def _cluster_gap(cluster_gap, hmax: float) -> float:
-    """The gap levels are clustered with: cluster_gap, or ``CLUSTER_GAP_FACTOR``
-    times max|H| = hmax when it is None."""
-    return CLUSTER_GAP_FACTOR * hmax if cluster_gap is None else cluster_gap
+    """The gap levels are clustered with: cluster_gap, or the default when None."""
+    return _realness_tol(hmax) if cluster_gap is None else cluster_gap
 
 
 def _raw_levels(H: np.ndarray, cluster_gap: float) -> tuple:
@@ -298,7 +306,7 @@ def _assemble(
     energies, sizes = _read_only(level_energies), np.diff(offsets)
     sys = _on_stored(
         _read_only(psi), _read_only(np.linalg.inv(psi).conj().T), energies, offsets, tol,
-        cond=cond, _sizes=sizes, energies=_read_only(np.repeat(energies, sizes)),
+        cond=cond, _hmax=hmax, _sizes=sizes, energies=_read_only(np.repeat(energies, sizes)),
     )
     return sys, _verify_system(sys, H, hmax, tol)
 
@@ -351,50 +359,49 @@ def biorthonormality_residuals(sys: BiorthonormalSystem) -> tuple[float, float]:
     return sys._biorthonormality
 
 
-def classify_spectrum(
-    sys: BiorthonormalSystem, realness_tol: float = DEFAULT_REALNESS_TOL
-) -> SpectrumClass:
+def classify_spectrum(sys: BiorthonormalSystem) -> SpectrumClass:
     """Classify the spectrum as all-real, conjugate-paired, or unpaired.
 
-    A level is real when |Im E| <= realness_tol.  A non-real level is paired
-    with the non-real level lying within realness_tol of its conj(E); the
-    match must be unique and multiplicities must agree, otherwise the level
-    counts as unpaired.
+    A level is real when |Im E| <= realness_tol = 1e-8 max|H|, the default
+    cluster gap.  A non-real level is paired with the non-real level lying
+    within realness_tol of its conj(E); the match must be unique and
+    multiplicities must agree, otherwise the level counts as unpaired.
 
     Raises
     ------
     AmbiguousPairingError
         If two or more distinct candidate partners lie within realness_tol
-        of the conjugate target — a sign that realness_tol is coarser than
-        the level spacing.  The message names the first such level.
+        of the conjugate target — levels closer than 1e-8 max|H| that the
+        cluster gap kept apart.  The message names the first such level.
     """
-    return _classify(sys._level_energies, sys._sizes, realness_tol)
+    return _classify(sys._level_energies, sys._sizes, _realness_tol(sys._hmax))
 
 
 def _classify(energies: np.ndarray, mult: np.ndarray, realness_tol: float) -> SpectrumClass:
     """classify_spectrum on the arrays of level energies and multiplicities."""
     pairing = np.arange(len(energies))
     nonreal = (np.abs(energies.imag) > realness_tol).nonzero()[0]
-    if nonreal.size == 0:
-        return SpectrumClass(SpectrumTag.ALL_REAL, tuple(pairing.tolist()), realness_tol)
-
-    # near[a, b]: level nonreal[b] lies within tol of conj(E) of level nonreal[a];
-    # the relation is symmetric, so unique candidates already pair up
-    e = energies[nonreal]
-    near = np.abs(e[None, :] - np.conj(e)[:, None]) <= realness_tol
-    count = near.sum(axis=1)
-    if np.any(count > 1):
-        a = int(np.argmax(count > 1))
-        i = nonreal[a]
-        raise AmbiguousPairingError(
-            f"level {i} (E={energies[i]:.6g}) has {count[a]} conjugate-partner "
-            f"candidates within tolerance {realness_tol:.1e}"
-        )
-    partner = nonreal[np.argmax(near, axis=1)]
-    paired = (count == 1) & (mult[partner] == mult[nonreal])
-    pairing[nonreal[paired]] = partner[paired]
-    tag = SpectrumTag.CONJUGATE_PAIRED if paired.all() else SpectrumTag.UNPAIRED
-    return SpectrumClass(tag=tag, pairing=tuple(pairing.tolist()), realness_tol=realness_tol)
+    tag = SpectrumTag.ALL_REAL
+    if nonreal.size:
+        # near[a, b]: level nonreal[b] lies within tol of conj(E) of level nonreal[a];
+        # the relation is symmetric, so unique candidates already pair up
+        e = energies[nonreal]
+        near = np.abs(e[None, :] - np.conj(e)[:, None]) <= realness_tol
+        count = near.sum(axis=1)
+        if np.any(count > 1):
+            a = int(np.argmax(count > 1))
+            i = nonreal[a]
+            raise AmbiguousPairingError(
+                f"level {i} (E={energies[i]:.6g}) has {count[a]} conjugate-partner "
+                f"candidates within tolerance {realness_tol:.1e}"
+            )
+        partner = nonreal[np.argmax(near, axis=1)]
+        paired = (count == 1) & (mult[partner] == mult[nonreal])
+        pairing[nonreal[paired]] = partner[paired]
+        tag = SpectrumTag.CONJUGATE_PAIRED if paired.all() else SpectrumTag.UNPAIRED
+    cls = SpectrumClass(tag, tuple(pairing.tolist()))
+    object.__setattr__(cls, "realness_tol", realness_tol)  # frozen, and not a constructor input
+    return cls
 
 
 def reconstruct(sys: BiorthonormalSystem, conjugate: bool = False) -> np.ndarray:

@@ -39,7 +39,7 @@ class NotDiagonalizableError(_MeasuredError):
 
 class AmbiguousPairingError(PseudoHermError):
     """Two conjugate-partner candidates are equidistant within tolerance;
-    usually a sign of a misconfigured realness tolerance or cluster gap."""
+    usually a sign of a misconfigured cluster gap."""
 
 
 class AsymmetricCoefficientsError(PseudoHermError):

@@ -119,7 +119,7 @@ def _regauge(sys: BiorthonormalSystem, g: list, h: list) -> BiorthonormalSystem:
     psi, phi = times_block_diag(sys._groups, (sys.psi_matrix, g), (sys.phi_matrix, h))
     return _on_stored(
         _read_only(psi), _read_only(phi), sys._level_energies, sys._offsets, sys.tol,
-        energies=sys.energies, _groups=sys._groups,
+        energies=sys.energies, _groups=sys._groups, _hmax=sys._hmax,
     )
 
 

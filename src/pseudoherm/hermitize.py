@@ -30,7 +30,6 @@ from ._linalg import (
 )
 from .antilinear import canonical_tau
 from .eigensystem import (
-    DEFAULT_REALNESS_TOL,
     DEFAULT_TOL,
     BiorthonormalSystem,
     SpectrumClass,
@@ -38,6 +37,7 @@ from .eigensystem import (
     _assemble,
     _cluster_gap,
     _raw_levels,
+    _realness_tol,
     classify_spectrum,
 )
 from .errors import (
@@ -131,26 +131,23 @@ def metric_from_transform(transform: PseudoCanonicalTransform) -> MetricOperator
 
 
 def real_spectrum_equivalence_report(
-    H,
-    tol: float = DEFAULT_TOL,
-    realness_tol: float = DEFAULT_REALNESS_TOL,
-    cluster_gap: float | None = None,
-    seed: int | None = 0,
+    H, tol: float = DEFAULT_TOL, *, cluster_gap: float | None = None, seed: int | None = 0
 ) -> dict:
     """Run the full chain on one matrix and emit a verification report.
 
-    Stages: eigensystem, spectrum classification, automorphism tau, metric,
-    symmetry X = eta^{-1} tau, and (for a real spectrum) hermitization plus
-    the positive-inner-product Hermiticity spot check on eight random vector
-    pairs drawn from ``seed`` (None: fresh OS entropy).  Each identity is
-    checked once, against H, and reported as a normalized residual; a failed
-    one is a residual above ``tol``.  X is exact (``exact_symmetry``) when it
-    commutes with H and maps every level into itself.  Stage refusals
-    mandated by the theory (unpaired spectrum: no metric; non-real spectrum:
-    no hermitization) are recorded in the report; a failed construction
-    (eigensystem, classification, a condition ceiling of the metric or of A,
-    a non-Hermitian eta) is re-raised as :class:`ReportStageError` labelled
-    with its stage.
+    Stages: eigensystem, spectrum classification (levels real or paired
+    within ``tolerances.realness_tol`` = 1e-8 max|H|), automorphism tau,
+    metric, symmetry X = eta^{-1} tau, and (for a real spectrum)
+    hermitization plus the positive-inner-product Hermiticity spot check on
+    eight random vector pairs drawn from ``seed`` (None: fresh OS entropy).
+    Each identity is checked once, against H, and reported as a normalized
+    residual; a failed one is a residual above ``tol``.  X is exact
+    (``exact_symmetry``) when it commutes with H and maps every level into
+    itself.  Stage refusals mandated by the theory (unpaired spectrum: no
+    metric; non-real spectrum: no hermitization) are recorded in the report;
+    a failed construction (eigensystem, classification, a condition ceiling
+    of the metric or of A, a non-Hermitian eta) is re-raised as
+    :class:`ReportStageError` labelled with its stage.
 
     Each identity is one n x n product that reads its certificate, with
     max|H| taken once:
@@ -171,13 +168,13 @@ def real_spectrum_equivalence_report(
     ``{"input": ..., "spectrum_class": ..., "residuals": {...},
     "certificates": {"eta": ..., "A": ..., "X": ...}, ...}``.
     """
-    report = _report(H, tol, realness_tol, cluster_gap, seed)[0]
+    report = _report(H, tol, cluster_gap, seed)[0]
     for key, m in report["certificates"].items():
         report["certificates"][key] = m if m is None else matrix_to_dict(m)
     return {**report, "input": matrix_to_dict(report["input"])}
 
 
-def _report(H, tol, realness_tol, cluster_gap, seed) -> tuple:
+def _report(H, tol, cluster_gap, seed) -> tuple:
     """(report, eigensystem, spectrum class) of one chain run; matrices stay arrays."""
     H = as_square_matrix(H, "H")
     hmax = max_abs(H)
@@ -189,7 +186,7 @@ def _report(H, tol, realness_tol, cluster_gap, seed) -> tuple:
     report = {
         "input": H,
         "spectrum_class": None,
-        "tolerances": {"tol": tol, "realness_tol": realness_tol, "cluster_gap": gap},
+        "tolerances": {"tol": tol, "realness_tol": _realness_tol(hmax), "cluster_gap": gap},
         "residuals": residuals,
         "refusals": refusals,
         "certificates": certificates,
@@ -209,7 +206,7 @@ def _report(H, tol, realness_tol, cluster_gap, seed) -> tuple:
     sys, hpsi = run("eigensystem", lambda: _assemble(*_raw_levels(H, gap), H, hmax, tol))
     residuals["biorthonormality"], residuals["completeness"] = sys._biorthonormality
 
-    cls = run("classification", lambda: classify_spectrum(sys, realness_tol))
+    cls = run("classification", lambda: classify_spectrum(sys))
     report["spectrum_class"] = cls.tag.value
 
     h_conj = H.conj()  # conj(H); H^dagger is its transpose

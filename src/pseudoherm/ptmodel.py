@@ -33,7 +33,6 @@ from ._linalg import (
 )
 from .antilinear import AntilinearOperator, canonical_tau
 from .eigensystem import (
-    DEFAULT_REALNESS_TOL,
     DEFAULT_TOL,
     BiorthonormalSystem,
     SpectrumClass,
@@ -42,6 +41,7 @@ from .eigensystem import (
     _cluster_gap,
     _partner_columns,
     _raw_levels,
+    _realness_tol,
 )
 from .errors import (
     AsymmetricPotentialError,
@@ -229,7 +229,7 @@ def eta_from_tau_pt(
 
 
 def _adapted(
-    H: np.ndarray, parity, tol: float, realness_tol: float, cluster_gap
+    H: np.ndarray, parity, tol: float, cluster_gap
 ) -> tuple[BiorthonormalSystem, SpectrumClass, float]:
     """The parity-conjugation adapted system of H, its class and the raw
     ``H P - P conj(H)`` residual, which is also the refusal.
@@ -245,7 +245,7 @@ def _adapted(
     hmax = max_abs(H)
     psi, energies, offsets = _raw_levels(H, _cluster_gap(cluster_gap, hmax))
     sizes = np.diff(offsets)
-    cls = _classify(energies, sizes, realness_tol)
+    cls = _classify(energies, sizes, _realness_tol(hmax))
     bounds = offsets.tolist()
     for i, j in enumerate(cls.pairing):
         if j == i:
@@ -269,23 +269,19 @@ def _adapted(
 
 
 def pt_adapted_eigensystem(
-    H,
-    parity=None,
-    tol: float = DEFAULT_TOL,
-    realness_tol: float = DEFAULT_REALNESS_TOL,
-    cluster_gap: float | None = None,
+    H, parity=None, tol: float = DEFAULT_TOL, *, cluster_gap: float | None = None
 ) -> BiorthonormalSystem:
     """Eigensystem re-gauged so the parity-conjugation map acts canonically.
 
-    In the adapted gauge, real levels are fixed point-wise
-    (``P conj(psi) = psi``) and each conjugate pair uses the parity image of
-    its partner's basis.  The canonical automorphism of such a system then
-    commutes with the parity-conjugation map, which makes ``eta = m P``
-    Hermitian.  The default parity is the site reversal.
+    Levels are real or paired within 1e-8 max|H|.  Real levels are fixed
+    point-wise (``P conj(psi) = psi``) and each conjugate pair uses the
+    parity image of its partner's basis, so the canonical automorphism
+    commutes with the parity-conjugation map and ``eta = m P`` is Hermitian.
+    The default parity is the site reversal.
     """
     H = as_square_matrix(H, "H")
     p = None if parity is None else as_square_matrix(parity, "parity")
-    return _adapted(H, p, tol, realness_tol, cluster_gap)[0]
+    return _adapted(H, p, tol, cluster_gap)[0]
 
 
 def _pt_model(
@@ -303,7 +299,7 @@ def _pt_model(
     """
     H = as_square_matrix(H, "H")
     r_parity = max_abs(H.conj().T[:, ::-1] - H[::-1])
-    system, cls, r_ptsym = _adapted(H, None, tol, DEFAULT_REALNESS_TOL, cluster_gap)
+    system, cls, r_ptsym = _adapted(H, None, tol, cluster_gap)
     _, check = _checked_eta(H, canonical_tau(system).matrix[:, ::-1], tol)
     hscale = scale_of(H)
     residuals = {

@@ -113,7 +113,7 @@ def test_condition_ceiling_importable_from_eigensystem():
     assert DEFAULT_COND_CEILING == ceiling == 1e8
 
 
-KNOBS = {"cond_ceiling", "sym_tol"}
+KNOBS = {"cond_ceiling", "sym_tol", "realness_tol"}
 
 
 def public_callables():

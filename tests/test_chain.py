@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pseudoherm._linalg
 import pseudoherm.antilinear
@@ -39,7 +41,12 @@ from pseudoherm import (
 from pseudoherm._linalg import hermitian_defect, scale_of
 from pseudoherm.cli import cli_main
 from pseudoherm.eigensystem import CLUSTER_GAP_FACTOR, _cluster_indices, _raw_levels
-from pseudoherm.ensembles import planted_matrix, random_coefficients, random_unitary
+from pseudoherm.ensembles import (
+    planted_matrix,
+    random_coefficients,
+    random_invertible,
+    random_unitary,
+)
 from pseudoherm.hermitize import _report
 from pseudoherm.io import save_matrix
 
@@ -232,7 +239,7 @@ def test_report_chain_matches_public_constructions(monkeypatch, h):
         return hermitian_defect(m)
 
     monkeypatch.setattr(pseudoherm.hermitize, "hermitian_defect", recorded)
-    report, sys_, cls = _report(h, 1e-10, 1e-8, None, 0)
+    report, sys_, cls = _report(h, 1e-10, None, 0)
     certs = report["certificates"]
     eta = build_metric(sys_, cls)
 
@@ -250,7 +257,7 @@ def test_report_chain_matches_public_constructions(monkeypatch, h):
         # 1e-6 max|eta| R (R Hermitian): its residual, about 1e-7, is signal
         # rather than rounding, so a relative bound sees a wrong denominator
         monkeypatch.setattr(pseudoherm.hermitize, "_metric", perturbed_metric)
-        report = _report(h, 1e-10, 1e-8, None, 0)[0]
+        report = _report(h, 1e-10, None, 0)[0]
         eta = report["certificates"]["eta"]
         rng = np.random.default_rng(0)
         worst = 0.0
@@ -362,7 +369,7 @@ def test_exact_symmetry_agrees_across_entry_points(name, tmp_path, capsys):
         h = build_pt_hamiltonian(make_lattice(81, 10.0, 1.0, "x^2", "x", 1.0))
     else:
         h = planted_matrix(np.random.default_rng(1), 6, name).matrix
-    report, sys_, _ = _report(h, 1e-10, 1e-8, None, 0)
+    report, sys_, _ = _report(h, 1e-10, None, 0)
     path = tmp_path / "h.json"
     save_matrix(path, h)
     assert cli_main(["symmetry", str(path), "--output", "json"]) == 0
@@ -445,3 +452,34 @@ def test_real_spectrum_residuals_scale_invariant(seed, tmp_path, capsys):
     path = tmp_path / "h.json"
     save_matrix(path, h)
     assert cli_main(["analyze", str(path)]) == 0
+
+
+def verdicts(h) -> tuple:
+    """What a report decides: class, refusals, exactness, metric sign, and
+    whether every residual passes."""
+    report = real_spectrum_equivalence_report(h, tol=1e-10)
+    return (
+        report["spectrum_class"],
+        sorted(report["refusals"]),
+        report["exact_symmetry"],
+        report["positive_definite_metric"],
+        max(report["residuals"].values()) <= 1e-10,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.sampled_from(["real", "paired", "unpaired"]), st.integers(-9, 9)
+)
+def test_verdicts_invariant_under_scale_similarity_and_permutation(seed, kind, k):
+    """H, 10^k H, S H S^-1 (kappa(S) <= 10) and P H P^T (P a permutation)
+    get the same verdicts: realness and pairing are decided within 1e-8
+    max|H|, like every other verdict, not within an absolute 1e-8."""
+    rng = np.random.default_rng(seed)
+    h = planted_matrix(rng, 6, kind).matrix
+    s = random_invertible(rng, 6, 10.0)
+    p = np.eye(6)[rng.permutation(6)]
+    want = verdicts(h)
+    assert verdicts(10.0**k * h) == want
+    assert verdicts(s @ h @ np.linalg.inv(s)) == want
+    assert verdicts(p @ h @ p.T) == want

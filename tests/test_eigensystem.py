@@ -205,7 +205,7 @@ def test_ambiguous_pairing_raises():
     h = np.diag([1 + 1j, 1 - 1j + 1e-10, 1 - 1j - 1e-10])
     sys_ = biorthonormal_eigensystem(h, cluster_gap=1e-12)
     with pytest.raises(AmbiguousPairingError):
-        classify_spectrum(sys_, realness_tol=1e-8)
+        classify_spectrum(sys_)
 
 
 def test_classify_invariant_under_level_reorder(planted_paired):

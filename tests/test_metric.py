@@ -26,9 +26,9 @@ from pseudoherm.ensembles import random_hermitian
 from conftest import planted_3x3_conjugate
 
 
-def analyzed(h, realness_tol=1e-8):
+def analyzed(h):
     sys_ = biorthonormal_eigensystem(h)
-    return sys_, classify_spectrum(sys_, realness_tol)
+    return sys_, classify_spectrum(sys_)
 
 
 def test_hermitian_with_identity_metric(rng):

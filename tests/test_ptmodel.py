@@ -5,6 +5,7 @@ import pytest
 
 from pseudoherm import (
     AsymmetricPotentialError,
+    NotDiagonalizableError,
     NotPTSymmetricError,
     ResultNotHermitianError,
     SpectrumTag,
@@ -23,6 +24,7 @@ from pseudoherm import (
     pt_commutation_residuals,
     time_reversal,
 )
+from pseudoherm.cli import cli_main
 
 
 @pytest.fixture(scope="module")
@@ -235,3 +237,20 @@ def test_default_parity_is_index_reversal_bitwise(v2, eps):
              (by_index.energies, dense.energies)]
     for a, b in pairs:
         assert (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+
+def test_pt_lattice_is_never_unpaired(capsys):
+    """At n=81, eps=3, tol=1e-3 rounding moves eigenvalues by about 1e-7
+    (kappa(Psi) near 1e8): with an absolute 1e-8 realness tolerance the
+    PT-symmetric lattice was classified unpaired, which its exact antilinear
+    symmetry rules out.  Paired within 1e-8 max|H|, the adapted gauge misses
+    tol and is refused with its measured residual."""
+    h = build_pt_hamiltonian(make_lattice(81, 10.0, 1.0, "x^2", "x", 3.0))
+    with pytest.raises(NotDiagonalizableError) as refused:
+        pt_adapted_eigensystem(h, tol=1e-3)
+    assert refused.value.measured > refused.value.limit == 1e-3
+    argv = ["pt-model", "--n", "81", "--L", "10", "--v2", "x", "--eps", "3", "--tol", "1e-3"]
+    assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"NotDiagonalizableError: {refused.value}\n"
