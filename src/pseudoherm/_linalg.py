@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError
+from .errors import DimensionMismatchError, NonFiniteError, PseudoHermError
 
 DEFAULT_COND_CEILING = 1e8
 
@@ -117,14 +117,36 @@ def block_groups(sizes) -> list[tuple[np.ndarray, np.ndarray]]:
     return groups
 
 
-def stack_group(blocks, idx, d: int) -> np.ndarray | None:
-    """The blocks numbered by idx as one complex stack (k, d, d), or None
-    when one of them is not d x d."""
+def checked_stacks(blocks, sizes, groups, test, misfit: str) -> list:
+    """``test(stack, idx)`` once per group of ``block_groups(sizes)``, on the
+    blocks numbered by idx as one complex stack (k, d, d); test returns its
+    result or raises a ``PseudoHermError`` naming a faulty block, and a block
+    that is not d x d is refused with ``misfit`` (fields k, shape and d).
+    When a group fails, ``_first_fault`` runs the same checks one block at a
+    time, so the refusal names the lowest faulty level."""
+    try:
+        return [_tested(blocks, idx, cols.shape[1], test, misfit) for idx, cols in groups]
+    except PseudoHermError as fault:
+        stacked = fault
+    _first_fault(blocks, sizes, test, misfit)
+    raise stacked  # no block fails alone
+
+
+def _first_fault(blocks, sizes, test, misfit: str) -> None:
+    """The checks of ``checked_stacks`` on each block alone, in level order."""
+    for k, d in enumerate(sizes):
+        _tested(blocks, np.array([k]), d, test, misfit)
+
+
+def _tested(blocks, idx, d: int, test, misfit: str):
+    """test on the blocks numbered by idx, stacked, once they are all d x d."""
     try:
         stack = np.array([blocks[k] for k in idx.tolist()], dtype=np.complex128)
     except ValueError:  # blocks of different shapes
-        return None
-    return stack if stack.shape == (len(idx), d, d) else None
+        stack = None
+    if stack is None or stack.shape != (len(idx), d, d):
+        raise DimensionMismatchError(misfit.format(k=idx[0], shape=np.shape(blocks[idx[0]]), d=d))
+    return test(stack, idx)
 
 
 def unstack(groups, stacks, count: int) -> list:

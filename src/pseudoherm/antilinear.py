@@ -25,12 +25,12 @@ from ._linalg import (
     CheckResult,
     as_square_matrix,
     block_max_abs,
+    checked_stacks,
     cond_of,
     make_check,
     max_abs,
     require_same_dim,
     scale_of,
-    stack_group,
     symmetric_defect,
     takagi_factor,
     times_block_diag,
@@ -94,40 +94,31 @@ class CoefficientFamily:
         """validate_against per distinct multiplicity, in the order of ``sys._groups``:
         the blocks c as one complex stack and their Takagi factors v, with one
         symmetry test, one stacked factorization and one condition test per
-        multiplicity.  When a test fails, ``_refuse`` names the first faulty block
-        in level order."""
+        multiplicity; ``checked_stacks`` names the first faulty block in level order."""
         if len(self.blocks) != len(sys._level_energies):
             raise DimensionMismatchError(
                 f"{len(self.blocks)} coefficient blocks for {len(sys._level_energies)} levels"
             )
-        out = []
-        for idx, cols in sys._groups:
-            c = stack_group(self.blocks, idx, cols.shape[1])
-            if c is None:
-                self._refuse(sys)
-            v, s = takagi_factor(c)  # s: the singular values of each c
-            defect = block_max_abs(c - c.swapaxes(-1, -2))
-            singular = cond_of(s) > DEFAULT_COND_CEILING
-            if singular.any() or (defect > 1e-10 * np.maximum(block_max_abs(c), 1.0)).any():
-                self._refuse(sys)
-            out.append((c, v))
-        return out
+        return checked_stacks(
+            self.blocks, sys._sizes, sys._groups, _symmetric_invertible,
+            "block {k} has shape {shape}, level multiplicity is {d}",
+        )
 
-    def _refuse(self, sys: BiorthonormalSystem) -> None:
-        """The tests of validate_against level by level: raise the refusal of the
-        first faulty block.  Each test decides a block as its stacked form does."""
-        for k, (block, d) in enumerate(zip(self.blocks, sys._sizes.tolist())):
-            if np.shape(block) != (d, d):
-                raise DimensionMismatchError(
-                    f"block {k} has shape {np.shape(block)}, level multiplicity is {d}"
-                )
-            c = np.asarray(block, dtype=np.complex128)
-            if max_abs(c - c.T) > 1e-10 * max(max_abs(c), 1.0):
-                raise AsymmetricCoefficientsError(f"coefficient block {k} is not symmetric")
-            if cond_of(takagi_factor(c)[1]) > DEFAULT_COND_CEILING:
-                raise SingularCoefficientsError(
-                    f"coefficient block {k} is singular or too ill-conditioned"
-                )
+
+def _symmetric_invertible(c: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, v) for a stack c of coefficient blocks numbered by idx and their Takagi
+    factors v; refuses the first block that is not symmetric or else singular."""
+    v, s = takagi_factor(c)  # s: the singular values of each c
+    asymmetric = block_max_abs(c - c.swapaxes(-1, -2)) > 1e-10 * np.maximum(block_max_abs(c), 1.0)
+    faulty = asymmetric | (cond_of(s) > DEFAULT_COND_CEILING)
+    if faulty.any():
+        j = faulty.argmax()
+        if asymmetric[j]:
+            raise AsymmetricCoefficientsError(f"coefficient block {idx[j]} is not symmetric")
+        raise SingularCoefficientsError(
+            f"coefficient block {idx[j]} is singular or too ill-conditioned"
+        )
+    return c, v
 
 
 def compose_antilinear(s: AntilinearOperator, t: AntilinearOperator) -> np.ndarray:

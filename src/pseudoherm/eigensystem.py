@@ -266,14 +266,11 @@ def _raw_levels(H: np.ndarray, cluster_gap: float) -> tuple:
     n, k = len(w), len(groups)
     sizes = np.fromiter(map(len, groups), np.intp, k)
     members = np.fromiter(itertools.chain.from_iterable(groups), np.intp, n)  # level by level
-    first = np.cumsum(sizes) - sizes  # each level's first member
-    energies = w[members[first]]
+    energies = np.empty(k, dtype=w.dtype)
     stacks = []
-    for d in sorted(set(sizes.tolist())):
-        lv = (sizes == d).nonzero()[0]
-        same = members[first[lv, None] + np.arange(d)]
-        if d > 1:
-            energies[lv] = np.add.reduce(w[same], axis=1) / d  # their mean
+    for lv, cols in block_groups(sizes):
+        same, d = members[cols], cols.shape[1]  # row i: the members of level lv[i]
+        energies[lv] = w[same[:, 0]] if d == 1 else np.add.reduce(w[same], axis=1) / d
         stacks.append((lv, np.linalg.qr(v[:, same].transpose(1, 0, 2))[0]))
     order = np.lexsort((energies.imag, energies.real))
     offsets = np.zeros(k + 1, dtype=np.intp)

@@ -17,11 +17,10 @@ from ._linalg import (
     as_square_matrix,
     block_groups,
     block_max_abs,
+    checked_stacks,
     cond_of,
-    condition_number,
     max_abs,
     scale_of,
-    stack_group,
     symmetric_defect,
     takagi_factor,
     times_block_diag,
@@ -75,31 +74,23 @@ def _check_factor(c: np.ndarray, v: np.ndarray, tol: float) -> None:
         raise PseudoHermError(f"factorization residual {residual:.3e} exceeds tolerance")
 
 
-def _invertible_stacks(blocks, sizes: list, groups, what: str) -> list[np.ndarray]:
+def _invertible_stacks(blocks, sizes, groups, what: str) -> list[np.ndarray]:
     """The blocks, one per level of the given sizes, as complex stacks, one per
     group of ``block_groups(sizes)``: one SVD per stack tests that each block is
-    invertible, and when a test fails ``_refuse_blocks`` names the first faulty block."""
+    invertible, and ``checked_stacks`` names the first faulty block in level order."""
     if len(blocks) != len(sizes):
         raise DimensionMismatchError(f"{len(blocks)} {what} blocks, expected {len(sizes)}")
-    stacks = []
-    for idx, cols in groups:
-        u = stack_group(blocks, idx, cols.shape[1])
-        if u is None or (cond_of(np.linalg.svd(u, compute_uv=False)) > DEFAULT_COND_CEILING).any():
-            _refuse_blocks(blocks, sizes, what)
-        stacks.append(u)
-    return stacks
 
-
-def _refuse_blocks(blocks, sizes: list, what: str) -> None:
-    """The tests of ``_invertible_stacks`` level by level: raise the refusal of
-    the first faulty block.  Each test decides a block as its stacked form does."""
-    for k, (block, d) in enumerate(zip(blocks, sizes)):
-        if np.shape(block) != (d, d):
-            raise DimensionMismatchError(
-                f"{what} block {k} has shape {np.shape(block)}, expected {(d, d)}"
+    def invertible(u: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        singular = cond_of(np.linalg.svd(u, compute_uv=False)) > DEFAULT_COND_CEILING
+        if singular.any():
+            raise SingularBlockError(
+                f"{what} block {idx[singular.argmax()]} is singular or ill-conditioned"
             )
-        if condition_number(np.asarray(block, dtype=np.complex128)) > DEFAULT_COND_CEILING:
-            raise SingularBlockError(f"{what} block {k} is singular or ill-conditioned")
+        return u
+
+    misfit = what + " block {k} has shape {shape}, expected ({d}, {d})"
+    return checked_stacks(blocks, sizes, groups, invertible, misfit)
 
 
 def _inv_adjoint(v: np.ndarray) -> np.ndarray:
@@ -129,8 +120,7 @@ def basis_change(sys: BiorthonormalSystem, u_blocks) -> BiorthonormalSystem:
     Biorthonormality and completeness are preserved exactly; residuals grow
     at most by the block condition numbers.
     """
-    sizes = sys._sizes.tolist()
-    stacks = _invertible_stacks(u_blocks, sizes, sys._groups, "basis-change")
+    stacks = _invertible_stacks(u_blocks, sys._sizes, sys._groups, "basis-change")
     return _regauge(sys, stacks, [_inv_adjoint(u) for u in stacks])
 
 
@@ -141,13 +131,10 @@ def coefficient_transform(coeffs: CoefficientFamily, u_blocks) -> CoefficientFam
     from the re-gauged basis is the same operator; symmetry of the blocks
     is preserved.
     """
-    sizes = [len(c) for c in coeffs.blocks]
+    sizes = [np.shape(c)[0] if np.ndim(c) else 0 for c in coeffs.blocks]
     groups = block_groups(sizes)
-    cs = [stack_group(coeffs.blocks, idx, cols.shape[1]) for idx, cols in groups]
-    if any(c is None for c in cs):
-        for k, c in enumerate(coeffs.blocks):
-            if np.asarray(c, dtype=np.complex128).shape != (len(c),) * 2:
-                raise DimensionMismatchError(f"coefficient block {k} is not square")
+    square = "coefficient block {k} is not square"
+    cs = checked_stacks(coeffs.blocks, sizes, groups, lambda c, _: c, square)
     us = _invertible_stacks(u_blocks, sizes, groups, "transform")
     out = [u.conj().swapaxes(-1, -2) @ c @ np.conj(u) for c, u in zip(cs, us)]
     return CoefficientFamily(tuple(unstack(groups, out, len(sizes))))

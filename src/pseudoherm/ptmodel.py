@@ -24,6 +24,7 @@ import numpy as np
 from ._linalg import (
     CheckResult,
     as_square_matrix,
+    block_groups,
     hermitian_defect,
     max_abs,
     require_same_dim,
@@ -246,21 +247,19 @@ def _adapted(
     psi, energies, offsets = _raw_levels(H, _cluster_gap(cluster_gap, hmax))
     sizes = np.diff(offsets)
     cls = _classify(energies, sizes, _realness_tol(hmax))
-    bounds = offsets.tolist()
-    for i, j in enumerate(cls.pairing):
-        if j == i:
-            # parity-conjugation restricted to the level is an antiunitary
-            # involution g conj(.) in the basis q; g is unitary symmetric, so
-            # its Takagi factor u is unitary and u conj(u)^{-1} = u u^T = g.
-            # q^dagger P is made contiguous so g matches the dense product bit for bit
-            q = np.ascontiguousarray(psi[:, bounds[i] : bounds[i + 1]])
-            if parity is None:
-                row = np.ascontiguousarray(q.conj().T[:, ::-1])
-            else:
-                row = q.conj().T @ parity
-            psi[:, bounds[i] : bounds[i + 1]] = q @ takagi_factor(row @ np.conj(q))[0]
-    # the second level of a conjugate pair is the parity image of the first
     pairing = np.asarray(cls.pairing)
+    for idx, cols in block_groups(sizes):
+        cols = cols[pairing[idx] == idx]  # the real levels of multiplicity d
+        if len(cols):
+            # parity-conjugation restricted to a real level is an antiunitary
+            # involution g conj(.) in its basis q; g is unitary symmetric, so its
+            # Takagi factor u is unitary and u conj(u)^{-1} = u u^T = g.  q and q^dagger P
+            # are contiguous so g is, bit for bit, one level's dense-parity product
+            q = np.ascontiguousarray(psi[:, cols].transpose(1, 0, 2))
+            qh = q.conj().swapaxes(-1, -2)
+            row = np.ascontiguousarray(qh[..., ::-1]) if parity is None else qh @ parity
+            psi[:, cols] = (q @ takagi_factor(row @ np.conj(q))[0]).transpose(1, 0, 2)
+    # the second level of a conjugate pair is the parity image of the first
     second = np.repeat(pairing < np.arange(len(pairing)), sizes)
     first = np.conj(psi[:, _partner_columns(offsets, pairing)[second]])
     psi[:, second] = first[::-1] if parity is None else parity @ first

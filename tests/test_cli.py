@@ -243,6 +243,39 @@ def test_tolerance_flags_are_plumbed(identity2, capsys):
     assert "all_real" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--tol", "nan", "--output", "json"],
+        ["factor", "--tol", "nan"],
+        ["analyze", "--tol", "-1"],
+        ["analyze", "--tol", "0"],
+        ["analyze", "--tol", "inf"],
+        ["metric", "--tol", "abc"],
+        ["analyze", "--cluster-gap", "nan"],
+        ["analyze", "--cluster-gap", "-1"],
+        ["analyze", "--cluster-gap", "inf"],
+        ["evolve-check", "--t", "nan"],
+        ["evolve-check", "--t=-inf"],
+        ["pt-model", "--tol", "nan"],
+        ["pt-model", "--cluster-gap=-1e-8"],
+    ],
+)
+def test_non_finite_or_out_of_range_flags_exit_two(argv, real_matrix, capsys):
+    """--tol must be finite and > 0, --cluster-gap finite and >= 0, --t finite."""
+    matrix = [] if argv[0] == "pt-model" else [real_matrix]
+    assert cli_main([*argv, *matrix]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    flag = argv[1].split("=")[0]
+    assert f"argument {flag}: must be a finite number" in err
+
+
+@pytest.mark.parametrize("argv", [["--cluster-gap", "0"], ["--t", "0"], ["--t", "-0.5"]])
+def test_boundary_flags_are_accepted(argv, identity2, capsys):
+    assert cli_main(["evolve-check", "--t", "0.7", *argv, identity2]) == 0
+
+
 COMMANDS = (
     ["analyze"], ["metric"], ["symmetry"], ["hermitize"], ["evolve-check", "--t", "0.7"], ["tau"]
 )

@@ -21,7 +21,7 @@ from pseudoherm import (
     recover_coefficients,
     symmetric_factor,
 )
-from pseudoherm import factor
+from pseudoherm import _linalg, factor
 from pseudoherm._linalg import block_max_abs, cond_of, max_abs, takagi_factor
 from pseudoherm.antilinear import CoefficientFamily
 from pseudoherm.cli import cli_main
@@ -590,6 +590,16 @@ def test_coefficient_transform_refusals_follow_level_order(unsorted, coeff_fault
     assert refusal(coefficient_transform, family, u_blocks) == want
 
 
+@pytest.mark.parametrize("k", [0, 3])
+def test_coefficient_transform_refuses_a_0d_block(unsorted, k):
+    """A 0-d coefficient block is not square, refused as build_tau refuses it."""
+    sys_, coeffs = unsorted
+    family = CoefficientFamily(tuple(with_faults(coeffs.blocks, {k: np.complex128(2.0)})))
+    want = (DimensionMismatchError, f"coefficient block {k} is not square")
+    assert refusal(coefficient_transform, family, coeffs.blocks) == want
+    assert refusal(build_tau, sys_, family)[0] is DimensionMismatchError
+
+
 def test_coefficient_transform_matches_the_level_loop(unsorted):
     sys_, coeffs = unsorted
     u_blocks = [random_unitary(np.random.default_rng(k), len(c)) for k, c in enumerate(coeffs.blocks)]
@@ -600,8 +610,9 @@ def test_coefficient_transform_matches_the_level_loop(unsorted):
 
 @pytest.fixture
 def level_loops(monkeypatch):
-    """Calls of the per-level refusal loops, by name."""
-    calls = dict.fromkeys(("coefficients", "factors", "blocks"), 0)
+    """Calls of the per-level re-check of the stacked block tests and of the
+    per-level factor check, by name."""
+    calls = dict.fromkeys(("recheck", "factors"), 0)
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -609,9 +620,8 @@ def level_loops(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(CoefficientFamily, "_refuse", counting("coefficients", CoefficientFamily._refuse))
+    monkeypatch.setattr(_linalg, "_first_fault", counting("recheck", _linalg._first_fault))
     monkeypatch.setattr(factor, "_check_factor", counting("factors", factor._check_factor))
-    monkeypatch.setattr(factor, "_refuse_blocks", counting("blocks", factor._refuse_blocks))
     return calls
 
 
@@ -625,17 +635,22 @@ def test_healthy_input_never_takes_the_level_loop(system, level_loops):
     canonicalize_tau(sys_, coeffs)
     build_tau(sys_, coeffs)
     basis_change(sys_, coeffs.blocks)
-    assert level_loops == {"coefficients": 0, "factors": 0, "blocks": 0}
-    # a faulty block takes the loops
+    coefficient_transform(coeffs, coeffs.blocks)
+    assert level_loops == {"recheck": 0, "factors": 0}
+    # each faulty call takes a level loop
     bad = with_faults(coeffs.blocks, {len(coeffs.blocks) - 1: np.zeros_like(coeffs.blocks[-1])})
     with pytest.raises(SingularCoefficientsError):
         build_tau(sys_, CoefficientFamily(tuple(bad)))
+    assert level_loops == {"recheck": 1, "factors": 0}
     with pytest.raises(SingularBlockError):
         basis_change(sys_, bad)
+    assert level_loops == {"recheck": 2, "factors": 0}
+    with pytest.raises(SingularBlockError):
+        coefficient_transform(coeffs, bad)
+    assert level_loops == {"recheck": 3, "factors": 0}
     with pytest.raises(PseudoHermError, match="factorization residual"):
         canonicalize_tau(sys_, coeffs, 1e-20)
-    assert level_loops["coefficients"] == level_loops["blocks"] == 1
-    assert level_loops["factors"] >= 1
+    assert level_loops["recheck"] == 3 and level_loops["factors"] >= 1
 
 
 def test_stacked_decisions_are_the_single_block_ones_bitwise():

@@ -24,7 +24,16 @@ from pseudoherm import (
     pt_commutation_residuals,
     time_reversal,
 )
+from pseudoherm import ptmodel
+from pseudoherm._linalg import max_abs, takagi_factor
 from pseudoherm.cli import cli_main
+from pseudoherm.eigensystem import (
+    _assemble,
+    _classify,
+    _partner_columns,
+    _raw_levels,
+    _realness_tol,
+)
 
 
 @pytest.fixture(scope="module")
@@ -171,17 +180,22 @@ def test_hermitian_limit_full_chain():
     assert np.max(np.abs(h_t - h_t.conj().T)) <= 1e-8 * np.max(np.abs(h_t))
 
 
-def test_adapted_gauge_on_degenerate_real_levels():
-    """Real H with parity = 1: the real levels (multiplicity 1, 2 and 3)
-    take the Takagi gauge and come out real, and the canonical tau of the
-    adapted system gives an intertwining metric."""
+def _degenerate_real_levels():
+    """Real 8 x 8 H with real levels of multiplicity 1, 2 and 3 and the pair
+    0.5 +- 1.5i, and the parity 1."""
     rng = np.random.default_rng(8)
     s = rng.standard_normal((8, 8))
     d = np.zeros((8, 8))
     d[:6, :6] = np.diag([1.0, 1.0, 2.0, 2.0, 2.0, -1.0])
     d[6:, 6:] = [[0.5, 1.5], [-1.5, 0.5]]  # the pair 0.5 +- 1.5i
-    h = s @ d @ np.linalg.inv(s)
-    p = np.eye(8)
+    return s @ d @ np.linalg.inv(s), np.eye(8)
+
+
+def test_adapted_gauge_on_degenerate_real_levels():
+    """Real H with parity = 1: the real levels (multiplicity 1, 2 and 3)
+    take the Takagi gauge and come out real, and the canonical tau of the
+    adapted system gives an intertwining metric."""
+    h, p = _degenerate_real_levels()
     sys_ = pt_adapted_eigensystem(h, p)
     assert sorted(lv.multiplicity for lv in sys_.levels) == [1, 1, 1, 2, 3]
     for lv in sys_.levels:
@@ -254,3 +268,63 @@ def test_pt_lattice_is_never_unpaired(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"NotDiagonalizableError: {refused.value}\n"
+
+
+def reference_adapted(h, parity, tol=1e-10):
+    """pt_adapted_eigensystem with a level loop: one Takagi factor per real level."""
+    h = np.asarray(h, dtype=complex)
+    parity = None if parity is None else np.asarray(parity, dtype=complex)
+    hmax = max_abs(h)
+    psi, energies, offsets = _raw_levels(h, _realness_tol(hmax))
+    sizes = np.diff(offsets)
+    pairing = np.asarray(_classify(energies, sizes, _realness_tol(hmax)).pairing)
+    bounds = offsets.tolist()
+    for i in (pairing == np.arange(len(pairing))).nonzero()[0].tolist():
+        q = np.ascontiguousarray(psi[:, bounds[i] : bounds[i + 1]])
+        if parity is None:
+            row = np.ascontiguousarray(q.conj().T[:, ::-1])
+        else:
+            row = q.conj().T @ parity
+        psi[:, bounds[i] : bounds[i + 1]] = q @ takagi_factor(row @ np.conj(q))[0]
+    second = np.repeat(pairing < np.arange(len(pairing)), sizes)
+    first = np.conj(psi[:, _partner_columns(offsets, pairing)[second]])
+    psi[:, second] = first[::-1] if parity is None else parity @ first
+    return _assemble(psi, energies, offsets, h, hmax, tol)[0]
+
+
+@pytest.mark.parametrize(
+    "case, parity",
+    [((41, "x", 0.1), "index"), ((41, "x", 0.1), "dense"), ((81, "x", 1.0), "index"),
+     ((81, "x", 1.0), "dense"), ((41, "x*x*x", 0.1), "index"), ((41, "x*x*x", 0.1), "dense"),
+     ("degenerate", "dense")],
+    ids=["41-x-0.1-index", "41-x-0.1-dense", "81-x-1-index", "81-x-1-dense", "41-xxx-0.1-index",
+         "41-xxx-0.1-dense", "degenerate-8-dense"],
+)
+def test_adapted_gauge_takes_one_takagi_per_multiplicity(case, parity, monkeypatch):
+    """The real levels take one stacked Takagi factor per multiplicity, and
+    the adapted system is the level loop's, bit for bit."""
+    if case == "degenerate":
+        h, p = _degenerate_real_levels()
+    else:
+        n, v2, eps = case
+        x = make_lattice(n, 10.0).grid
+        v2 = x * x * x if v2 == "x*x*x" else v2
+        h = build_pt_hamiltonian(make_lattice(n, 10.0, 1.0, "x^2", v2, eps))
+        p = parity_matrix(n) if parity == "dense" else None
+    want = reference_adapted(h, p)
+    calls = []
+
+    def counted(c):
+        calls.append(c.shape)
+        return takagi_factor(c)
+
+    monkeypatch.setattr(ptmodel, "takagi_factor", counted)
+    got = pt_adapted_eigensystem(h, p)
+    pairing = classify_spectrum(got).pairing
+    real = {lv.multiplicity for i, lv in enumerate(got.levels) if pairing[i] == i}
+    assert sorted(shape[-1] for shape in calls) == sorted(real)
+    if case == "degenerate":
+        assert sorted(real) == [1, 2, 3]
+    for a, b in [(got.psi_matrix, want.psi_matrix), (got.phi_matrix, want.phi_matrix),
+                 (got.energies, want.energies)]:
+        assert a.tobytes() == b.tobytes()
