@@ -62,6 +62,12 @@ def make_check(raw_residual: float, scale: float, tol: float) -> CheckResult:
     return CheckResult(raw_residual == 0.0, raw_residual)
 
 
+def intertwining(left, m, right, hmax: float, tol: float) -> CheckResult:
+    """The check of each identity ``left m = m right`` of the chain, e.g.
+    ``H^dagger eta = eta H``, at the scale ``max|H| max|m|`` (hmax = max|H|)."""
+    return make_check(max_abs(left @ m - m @ right), hmax * max_abs(m), tol)
+
+
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return a finite square complex128 array."""
     m = np.asarray(a, dtype=np.complex128)
@@ -145,8 +151,17 @@ def _tested(blocks, idx, d: int, test, misfit: str):
     except ValueError:  # blocks of different shapes
         stack = None
     if stack is None or stack.shape != (len(idx), d, d):
-        raise DimensionMismatchError(misfit.format(k=idx[0], shape=np.shape(blocks[idx[0]]), d=d))
+        shape = block_shape(blocks[idx[0]])
+        raise DimensionMismatchError(misfit.format(k=idx[0], shape=shape, d=d))
     return test(stack, idx)
+
+
+def block_shape(block) -> tuple:
+    """np.shape of a caller block; one whose rows differ in length reads (rows, 'ragged')."""
+    try:
+        return np.shape(block)
+    except ValueError:
+        return (len(block), "ragged")
 
 
 def unstack(groups, stacks, count: int) -> list:

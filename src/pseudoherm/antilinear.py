@@ -27,7 +27,7 @@ from ._linalg import (
     block_max_abs,
     checked_stacks,
     cond_of,
-    make_check,
+    intertwining,
     max_abs,
     require_same_dim,
     scale_of,
@@ -175,8 +175,7 @@ def is_anti_pseudo_hermitian(
     H = as_square_matrix(H, "H")
     m = tau.matrix
     require_same_dim(H, m, "H and tau")
-    raw = max_abs(H.conj().T @ m - m @ np.conj(H))
-    return make_check(raw, max_abs(H) * max_abs(m), tol)
+    return intertwining(H.conj().T, m, H.conj(), max_abs(H), tol)
 
 
 def recover_coefficients(sys: BiorthonormalSystem, tau: AntilinearOperator) -> CoefficientFamily:

@@ -184,9 +184,9 @@ def _float_flag(rule: str, ok):
     return parse
 
 
-_TOLERANCE = _float_flag("a finite number > 0", lambda v: v > 0.0)
+_POSITIVE = _float_flag("a finite number > 0", lambda v: v > 0.0)
 _GAP = _float_flag("a finite number >= 0", lambda v: v >= 0.0)
-_TIME = _float_flag("a finite number", lambda v: True)
+_FINITE = _float_flag("a finite number", lambda v: True)
 
 
 @functools.cache
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         if matrix:
             p.add_argument("matrix", help=matrix)
-        p.add_argument("--tol", type=_TOLERANCE, default=DEFAULT_TOL, help="verification tolerance")
+        p.add_argument("--tol", type=_POSITIVE, default=DEFAULT_TOL, help="verification tolerance")
         if clustered:
             p.add_argument("--cluster-gap", type=_GAP, help="eigenvalue grouping gap")
         p.add_argument("--output", choices=("json", "text"), default="text")
@@ -218,16 +218,16 @@ def build_parser() -> argparse.ArgumentParser:
     add("symmetry", cmd_symmetry, "build the antilinear symmetry X and test exactness")
     add("hermitize", cmd_hermitize, "map a real-spectrum matrix to a Hermitian one")
     p = add("evolve-check", cmd_evolve_check, "metric invariance under exp(-iHt)")
-    p.add_argument("--t", type=_TIME, required=True, help="evolution time")
+    p.add_argument("--t", type=_FINITE, required=True, help="evolution time")
 
     p = add("pt-model", cmd_pt_model, "build and analyze the parity-symmetric lattice model", None)
     p.add_argument("--n", type=int, default=41, help="site count (odd)")
-    p.add_argument("--L", type=float, default=10.0, help="half-width of the grid")
-    p.add_argument("--mass", type=float, default=1.0)
+    p.add_argument("--L", type=_POSITIVE, default=10.0, help="half-width of the grid")
+    p.add_argument("--mass", type=_POSITIVE, default=1.0)
     samples = "(for samples use lattice_from_dict)"
     p.add_argument("--v1", default="x^2", help=f"even potential: 0, x or x^k {samples}")
     p.add_argument("--v2", default="x^3", help=f"odd potential: 0, x or x^k {samples}")
-    p.add_argument("--eps", type=float, default=0.1, help="strength of the odd potential")
+    p.add_argument("--eps", type=_FINITE, default=0.1, help="strength of the odd potential")
     p.add_argument("--save", default=None, help="write the lattice matrix to this JSON file")
 
     add("factor", cmd_factor, "symmetric factorization c = v v^T",

@@ -50,7 +50,7 @@ class SingularCoefficientsError(PseudoHermError):
     """A coefficient block is singular or too ill-conditioned to invert."""
 
 
-class NonHermitianEtaError(PseudoHermError):
+class NonHermitianEtaError(_MeasuredError):
     """Candidate metric matrix is not Hermitian."""
 
 
@@ -99,7 +99,7 @@ class AsymmetricPotentialError(PseudoHermError):
     """Lattice potential samples violate the required parity."""
 
 
-class NotPTSymmetricError(PseudoHermError):
+class NotPTSymmetricError(_MeasuredError):
     """Hamiltonian does not commute with the parity-conjugation map."""
 
 

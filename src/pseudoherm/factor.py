@@ -17,6 +17,7 @@ from ._linalg import (
     as_square_matrix,
     block_groups,
     block_max_abs,
+    block_shape,
     checked_stacks,
     cond_of,
     max_abs,
@@ -131,7 +132,7 @@ def coefficient_transform(coeffs: CoefficientFamily, u_blocks) -> CoefficientFam
     from the re-gauged basis is the same operator; symmetry of the blocks
     is preserved.
     """
-    sizes = [np.shape(c)[0] if np.ndim(c) else 0 for c in coeffs.blocks]
+    sizes = [(block_shape(c) or (0,))[0] for c in coeffs.blocks]
     groups = block_groups(sizes)
     square = "coefficient block {k} is not square"
     cs = checked_stacks(coeffs.blocks, sizes, groups, lambda c, _: c, square)

@@ -21,12 +21,11 @@ from ._linalg import (
     condition_number,
     diagonal_defect,
     hermitian_defect,
-    make_check,
+    intertwining,
     max_abs,
     require_same_dim,
     scale_of,
     solve,
-    symmetric_defect,
 )
 from .antilinear import canonical_tau
 from .eigensystem import (
@@ -41,7 +40,6 @@ from .eigensystem import (
     classify_spectrum,
 )
 from .errors import (
-    NonHermitianEtaError,
     PseudoHermError,
     SingularEtaError,
     SingularTransformError,
@@ -49,7 +47,7 @@ from .errors import (
     UnpairedSpectrumError,
 )
 from .io import matrix_to_dict
-from .metric import MetricOperator, _metric
+from .metric import MetricOperator, _hermiticity, _metric
 from .symmetry import _canonical_symmetry, _is_exact
 
 
@@ -149,20 +147,12 @@ def real_spectrum_equivalence_report(
     of the metric or of A, a non-Hermitian eta) is re-raised as
     :class:`ReportStageError` labelled with its stage.
 
-    Each identity is one n x n product that reads its certificate, with
-    max|H| taken once:
-
-    * tau: with P = H^dagger tau, ``H^dagger tau - tau conj(H) = P - P^T``,
-      since tau = Phi Phi^T is symmetric;
-    * eta: with P = H^dagger eta, ``H^dagger eta - eta H = P - P^dagger``,
-      since eta is Hermitian, which ``metric_hermiticity`` reports;
-    * A: ``A H A^{-1} = A (H Psi)``, with the product H Psi that verified the
-      eigensystem;
-    * X keeps its two products ``H X`` and ``X conj(H)``: the rewrite
-      ``(H Psi)[:, pi] Phi^T`` would never read X, so a wrong X could pass.
-
-    Each residual keeps its scale: ``max|H| max|tau|``, ``max|H| max|eta|``,
-    ``max|H| max|X|``, ``max|A H A^{-1}|`` and ``max|H|``.
+    tau, eta and X are each checked as two products, ``H^dagger tau = tau
+    conj(H)``, ``H^dagger eta = eta H`` and ``H X = X conj(H)`` at the scale
+    max|H| max|.|, by the check the public ``is_anti_pseudo_hermitian``,
+    ``is_pseudo_hermitian`` and ``commutes_with`` run, so both give the same
+    residual bit for bit.  A H A^{-1} is formed as ``A (H Psi)`` from the
+    product H Psi that verified the eigensystem.
 
     The returned dict is JSON-serializable:
     ``{"input": ..., "spectrum_class": ..., "residuals": {...},
@@ -211,29 +201,19 @@ def _report(H, tol, cluster_gap, seed) -> tuple:
 
     h_conj = H.conj()  # conj(H); H^dagger is its transpose
     tau = canonical_tau(sys).matrix
-    p = h_conj.T @ tau
-    intertwining = make_check(symmetric_defect(p), hmax * max_abs(tau), tol)
-    residuals["tau_intertwining"] = intertwining.residual
+    residuals["tau_intertwining"] = intertwining(h_conj.T, tau, h_conj, hmax, tol).residual
 
     metric = run("metric", lambda: _metric(sys, cls))
     if metric is not None:
         eta = metric.matrix
         report["positive_definite_metric"] = metric.positive_definite
-        eta_max = max_abs(eta)
-        eta_scale = max(eta_max, 1e-300)
-        defect = hermitian_defect(eta)
-        residuals["metric_hermiticity"] = defect / eta_scale
-        if defect > tol * eta_scale:
-            cause = NonHermitianEtaError("eta is not Hermitian within tolerance")
-            raise ReportStageError("metric", cause) from cause
-        p = h_conj.T @ eta
-        intertwining = make_check(hermitian_defect(p), hmax * eta_max, tol)
-        residuals["metric_intertwining"] = intertwining.residual
+        residuals["metric_hermiticity"] = run("metric", lambda: _hermiticity(eta, tol))
+        residuals["metric_intertwining"] = intertwining(h_conj.T, eta, H, hmax, tol).residual
         certificates["eta"] = eta
 
         x = _canonical_symmetry(sys, cls)
         xm = x.matrix
-        commutation = make_check(max_abs(H @ xm - xm @ h_conj), hmax * max_abs(xm), tol)
+        commutation = intertwining(H, xm, h_conj, hmax, tol)
         residuals["symmetry_commutation"] = commutation.residual
         report["exact_symmetry"] = _is_exact(commutation, sys, x, tol)
         certificates["X"] = xm
@@ -255,7 +235,7 @@ def _report(H, tol, cluster_gap, seed) -> tuple:
         rhs = (z_eta[1::2] * hz[0::2]).sum(axis=1).conj()
         # operator scales, as for every residual: |lhs| and |rhs| can cancel to near 0
         norms = np.linalg.norm(z, axis=1)
-        scale = norms[0::2] * norms[1::2] * eta_scale * hscale
+        scale = norms[0::2] * norms[1::2] * scale_of(eta) * hscale
         residuals["inner_product_hermiticity"] = float((np.abs(lhs - rhs) / scale).max())
 
     return report, sys, cls

@@ -25,6 +25,7 @@ from ._linalg import (
     cond_of,
     condition_number,
     hermitian_defect,
+    intertwining,
     make_check,
     max_abs,
     require_same_dim,
@@ -80,8 +81,7 @@ def metric_from_matrix(eta, tol: float = DEFAULT_TOL) -> MetricOperator:
     when positive, attaches a Cholesky factor.
     """
     m = as_square_matrix(eta, "eta")
-    if hermitian_defect(m) > tol * scale_of(m):
-        raise NonHermitianEtaError("candidate metric is not Hermitian within tolerance")
+    _hermiticity(m, tol, "candidate metric")
     m = (m + m.conj().T) / 2.0
     eigenvalues = np.linalg.eigvalsh(m)
     kappa = cond_of(eigenvalues)
@@ -94,6 +94,15 @@ def metric_from_matrix(eta, tol: float = DEFAULT_TOL) -> MetricOperator:
     return MetricOperator(matrix=m, positive_definite=positive, factor=factor)
 
 
+def _hermiticity(m: np.ndarray, tol: float, name: str = "eta") -> float:
+    """The normalized Hermiticity defect ``max|m - m^dagger| / max|m|`` of
+    the metric m; one above tol refuses m as ``NonHermitianEtaError``."""
+    defect, scale = hermitian_defect(m), scale_of(m)
+    if defect > tol * scale:
+        raise NonHermitianEtaError(f"{name} is not Hermitian within tolerance", defect / scale, tol)
+    return defect / scale
+
+
 def is_pseudo_hermitian(H, eta, tol: float = DEFAULT_TOL) -> CheckResult:
     """Check the intertwining identity ``H^dagger eta = eta H``.
 
@@ -102,10 +111,8 @@ def is_pseudo_hermitian(H, eta, tol: float = DEFAULT_TOL) -> CheckResult:
     H = as_square_matrix(H, "H")
     m = _eta_matrix(eta)
     require_same_dim(H, m, "H and eta")
-    if hermitian_defect(m) > tol * scale_of(m):
-        raise NonHermitianEtaError("eta is not Hermitian within tolerance")
-    raw = max_abs(H.conj().T @ m - m @ H)
-    return make_check(raw, max_abs(H) * max_abs(m), tol)
+    _hermiticity(m, tol)
+    return intertwining(H.conj().T, m, H, max_abs(H), tol)
 
 
 def _metric(sys: BiorthonormalSystem, cls: SpectrumClass, weights=None) -> MetricOperator:
@@ -223,8 +230,7 @@ def evolution_invariance_check(
     H = as_square_matrix(H, "H")
     m = _eta_matrix(eta)
     require_same_dim(H, m, "H and eta")
-    if hermitian_defect(m) > tol * scale_of(m):
-        raise NonHermitianEtaError("eta is not Hermitian within tolerance")
+    _hermiticity(m, tol)
     if strict and not (pre := is_pseudo_hermitian(H, m, tol)).ok:
         raise NotPseudoHermitianError(
             f"H is not pseudo-Hermitian w.r.t. eta (residual {pre.residual:.3e}); "

@@ -69,12 +69,16 @@ class LatticeSpec:
     def __post_init__(self):
         if self.n_sites < 3 or self.n_sites % 2 == 0:
             raise ValueError("n_sites must be odd and at least 3")
+        if not np.isfinite([self.half_width, self.mass]).all():
+            raise ValueError("half_width and mass must be finite")
         if self.half_width <= 0 or self.mass <= 0:
             raise ValueError("half_width and mass must be positive")
         object.__setattr__(self, "v1", np.asarray(self.v1, dtype=float))
         object.__setattr__(self, "v2", np.asarray(self.v2, dtype=float))
         if self.v1.shape != (self.n_sites,) or self.v2.shape != (self.n_sites,):
             raise ValueError("potential samples must have one value per site")
+        if not (np.isfinite(self.v1).all() and np.isfinite(self.v2).all()):
+            raise ValueError("potential samples must be finite")
         if np.any(self.v1 != self.v1[::-1]):
             raise AsymmetricPotentialError("v1 samples are not even-symmetric")
         if np.any(self.v2 != -self.v2[::-1]):
@@ -121,6 +125,8 @@ def make_lattice(
     ``eps`` scales the odd (imaginary) potential only; it is the knob for
     the strength of the non-Hermitian part.
     """
+    if not np.isfinite([half_width, eps]).all():  # 0 * inf samples would be NaN
+        raise ValueError("half_width and eps must be finite")
     mid = (n_sites - 1) // 2
     x = (np.arange(n_sites) - mid) * (2.0 * half_width / (n_sites - 1))
     return LatticeSpec(
@@ -175,16 +181,25 @@ def pt_commutation_residuals(H, parity) -> tuple[float, float]:
     H = as_square_matrix(H, "H")
     p = as_square_matrix(parity, "parity")
     require_same_dim(H, p, "H and parity")
-    return (
-        max_abs(H.conj().T @ p - p @ H),
-        max_abs(H @ p - p @ np.conj(H)),
-    )
+    return max_abs(H.conj().T @ p - p @ H), _pt_residual(H, p)
 
 
-def _require_pt_symmetric(r_ptsym: float, H: np.ndarray, tol: float) -> None:
-    """Refuse H whose raw ``H P - P conj(H)`` residual exceeds tol * max|H|."""
-    if r_ptsym > tol * scale_of(H):
-        raise NotPTSymmetricError("H does not commute with the parity-conjugation map")
+def _pt_residual(H: np.ndarray, parity) -> float:
+    """Raw max-norm residual of ``H P - P conj(H)``; ``parity=None`` is the site
+    reversal, applied by indexing: P x = x[::-1] and x P = x[:, ::-1], both exact."""
+    if parity is None:
+        return max_abs(H[:, ::-1] - np.conj(H)[::-1])
+    return max_abs(H @ parity - parity @ np.conj(H))
+
+
+def _require_pt_symmetric(H: np.ndarray, parity, tol: float) -> float:
+    """The raw ``H P - P conj(H)`` residual, which refuses H above tol * max|H|."""
+    r_ptsym, scale = _pt_residual(H, parity), scale_of(H)
+    if r_ptsym > tol * scale:
+        raise NotPTSymmetricError(
+            "H does not commute with the parity-conjugation map", r_ptsym / scale, tol
+        )
+    return r_ptsym
 
 
 def _checked_eta(H: np.ndarray, eta: np.ndarray, tol: float) -> tuple[np.ndarray, CheckResult]:
@@ -220,7 +235,7 @@ def eta_from_tau_pt(
     p = as_square_matrix(parity, "parity")
     require_same_dim(H, p, "H and parity")
     require_same_dim(H, tau.matrix, "H and tau")
-    _require_pt_symmetric(max_abs(H @ p - p @ np.conj(H)), H, tol)
+    _require_pt_symmetric(H, p, tol)
     eta, _ = _checked_eta(H, tau.matrix @ np.conj(p), tol)
     try:
         factor = np.linalg.cholesky(eta)
@@ -233,16 +248,8 @@ def _adapted(
     H: np.ndarray, parity, tol: float, cluster_gap
 ) -> tuple[BiorthonormalSystem, SpectrumClass, float]:
     """The parity-conjugation adapted system of H, its class and the raw
-    ``H P - P conj(H)`` residual, which is also the refusal.
-
-    ``parity=None`` is the site reversal, applied by indexing: P x = x[::-1]
-    and x P = x[:, ::-1], both exact.
-    """
-    if parity is None:
-        r_ptsym = max_abs(H[:, ::-1] - np.conj(H)[::-1])
-    else:
-        r_ptsym = max_abs(H @ parity - parity @ np.conj(H))
-    _require_pt_symmetric(r_ptsym, H, tol)
+    ``H P - P conj(H)`` residual of ``_require_pt_symmetric``."""
+    r_ptsym = _require_pt_symmetric(H, parity, tol)
     hmax = max_abs(H)
     psi, energies, offsets = _raw_levels(H, _cluster_gap(cluster_gap, hmax))
     sizes = np.diff(offsets)

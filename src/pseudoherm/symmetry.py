@@ -15,7 +15,7 @@ import numpy as np
 from ._linalg import (
     CheckResult,
     as_square_matrix,
-    make_check,
+    intertwining,
     max_abs,
     require_same_dim,
     scale_of,
@@ -61,8 +61,7 @@ def commutes_with(H, x: AntilinearOperator, tol: float = DEFAULT_TOL) -> CheckRe
     H = as_square_matrix(H, "H")
     xm = x.matrix
     require_same_dim(H, xm, "H and X")
-    raw = max_abs(H @ xm - xm @ np.conj(H))
-    return make_check(raw, max_abs(H) * max_abs(xm), tol)
+    return intertwining(H, xm, H.conj(), max_abs(H), tol)
 
 
 def induced_symmetries(

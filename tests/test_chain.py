@@ -31,8 +31,11 @@ from pseudoherm import (
     canonical_tau,
     canonicalize_tau,
     classify_spectrum,
+    commutes_with,
     indefinite_inner_product,
+    is_anti_pseudo_hermitian,
     is_exact_symmetry,
+    is_pseudo_hermitian,
     make_lattice,
     metric_from_matrix,
     metric_from_transform,
@@ -311,10 +314,11 @@ perturbed_metric = perturbed(pseudoherm.hermitize._metric, "hermitian")
 def test_one_product_identities_fail_a_perturbed_certificate(
     monkeypatch, seam, kind, residual, seed
 ):
-    """tau (P - P^T with P = H^dagger tau), eta (P - P^dagger with P = H^dagger
-    eta), X and A (A (H Psi)) each read their certificate: one perturbed by
-    1e-6 max|.| through its construction seam fails its identity by more
-    than 1e-8, where the healthy chain reads rounding."""
+    """tau, eta and X (two products each, H^dagger tau = tau conj(H),
+    H^dagger eta = eta H and H X = X conj(H)) and A (A (H Psi)) each read
+    their certificate: one perturbed by 1e-6 max|.| through its construction
+    seam fails its identity by more than 1e-8, where the healthy chain reads
+    rounding."""
     h = planted_matrix(np.random.default_rng(seed), 6, "real").matrix
     healthy = real_spectrum_equivalence_report(h, tol=1e-10, seed=0)["residuals"][residual]
     build = getattr(pseudoherm.hermitize, seam)
@@ -322,6 +326,25 @@ def test_one_product_identities_fail_a_perturbed_certificate(
     report = real_spectrum_equivalence_report(h, tol=1e-10, seed=0)
     assert healthy <= 1e-12
     assert report["residuals"][residual] > 1e-8
+
+
+@pytest.mark.parametrize("name", ["real", "paired", "lattice"])
+def test_report_identities_are_the_public_checkers(name):
+    """One check per identity: the report's tau, eta and X residuals are, bit
+    for bit, those of is_anti_pseudo_hermitian, is_pseudo_hermitian and
+    commutes_with on the report's own certificates.  On the planted inputs
+    a one-product rewrite (P - P^T, P - P^dagger) differs in the last bits."""
+    if name == "lattice":
+        h = build_pt_hamiltonian(make_lattice(81, 10.0, 1.0, "x^2", "x", 1.0))
+    else:
+        h = planted_matrix(np.random.default_rng(0), 6, name).matrix
+    report, sys_, _ = _report(h, 1e-10, None, 0)
+    residuals, certs = report["residuals"], report["certificates"]
+    tau = canonical_tau(sys_)
+    x = AntilinearOperator(certs["X"])
+    assert residuals["tau_intertwining"] == is_anti_pseudo_hermitian(h, tau, 1e-10).residual
+    assert residuals["metric_intertwining"] == is_pseudo_hermitian(h, certs["eta"], 1e-10).residual
+    assert residuals["symmetry_commutation"] == commutes_with(h, x, 1e-10).residual
 
 
 @pytest.mark.parametrize(

@@ -259,10 +259,18 @@ def test_tolerance_flags_are_plumbed(identity2, capsys):
         ["evolve-check", "--t=-inf"],
         ["pt-model", "--tol", "nan"],
         ["pt-model", "--cluster-gap=-1e-8"],
+        ["pt-model", "--eps", "nan"],
+        ["pt-model", "--eps", "inf"],
+        ["pt-model", "--L", "nan"],
+        ["pt-model", "--L", "inf"],
+        ["pt-model", "--L", "0"],
+        ["pt-model", "--mass", "inf"],
+        ["pt-model", "--mass=-1"],
     ],
 )
 def test_non_finite_or_out_of_range_flags_exit_two(argv, real_matrix, capsys):
-    """--tol must be finite and > 0, --cluster-gap finite and >= 0, --t finite."""
+    """--tol, --L and --mass must be finite and > 0, --cluster-gap finite and
+    >= 0, --t and --eps finite."""
     matrix = [] if argv[0] == "pt-model" else [real_matrix]
     assert cli_main([*argv, *matrix]) == 2
     out, err = capsys.readouterr()

@@ -600,6 +600,34 @@ def test_coefficient_transform_refuses_a_0d_block(unsorted, k):
     assert refusal(build_tau, sys_, family)[0] is DimensionMismatchError
 
 
+RAGGED = [[1.0, 0.0], [0.0]]
+RAGGED_LEVEL = "block 0 has shape (2, 'ragged'), level multiplicity is 2"
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda s, c: build_tau(s, c), RAGGED_LEVEL),
+        (lambda s, c: canonicalize_tau(s, c), RAGGED_LEVEL),
+        (
+            lambda s, c: coefficient_transform(c, [np.eye(2), np.eye(1)]),
+            "coefficient block 0 is not square",
+        ),
+        (
+            lambda s, c: basis_change(s, [RAGGED, np.eye(1)]),
+            "basis-change block 0 has shape (2, 'ragged'), expected (2, 2)",
+        ),
+    ],
+    ids=["build_tau", "canonicalize_tau", "coefficient_transform", "basis_change"],
+)
+def test_ragged_block_is_a_dimension_mismatch(call, want):
+    """A block whose rows differ in length is refused by name, not with
+    numpy's ValueError from an inhomogeneous array."""
+    sys_ = biorthonormal_eigensystem(np.diag([1.0, 1.0, 2.0]))
+    family = CoefficientFamily((RAGGED, [[1.0]]))
+    assert refusal(call, sys_, family) == (DimensionMismatchError, want)
+
+
 def test_coefficient_transform_matches_the_level_loop(unsorted):
     sys_, coeffs = unsorted
     u_blocks = [random_unitary(np.random.default_rng(k), len(c)) for k, c in enumerate(coeffs.blocks)]

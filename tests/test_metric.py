@@ -218,6 +218,25 @@ def test_metric_from_matrix_rejects_nonhermitian():
         metric_from_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "check, subject",
+    [
+        (lambda eta, tol: metric_from_matrix(eta, tol), "candidate metric"),
+        (lambda eta, tol: is_pseudo_hermitian(np.eye(2), eta, tol), "eta"),
+        (lambda eta, tol: evolution_invariance_check(np.eye(2), eta, 0.7, tol), "eta"),
+    ],
+    ids=["metric_from_matrix", "is_pseudo_hermitian", "evolution_invariance_check"],
+)
+def test_non_hermitian_eta_carries_its_defect(check, subject):
+    """The refusal's .measured is max|eta - eta^dagger| / max|eta| and its
+    .limit the tol it exceeded; the message names the caller's subject."""
+    eta = np.array([[2.0, 1.0], [0.5, 1.0]])  # defect 0.5 at scale 2
+    with pytest.raises(NonHermitianEtaError) as refused:
+        check(eta, 1e-3)
+    assert (refused.value.measured, refused.value.limit) == (0.25, 1e-3)
+    assert str(refused.value) == f"{subject} is not Hermitian within tolerance"
+
+
 def test_planted_paired_metric_intertwines():
     h, _ = planted_3x3_conjugate()
     sys_, cls = analyzed(h)

@@ -130,6 +130,20 @@ def test_not_pt_symmetric_rejected(rng):
         pt_adapted_eigensystem(h)
 
 
+def test_not_pt_symmetric_carries_its_residual(lattice41):
+    """The refusal's .measured is max|H P - P conj(H)| / max|H| and its .limit
+    the tol it exceeded, for the dense and the index-reversal parity."""
+    _, h, p = lattice41
+    h = h.copy()
+    h[0, 0] += 1j  # breaks the parity-conjugation symmetry at one site
+    want = np.max(np.abs(h @ p - p @ h.conj())) / np.max(np.abs(h))
+    for dense in (True, False):
+        with pytest.raises(NotPTSymmetricError) as refused:
+            eta_from_tau_pt(h, time_reversal(41), p) if dense else pt_adapted_eigensystem(h)
+        assert (refused.value.measured, refused.value.limit) == (want, 1e-10)
+        assert str(refused.value) == "H does not commute with the parity-conjugation map"
+
+
 def test_adapted_system_keeps_residuals(lattice41):
     _, h, p = lattice41
     sys_ = pt_adapted_eigensystem(h, p)
@@ -151,6 +165,32 @@ def test_lattice_spec_validation():
         make_lattice(4, 1.0)  # even site count
     with pytest.raises(ValueError):
         make_lattice(5, -1.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_lattice(5, np.inf),
+        lambda: make_lattice(5, np.nan),
+        lambda: make_lattice(5, 1.0, eps=np.inf),
+        lambda: make_lattice(5, 1.0, eps=np.nan),
+        lambda: make_lattice(5, 1.0, np.inf),
+        lambda: make_lattice(5, 1.0, np.nan),
+        lambda: make_lattice(5, 1.0, 1.0, [1.0, 2.0, np.nan, 2.0, 1.0], "x"),
+        lambda: make_lattice(5, 1.0, 1.0, "x^2", [-np.inf, 0.0, 0.0, 0.0, np.inf]),
+        lambda: lattice_from_dict({"n": 5, "L": "nan"}),
+    ],
+    ids=[
+        "L-inf", "L-nan", "eps-inf", "eps-nan", "mass-inf", "mass-nan", "v1-nan", "v2-inf",
+        "dict-L-nan",
+    ],
+)
+def test_lattice_refuses_non_finite_fields(build):
+    """NaN and inf widths, masses, strengths and samples are a ValueError,
+    raised before any sampling or parity check (NaN != NaN would otherwise
+    read as an asymmetric potential, and 0 * inf warns)."""
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
 
 
 def test_lattice_from_dict_roundtrip():
