@@ -257,11 +257,16 @@ def _cluster_gap(cluster_gap, hmax: float) -> float:
 
 
 def _raw_levels(H: np.ndarray, cluster_gap: float) -> tuple:
-    """Psi, the level energies and the level offsets of H, levels sorted by
-    (Re E, Im E) with one lexsort.  Each level's psi columns are orthonormal,
-    by one stacked QR per multiplicity; a simple level's energy is its
-    eigenvalue, a degenerate level's the mean of its cluster."""
-    w, v = np.linalg.eig(H)
+    """``_levels`` of one complex eig of H."""
+    return _levels(*np.linalg.eig(H), cluster_gap)
+
+
+def _levels(w: np.ndarray, v: np.ndarray, cluster_gap: float) -> tuple:
+    """Psi, the level energies and the level offsets of the eigenvalues w
+    (complex) and eigenvectors v, levels sorted by (Re E, Im E) with one
+    lexsort.  Each level's psi columns are orthonormal, by one stacked QR per
+    multiplicity; a simple level's energy is its eigenvalue, a degenerate
+    level's the mean of its cluster."""
     groups = _cluster_indices(w, cluster_gap)
     n, k = len(w), len(groups)
     sizes = np.fromiter(map(len, groups), np.intp, k)

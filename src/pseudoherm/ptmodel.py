@@ -13,6 +13,16 @@ anti-Hermitian automorphism tau combined with the parity-conjugation map
 yields the linear metric ``eta = m P``, which is Hermitian provided the
 eigenbasis gauge is compatible with the parity-conjugation map; the
 re-gauging helper below produces such a basis.
+
+Because the parity-conjugation map is an exact antilinear symmetry that
+squares to 1, H is unitarily similar to a real matrix: with
+``Q = (1 + iP)/sqrt(2)``, ``Q^dagger H Q = M = Re H + P Im H``.  For the
+default parity (the site reversal) and an H with ``H P = P conj(H)``
+exactly, as every lattice built here has, the adapted eigensystem is solved
+by one real eig of M, and H's eigenvectors are ``Q V``.  Its conjugate
+partners are then exact conjugates, the -Im partner listed first.  A dense
+parity matrix, or an H that is symmetric only within tol, takes one complex
+eig of H.  Either way the system is verified against H itself.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ from .eigensystem import (
     _assemble,
     _classify,
     _cluster_gap,
+    _levels,
     _partner_columns,
     _raw_levels,
     _realness_tol,
@@ -50,6 +61,12 @@ from .errors import (
     ResultNotHermitianError,
 )
 from .metric import MetricOperator, is_pseudo_hermitian
+
+
+def _require_site_count(n_sites: int) -> None:
+    """Refuse a site count without a center site, or too small for a kinetic term."""
+    if n_sites < 3 or n_sites % 2 == 0:
+        raise ValueError("n_sites must be odd and at least 3")
 
 
 @dataclass(frozen=True)
@@ -67,8 +84,7 @@ class LatticeSpec:
     v2: np.ndarray
 
     def __post_init__(self):
-        if self.n_sites < 3 or self.n_sites % 2 == 0:
-            raise ValueError("n_sites must be odd and at least 3")
+        _require_site_count(self.n_sites)
         if not np.isfinite([self.half_width, self.mass]).all():
             raise ValueError("half_width and mass must be finite")
         if self.half_width <= 0 or self.mass <= 0:
@@ -77,8 +93,9 @@ class LatticeSpec:
         object.__setattr__(self, "v2", np.asarray(self.v2, dtype=float))
         if self.v1.shape != (self.n_sites,) or self.v2.shape != (self.n_sites,):
             raise ValueError("potential samples must have one value per site")
-        if not (np.isfinite(self.v1).all() and np.isfinite(self.v2).all()):
-            raise ValueError("potential samples must be finite")
+        for name in ("v1", "v2"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"potential samples {name} must be finite")
         if np.any(self.v1 != self.v1[::-1]):
             raise AsymmetricPotentialError("v1 samples are not even-symmetric")
         if np.any(self.v2 != -self.v2[::-1]):
@@ -127,15 +144,13 @@ def make_lattice(
     """
     if not np.isfinite([half_width, eps]).all():  # 0 * inf samples would be NaN
         raise ValueError("half_width and eps must be finite")
+    _require_site_count(n_sites)
     mid = (n_sites - 1) // 2
-    x = (np.arange(n_sites) - mid) * (2.0 * half_width / (n_sites - 1))
-    return LatticeSpec(
-        n_sites=n_sites,
-        half_width=half_width,
-        mass=mass,
-        v1=_eval_potential(v1, x),
-        v2=eps * _eval_potential(v2, x),
-    )
+    # a sample that overflows (x^k on a wide grid) is refused by LatticeSpec by name
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = (np.arange(n_sites) - mid) * (2.0 * half_width / (n_sites - 1))
+        v1, v2 = _eval_potential(v1, x), eps * _eval_potential(v2, x)
+    return LatticeSpec(n_sites=n_sites, half_width=half_width, mass=mass, v1=v1, v2=v2)
 
 
 def lattice_from_dict(payload: dict) -> LatticeSpec:
@@ -162,13 +177,22 @@ def build_pt_hamiltonian(spec: LatticeSpec) -> np.ndarray:
 
     Central differences with Dirichlet boundaries; the output satisfies
     ``H^dagger P = P H`` exactly (entrywise) for the parity permutation P.
+    Refuses a lattice whose kinetic coefficient -1/(2 m h^2), or its sum
+    with v1, is not finite (a mass or spacing so small that it overflows).
     """
     n, h = spec.n_sites, spec.spacing
-    coeff = -1.0 / (2.0 * spec.mass * h * h)
-    kinetic = coeff * (
-        np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1) - 2.0 * np.eye(n)
-    )
-    return kinetic + np.diag(spec.v1) + 1j * np.diag(spec.v2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        coeff = -1.0 / (2.0 * np.float64(spec.mass) * h * h)
+        kinetic = coeff * (
+            np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1) - 2.0 * np.eye(n)
+        )
+        H = kinetic + np.diag(spec.v1) + 1j * np.diag(spec.v2)
+    if not np.isfinite(H).all():
+        raise ValueError(
+            f"kinetic coefficient -1/(2 m h^2) = {coeff:.3e} (mass {spec.mass:.3e}, "
+            f"spacing {h:.3e}) makes H non-finite"
+        )
+    return H
 
 
 def time_reversal(n: int) -> AntilinearOperator:
@@ -251,7 +275,17 @@ def _adapted(
     ``H P - P conj(H)`` residual of ``_require_pt_symmetric``."""
     r_ptsym = _require_pt_symmetric(H, parity, tol)
     hmax = max_abs(H)
-    psi, energies, offsets = _raw_levels(H, _cluster_gap(cluster_gap, hmax))
+    gap = _cluster_gap(cluster_gap, hmax)
+    if parity is None and r_ptsym == 0.0:
+        # H P = P conj(H) exactly, so Q = (1 + iP)/sqrt(2) takes H to the real
+        # M = Q^dagger H Q = Re H + P Im H; H's eigenvectors are Q V, the
+        # 1/sqrt(2) left to the QR
+        w, vr = np.linalg.eig(H.real + H.imag[::-1])
+        v = vr[::-1] * 1j
+        v += vr
+        psi, energies, offsets = _levels(w.astype(np.complex128, copy=False), v, gap)
+    else:
+        psi, energies, offsets = _raw_levels(H, gap)
     sizes = np.diff(offsets)
     cls = _classify(energies, sizes, _realness_tol(hmax))
     pairing = np.asarray(cls.pairing)
@@ -283,7 +317,9 @@ def pt_adapted_eigensystem(
     point-wise (``P conj(psi) = psi``) and each conjugate pair uses the
     parity image of its partner's basis, so the canonical automorphism
     commutes with the parity-conjugation map and ``eta = m P`` is Hermitian.
-    The default parity is the site reversal.
+    The default parity is the site reversal; with it, an H that commutes
+    with the parity-conjugation map exactly is solved by one real eig of
+    ``Re H + P Im H`` (see the module docstring).
     """
     H = as_square_matrix(H, "H")
     p = None if parity is None else as_square_matrix(parity, "parity")

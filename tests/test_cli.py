@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -161,13 +162,15 @@ def test_pt_model_runs(capsys, tmp_path):
 
 
 def reference_pt_model_payload(n, v2, eps, tol=1e-10) -> dict:
-    """The pt-model payload from the public functions with a dense parity
-    matrix: the command's earlier body, kept as reference."""
+    """The pt-model payload from the public functions: the command's earlier
+    body, kept as reference.  The adapted system takes the default parity,
+    the real-form solve of the exactly PT-symmetric lattice; every other
+    step the dense parity matrix."""
     spec = make_lattice(n, 10.0, 1.0, "x^2", v2, eps)
     h = build_pt_hamiltonian(spec)
     p = parity_matrix(n)
     r_parity, r_ptsym = pt_commutation_residuals(h, p)
-    system = pt_adapted_eigensystem(h, p, tol)
+    system = pt_adapted_eigensystem(h, None, tol)
     cls = classify_spectrum(system)
     tau = canonical_tau(system)
     eta = eta_from_tau_pt(h, tau, p, tol)
@@ -277,6 +280,35 @@ def test_non_finite_or_out_of_range_flags_exit_two(argv, real_matrix, capsys):
     assert out == ""
     flag = argv[1].split("=")[0]
     assert f"argument {flag}: must be a finite number" in err
+
+
+SITES = "ValueError: n_sites must be odd and at least 3\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--n", "1"], SITES),
+        (["--n", "0"], SITES),
+        (["--n=-3"], SITES),
+        (["--n", "5", "--L", "1e200"], "ValueError: potential samples v1 must be finite\n"),
+        (["--n", "5", "--L", "1e308", "--v1", "0"],
+         "ValueError: potential samples v2 must be finite\n"),
+        (["--n", "5", "--mass", "1e-320"],
+         "ValueError: kinetic coefficient -1/(2 m h^2) = -inf (mass 1.000e-320, spacing "
+         "5.000e+00) makes H non-finite\n"),
+    ],
+    ids=["n-1", "n-0", "n-minus-3", "L-1e200", "L-1e308", "mass-1e-320"],
+)
+def test_pt_model_refuses_unbuildable_lattices(argv, err, capsys):
+    """A site count without a center site, samples that overflow and a kinetic
+    coefficient that overflows are input errors (exit 2), refused by name
+    before a grid spacing is divided by zero or a RuntimeWarning is raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli_main(["pt-model", *argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
 
 
 @pytest.mark.parametrize("argv", [["--cluster-gap", "0"], ["--t", "0"], ["--t", "-0.5"]])

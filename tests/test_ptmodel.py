@@ -30,6 +30,7 @@ from pseudoherm.cli import cli_main
 from pseudoherm.eigensystem import (
     _assemble,
     _classify,
+    _levels,
     _partner_columns,
     _raw_levels,
     _realness_tol,
@@ -167,6 +168,13 @@ def test_lattice_spec_validation():
         make_lattice(5, -1.0)
 
 
+@pytest.mark.parametrize("n", [1, 0, -1, -3, 2])
+def test_lattice_refuses_site_counts_without_a_center(n):
+    """Refused before the grid spacing 2L/(n-1) is formed (n=1 divided by zero)."""
+    with pytest.raises(ValueError, match="^n_sites must be odd and at least 3$"):
+        make_lattice(n, 1.0)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -278,36 +286,68 @@ def test_eta_positivity_from_one_cholesky(case, monkeypatch):
         assert metric.factor is None
 
 
+def _nearest_match(a, b):
+    """max |a_i - b_j| over the one-to-one matching of each a_i to its nearest b_j;
+    fails when two values of a share their nearest b."""
+    nearest = np.argmin(np.abs(a[:, None] - b[None, :]), axis=1)
+    assert len(set(nearest.tolist())) == len(a)
+    return np.max(np.abs(a - b[nearest]))
+
+
+def _agrees_with_dense_parity(h, by_index, tol):
+    """by_index has the class and multiplicities of the dense-parity system of
+    h, and level energies within 1e-12 max|H| of it, matched by nearest value."""
+    dense = pt_adapted_eigensystem(h, parity_matrix(h.shape[0]), tol)
+    cls_index, cls_dense = classify_spectrum(by_index), classify_spectrum(dense)
+    assert cls_index.tag is cls_dense.tag
+    assert sorted(by_index._sizes.tolist()) == sorted(dense._sizes.tolist())
+    assert _nearest_match(by_index._level_energies, dense._level_energies) <= 1e-12 * max_abs(h)
+    return cls_index
+
+
 @pytest.mark.parametrize("v2, eps", [("x", 0.1), ("x", 1.0), ("x^3", 1.0)])
-def test_default_parity_is_index_reversal_bitwise(v2, eps):
-    """pt_adapted_eigensystem without a parity applies the site reversal by
-    indexing; its system equals, bit for bit, the one built with the dense
-    parity matrix, except that indexing keeps the sign of a zero that the
-    product turns into +0 (adding 0.0 maps -0 to +0 and leaves the rest)."""
+def test_default_parity_agrees_with_dense_parity(v2, eps):
+    """Without a parity, an exactly PT-symmetric H is solved in its real form
+    Re H + P Im H, with the dense parity by a complex eig of H: the two
+    systems agree on the class and the multiplicities, and their energies
+    within 1e-12 max|H|."""
     h = build_pt_hamiltonian(make_lattice(41, 10.0, 1.0, "x^2", v2, eps))
-    by_index = pt_adapted_eigensystem(h)
-    dense = pt_adapted_eigensystem(h, parity_matrix(41))
-    pairs = [(by_index.psi_matrix, dense.psi_matrix), (by_index.phi_matrix, dense.phi_matrix),
-             (by_index.energies, dense.energies)]
-    for a, b in pairs:
-        assert (a + 0.0).tobytes() == (b + 0.0).tobytes()
+    _agrees_with_dense_parity(h, pt_adapted_eigensystem(h), 1e-10)
 
 
-def test_pt_lattice_is_never_unpaired(capsys):
-    """At n=81, eps=3, tol=1e-3 rounding moves eigenvalues by about 1e-7
+def test_pt_lattice_is_never_unpaired():
+    """At n=81, eps=3 the complex eig of H moves eigenvalues by about 1e-7
     (kappa(Psi) near 1e8): with an absolute 1e-8 realness tolerance the
     PT-symmetric lattice was classified unpaired, which its exact antilinear
-    symmetry rules out.  Paired within 1e-8 max|H|, the adapted gauge misses
-    tol and is refused with its measured residual."""
+    symmetry rules out.  Solved in real arithmetic, the conjugate pairs are
+    exact and the system verifies at tol 1e-3."""
+    h = build_pt_hamiltonian(make_lattice(81, 10.0, 1.0, "x^2", "x", 3.0))
+    system = pt_adapted_eigensystem(h, tol=1e-3)
+    assert classify_spectrum(system).tag is SpectrumTag.CONJUGATE_PAIRED
+
+
+def test_pt_lattice_limit_is_refused_with_its_residual(capsys):
+    """The same lattice at tol 1e-6 misses the tolerance (left_eigen near
+    1.4e-4) and is refused with its measured residual, by the command too."""
     h = build_pt_hamiltonian(make_lattice(81, 10.0, 1.0, "x^2", "x", 3.0))
     with pytest.raises(NotDiagonalizableError) as refused:
-        pt_adapted_eigensystem(h, tol=1e-3)
-    assert refused.value.measured > refused.value.limit == 1e-3
-    argv = ["pt-model", "--n", "81", "--L", "10", "--v2", "x", "--eps", "3", "--tol", "1e-3"]
+        pt_adapted_eigensystem(h, tol=1e-6)
+    assert refused.value.measured > refused.value.limit == 1e-6
+    argv = ["pt-model", "--n", "81", "--L", "10", "--v2", "x", "--eps", "3", "--tol", "1e-6"]
     assert cli_main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"NotDiagonalizableError: {refused.value}\n"
+
+
+def _reference_levels(h, parity, gap):
+    """Levels of h: for the site reversal and an exactly PT-symmetric h, from
+    the real eig of Re H + P Im H mapped back by Q = 1 + iP; else from one
+    complex eig of h."""
+    if parity is None and np.array_equal(h[:, ::-1], np.conj(h)[::-1]):
+        w, vr = np.linalg.eig(h.real + h.imag[::-1])
+        return _levels(w.astype(complex), vr + 1j * vr[::-1], gap)
+    return _raw_levels(h, gap)
 
 
 def reference_adapted(h, parity, tol=1e-10):
@@ -315,7 +355,7 @@ def reference_adapted(h, parity, tol=1e-10):
     h = np.asarray(h, dtype=complex)
     parity = None if parity is None else np.asarray(parity, dtype=complex)
     hmax = max_abs(h)
-    psi, energies, offsets = _raw_levels(h, _realness_tol(hmax))
+    psi, energies, offsets = _reference_levels(h, parity, _realness_tol(hmax))
     sizes = np.diff(offsets)
     pairing = np.asarray(_classify(energies, sizes, _realness_tol(hmax)).pairing)
     bounds = offsets.tolist()
@@ -365,6 +405,48 @@ def test_adapted_gauge_takes_one_takagi_per_multiplicity(case, parity, monkeypat
     assert sorted(shape[-1] for shape in calls) == sorted(real)
     if case == "degenerate":
         assert sorted(real) == [1, 2, 3]
+    for a, b in [(got.psi_matrix, want.psi_matrix), (got.phi_matrix, want.phi_matrix),
+                 (got.energies, want.energies)]:
+        assert a.tobytes() == b.tobytes()
+
+
+def _random_pt_symmetric(seed):
+    """H = A + P conj(A) P for a complex Gaussian A, n in 2..12: H P = P conj(H)
+    holds bit for bit, since the sum is formed the same way on both sides."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return a + np.conj(a)[::-1, ::-1]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_exactly_pt_symmetric_input(seed, monkeypatch):
+    """On a random exactly PT-symmetric H the real-form solve agrees with the
+    complex eig of the dense-parity path, lists exact conjugate partners and
+    fixes every real level (P conj(psi) = psi); the same H moved off exact
+    symmetry by less than tol takes the complex eig, bit for bit."""
+    h = _random_pt_symmetric(seed)
+    assert ptmodel._pt_residual(h, None) == 0.0
+    system = pt_adapted_eigensystem(h)
+    cls = _agrees_with_dense_parity(h, system, 1e-10)
+    e = system._level_energies
+    for i, j in enumerate(cls.pairing):
+        if i == j:
+            psi = system.levels[i].psi
+            assert max_abs(np.conj(psi)[::-1] - psi) <= 1e-10
+        else:
+            assert e[j].tobytes() == np.conj(e[i]).tobytes()
+            assert bool(e[i].imag < 0) == (i < j)  # the -Im partner first
+    h_near = h.copy()
+    h_near[0, 0] += 1e-13 * max_abs(h)
+    assert 0.0 < ptmodel._pt_residual(h_near, None) <= 1e-10 * max_abs(h_near)
+    want = reference_adapted(h_near, None)
+    eig = np.linalg.eig
+    inputs = []
+    monkeypatch.setattr(np.linalg, "eig", lambda m: inputs.append(m.dtype) or eig(m))
+    got = pt_adapted_eigensystem(h_near)
+    monkeypatch.undo()
+    assert inputs == [np.complex128]
     for a, b in [(got.psi_matrix, want.psi_matrix), (got.phi_matrix, want.phi_matrix),
                  (got.energies, want.energies)]:
         assert a.tobytes() == b.tobytes()
