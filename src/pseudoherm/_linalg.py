@@ -10,6 +10,13 @@ from .errors import DimensionMismatchError, NonFiniteError, PseudoHermError
 
 DEFAULT_COND_CEILING = 1e8
 
+# A bound B >= kappa decides kappa <= DEFAULT_COND_CEILING unmeasured when
+# B <= DEFAULT_COND_CEILING / _BOUND_MARGIN.  B >= kappa holds exactly, and at
+# B <= 5e7 the rounding in B and in an SVD measuring kappa is about
+# kappa u <= 5e7 * 1.1e-16 < 1e-8 relative, far inside the factor 2: a measured
+# kappa would be below the ceiling too, so no verdict moves.
+_BOUND_MARGIN = 2.0
+
 
 def max_abs(a) -> float:
     """Largest absolute entry (the max-norm used for every residual)."""
@@ -93,6 +100,13 @@ def require_same_dim(a: np.ndarray, b: np.ndarray, what: str = "operands") -> No
 def condition_number(a: np.ndarray) -> float:
     """2-norm condition number; inf for singular input."""
     return cond_of(np.linalg.svd(np.asarray(a), compute_uv=False))
+
+
+def measured_unless_bounded(bound: float, measure) -> float | None:
+    """The condition number ``measure()``, or None, without measuring it, when
+    ``bound`` (an upper bound on it; inf or NaN when there is none) already
+    places it below ``DEFAULT_COND_CEILING``."""
+    return None if bound <= DEFAULT_COND_CEILING / _BOUND_MARGIN else measure()
 
 
 def cond_of(s):

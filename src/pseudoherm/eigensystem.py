@@ -28,6 +28,7 @@ from ._linalg import (
     condition_number,
     diagonal_defect,
     max_abs,
+    measured_unless_bounded,
 )
 from .errors import AmbiguousPairingError, NotDiagonalizableError
 
@@ -98,10 +99,15 @@ class BiorthonormalSystem:
         )
         return levels
 
+    # B = ||Psi||_F ||Phi||_F >= cond, seeded by ``_assemble`` when B alone kept
+    # cond below its ceiling; a system without that certificate reads inf
+    _cond_bound = float("inf")
+
     @cached_property
     def cond(self) -> float:
         """2-norm condition number of psi_matrix (and of phi_matrix, Phi^dagger =
-        Psi^{-1}); measured once, by ``_assemble`` or else on first access."""
+        Psi^{-1}), by one SVD; ``_assemble`` seeds it when it had to measure it
+        to decide the ceiling, else it is measured on first access."""
         return condition_number(self.psi_matrix)
 
     @cached_property
@@ -228,7 +234,11 @@ def biorthonormal_eigensystem(
         level; phi derived from the inverse of the stacked psi matrix, so
         biorthonormality and completeness hold by construction up to
         inversion error.  Its ``cond`` is the condition number of the
-        stacked psi matrix, at most ``DEFAULT_COND_CEILING`` (1e8).
+        stacked psi matrix, at most ``DEFAULT_COND_CEILING`` (1e8).  The
+        ceiling is decided in O(n^2) by the bound
+        ``||Psi||_F ||Phi||_F >= cond`` when that is at most half the
+        ceiling; only otherwise is ``cond`` measured, by an SVD, while the
+        system is built.  Else it is measured when first read.
 
     Raises
     ------
@@ -297,20 +307,38 @@ def _assemble(
 ) -> tuple:
     """(system, H Psi): the system stores Psi, Phi = Psi^{-dagger} and E once,
     verified against H with max|H| = hmax; H Psi is the product its
-    verification formed."""
-    cond = condition_number(psi)
-    if cond > DEFAULT_COND_CEILING:
-        raise NotDiagonalizableError(
-            f"eigenvector matrix condition number {cond:.3e} exceeds ceiling "
-            f"{DEFAULT_COND_CEILING:.3e}; input is defective or nearly so",
-            cond, DEFAULT_COND_CEILING,
-        )
+    verification formed.  kappa(Psi) is below the ceiling by the bound
+    ``||Psi||_F ||Phi||_F`` (seeded as ``_cond_bound``) or else measured
+    (seeded as ``cond``)."""
+    try:
+        phi = np.linalg.inv(psi).conj().T
+    except np.linalg.LinAlgError:  # exactly singular: no bound, the measured cond refuses it
+        cond = condition_number(psi)
+        if cond > DEFAULT_COND_CEILING:
+            raise _ill_conditioned(cond) from None
+        raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = float(np.linalg.norm(psi) * np.linalg.norm(phi))
+    cond = measured_unless_bounded(bound, lambda: condition_number(psi))
+    if cond is not None and cond > DEFAULT_COND_CEILING:
+        del phi  # a kept traceback holds this frame
+        raise _ill_conditioned(cond)
     energies, sizes = _read_only(level_energies), np.diff(offsets)
     sys = _on_stored(
-        _read_only(psi), _read_only(np.linalg.inv(psi).conj().T), energies, offsets, tol,
-        cond=cond, _hmax=hmax, _sizes=sizes, energies=_read_only(np.repeat(energies, sizes)),
+        _read_only(psi), _read_only(phi), energies, offsets, tol,
+        **({"_cond_bound": bound} if cond is None else {"cond": cond}),
+        _hmax=hmax, _sizes=sizes, energies=_read_only(np.repeat(energies, sizes)),
     )
     return sys, _verify_system(sys, H, hmax, tol)
+
+
+def _ill_conditioned(cond: float) -> NotDiagonalizableError:
+    """The refusal of an eigenvector matrix whose condition number cond exceeds the ceiling."""
+    return NotDiagonalizableError(
+        f"eigenvector matrix condition number {cond:.3e} exceeds ceiling "
+        f"{DEFAULT_COND_CEILING:.3e}; input is defective or nearly so",
+        cond, DEFAULT_COND_CEILING,
+    )
 
 
 def _on_stored(
@@ -331,20 +359,24 @@ def _on_stored(
 
 def _verify_system(sys: BiorthonormalSystem, H: np.ndarray, hmax: float, tol: float) -> tuple:
     """Refuse sys when a residual in ``_RESIDUALS`` exceeds tol (those with H
-    relative to max|H| = hmax); returns H Psi."""
+    relative to max|H| = hmax) or is not finite; the refusal names the worst,
+    and a non-finite one, the first in check order, is the worst.  Returns H Psi."""
     psi, phi, energies = sys.psi_matrix, sys.phi_matrix, sys.energies
-    hpsi, psi_e = H @ psi, psi * energies
     hscale = max(hmax, 1e-300)
-    residuals = (
-        *sys._biorthonormality,
-        max_abs(hpsi - psi_e) / hscale,
-        max_abs(H.conj().T @ phi - phi * np.conj(energies)) / hscale,
-        max_abs(psi_e @ phi.conj().T - H) / hscale,
-    )
-    worst = max(residuals)
-    if worst > tol:
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near the float maximum
+        hpsi, psi_e = H @ psi, psi * energies
+        residuals = (
+            *sys._biorthonormality,
+            max_abs(hpsi - psi_e) / hscale,
+            max_abs(H.conj().T @ phi - phi * np.conj(energies)) / hscale,
+            max_abs(psi_e @ phi.conj().T - H) / hscale,
+        )
+    ranked = [r if r < np.inf else np.inf for r in residuals]  # NaN ranks as inf
+    at = ranked.index(max(ranked))
+    worst = residuals[at]
+    if not worst <= tol:
         del hpsi, psi_e  # a kept traceback holds this frame
-        check = _RESIDUALS[residuals.index(worst)]
+        check = _RESIDUALS[at]
         raise NotDiagonalizableError(
             f"could not reach tolerance {tol:.1e}: {check} residual is "
             f"{worst:.3e}; input is near-defective, has spectral "

@@ -23,6 +23,7 @@ from ._linalg import (
     hermitian_defect,
     intertwining,
     max_abs,
+    measured_unless_bounded,
     require_same_dim,
     scale_of,
     solve,
@@ -85,14 +86,18 @@ def hermitizing_transform(sys: BiorthonormalSystem, cls: SpectrumClass) -> Pseud
     SingularEtaError
         If the condition number ``sys.cond ** 2`` of the positive metric
         ``A^dagger A`` exceeds ``DEFAULT_COND_CEILING`` (kappa(A) is below it then).
+
+    On a system that ``biorthonormal_eigensystem`` certified by
+    ``||Psi||_F ||Phi||_F = B``, B^2 at most half the ceiling decides it
+    without an SVD; otherwise ``sys.cond`` is read, measured once.
     """
     if cls.tag is not SpectrumTag.ALL_REAL:
         raise SpectrumNotRealError(
             f"spectrum classified as {cls.tag.value}; hermitization needs an all-real spectrum"
         )
     # kappa(eta) = kappa(A)^2 = kappa(Psi)^2 for the positive metric eta = A^dagger A
-    kappa = sys.cond * sys.cond
-    if kappa > DEFAULT_COND_CEILING:
+    kappa = measured_unless_bounded(sys._cond_bound * sys._cond_bound, lambda: sys.cond * sys.cond)
+    if kappa is not None and kappa > DEFAULT_COND_CEILING:
         raise SingularEtaError(
             "the positive metric A^dagger A is too ill-conditioned", kappa, DEFAULT_COND_CEILING
         )

@@ -28,6 +28,7 @@ from ._linalg import (
     intertwining,
     make_check,
     max_abs,
+    measured_unless_bounded,
     require_same_dim,
     scale_of,
     solve,
@@ -117,7 +118,9 @@ def is_pseudo_hermitian(H, eta, tol: float = DEFAULT_TOL) -> CheckResult:
 
 def _metric(sys: BiorthonormalSystem, cls: SpectrumClass, weights=None) -> MetricOperator:
     """build_metric without its self-check: callers that hold H check
-    ``H^dagger eta = eta H`` against it once themselves."""
+    ``H^dagger eta = eta H`` against it once themselves.  With unit weights
+    kappa(eta) <= kappa(Psi)^2 <= B^2 for the bound B = ||Psi||_F ||Phi||_F
+    of ``_assemble``: at B^2 <= ceiling / 2 no SVD is taken."""
     if cls.tag is SpectrumTag.UNPAIRED:
         raise UnpairedSpectrumError(
             "spectrum has an unpaired complex eigenvalue; no Hermitian metric exists"
@@ -139,9 +142,14 @@ def _metric(sys: BiorthonormalSystem, cls: SpectrumClass, weights=None) -> Metri
 
     eta = left @ phi[:, _partner_columns(sys._offsets, cls.pairing)].conj().T
     real = cls.tag is SpectrumTag.ALL_REAL
-    # the all-real unit-weight eta is Phi Phi^dagger: kappa(eta) = kappa(Psi)^2
-    kappa = sys.cond * sys.cond if real and weights is None else condition_number(eta)
-    if kappa > DEFAULT_COND_CEILING:
+    # with unit weights eta = Phi Pi Phi^dagger, Pi a permutation, so kappa(eta) <=
+    # kappa(Psi)^2 <= _cond_bound^2; all-real, Pi = 1 and kappa(eta) = kappa(Psi)^2
+    unit = weights is None
+    kappa = measured_unless_bounded(
+        sys._cond_bound * sys._cond_bound if unit else np.inf,
+        lambda: sys.cond * sys.cond if real and unit else condition_number(eta),
+    )
+    if kappa is not None and kappa > DEFAULT_COND_CEILING:
         raise SingularEtaError(
             "constructed metric is too ill-conditioned", kappa, DEFAULT_COND_CEILING
         )
@@ -172,6 +180,12 @@ def build_metric(sys: BiorthonormalSystem, cls: SpectrumClass, weights=None) -> 
         If the metric's condition number (``sys.cond ** 2`` for an all-real
         spectrum with unit weights) exceeds ``DEFAULT_COND_CEILING``, or it
         fails the intertwining identity with the operator ``reconstruct(sys)``.
+
+    With unit weights kappa(eta) <= kappa(Psi)^2 for both classes (eta =
+    Phi Pi Phi^dagger with Pi a permutation), so on a system that
+    ``biorthonormal_eigensystem`` certified by ``||Psi||_F ||Phi||_F = B``
+    with B^2 at most half the ceiling, the ceiling is decided without an
+    SVD.  Otherwise, and with weights, the condition number is measured.
     """
     metric = _metric(sys, cls, weights)
     check = is_pseudo_hermitian(reconstruct(sys), metric, sys.tol)

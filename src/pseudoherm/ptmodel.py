@@ -100,6 +100,11 @@ class LatticeSpec:
             raise AsymmetricPotentialError("v1 samples are not even-symmetric")
         if np.any(self.v2 != -self.v2[::-1]):
             raise AsymmetricPotentialError("v2 samples are not odd-symmetric")
+        if not np.isfinite(self.spacing):  # grid would be 0 * inf at the center
+            raise ValueError(
+                f"grid spacing 2L/(n-1) = {self.spacing} (L {self.half_width:.3e}, "
+                f"n {self.n_sites}) is not finite"
+            )
 
     @property
     def spacing(self) -> float:

@@ -4,6 +4,7 @@ eigensystem, and scale-invariant report residuals."""
 import dataclasses
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ import pseudoherm.ptmodel
 import pseudoherm.symmetry
 from pseudoherm import (
     AntilinearOperator,
+    NotDiagonalizableError,
     PseudoCanonicalTransform,
     PseudoHermError,
     antilinear_symmetry,
@@ -43,7 +45,7 @@ from pseudoherm import (
 )
 from pseudoherm._linalg import hermitian_defect, scale_of
 from pseudoherm.cli import cli_main
-from pseudoherm.eigensystem import CLUSTER_GAP_FACTOR, _cluster_indices, _raw_levels
+from pseudoherm.eigensystem import CLUSTER_GAP_FACTOR, _assemble, _cluster_indices, _raw_levels
 from pseudoherm.ensembles import (
     planted_matrix,
     random_coefficients,
@@ -97,11 +99,12 @@ def test_report_and_analyze_solve_once(monkeypatch, rng, tmp_path, capsys):
         )
     ]
     assert real_spectrum_equivalence_report(h)["spectrum_class"] == "all_real"
-    # one eig and one SVD, of Psi: kappa(A) = kappa(Psi) and kappa(eta) =
-    # kappa(Psi)^2; X and A H A^{-1} are products of Psi and Phi, not solves;
-    # H is validated once and no public checker validates it again
+    # one eig and no SVD: ||Psi||_F ||Phi||_F bounds kappa(Psi) = kappa(A) far
+    # below the ceiling, and its square bounds kappa(eta) = kappa(Psi)^2; X and
+    # A H A^{-1} are products of Psi and Phi, not solves; H is validated once
+    # and no public checker validates it again
     counts = [len(c) for c in (metric_calls, eig_calls, eigvals_calls, svd_calls, solve_calls)]
-    assert counts == [1, 1, 0, 1, 0]
+    assert counts == [1, 1, 0, 0, 0]
     assert (len(reconstruct_calls), len(validations)) == (0, 1)
     assert [len(c) for c in checkers] == [0, 0, 0, 0]
     # one stacked QR per distinct multiplicity
@@ -112,7 +115,7 @@ def test_report_and_analyze_solve_once(monkeypatch, rng, tmp_path, capsys):
     for c in (eig_calls, svd_calls, solve_calls, qr_calls):
         c.clear()
     assert cli_main(["analyze", str(path)]) == 0
-    assert [len(c) for c in (eig_calls, svd_calls, solve_calls, qr_calls)] == [1, 1, 0, want_qr]
+    assert [len(c) for c in (eig_calls, svd_calls, solve_calls, qr_calls)] == [1, 0, 0, want_qr]
     assert len(to_dict_calls) == 0
     simple = planted_matrix(rng, 6, "real", degenerate=False)
     qr_calls.clear()
@@ -124,9 +127,10 @@ def test_report_and_analyze_solve_once(monkeypatch, rng, tmp_path, capsys):
 
 @pytest.mark.parametrize("v2, eps", [("x^3", 0.1), ("x", 1.0)])
 def test_pt_model_runs_one_pass(monkeypatch, capsys, v2, eps):
-    """One pt-model command: one eig, one classification, one SVD (kappa(Psi))
-    and one inverse (Phi); no eigvalsh or cholesky, as positivity is not
-    reported, and no dense parity matrix."""
+    """One pt-model command: one eig, one classification and one inverse (Phi);
+    no SVD, as ||Psi||_F ||Phi||_F bounds kappa(Psi) below the ceiling, no
+    eigvalsh or cholesky, as positivity is not reported, and no dense parity
+    matrix."""
     counted = {
         "eig": np.linalg.eig,
         "svd": np.linalg.svd,
@@ -140,7 +144,7 @@ def test_pt_model_runs_one_pass(monkeypatch, capsys, v2, eps):
     argv = ["pt-model", "--n", "41", "--v2", v2, "--eps", str(eps), "--output", "json"]
     assert cli_main(argv) == 0
     assert json.loads(capsys.readouterr().out)["spectrum_class"] == "conjugate_paired"
-    want = {"eig": 1, "svd": 1, "inv": 1, "eigvalsh": 0, "cholesky": 0, "parity_matrix": 0, "_classify": 1}
+    want = {"eig": 1, "svd": 0, "inv": 1, "eigvalsh": 0, "cholesky": 0, "parity_matrix": 0, "_classify": 1}
     assert {name: len(c) for name, c in calls.items()} == want
 
 
@@ -153,10 +157,10 @@ def planted_with_degenerate_level(seed: int, dim: int, kind: str):
 
 
 def test_each_condition_number_measured_once(monkeypatch, rng, tmp_path, capsys):
-    """kappa(Psi) is one SVD per eigensystem and serves kappa(A) and the
-    all-real kappa(eta); a paired metric takes its own SVD; metric_from_matrix
-    reads kappa off its eigvalsh and the gauge op off one Takagi factor per
-    block."""
+    """A well-conditioned eigensystem decides kappa(Psi), kappa(A) and kappa(eta),
+    paired or all-real, by the bound ||Psi||_F ||Phi||_F without an SVD;
+    metric_from_matrix reads kappa off its eigvalsh and the gauge op off one
+    Takagi factor per block."""
     path = tmp_path / "h.json"
     save_matrix(path, planted_matrix(rng, 6, "real").matrix)
     paired = planted_with_degenerate_level(1, 7, "paired")
@@ -170,12 +174,121 @@ def test_each_condition_number_measured_once(monkeypatch, rng, tmp_path, capsys)
         fn(*args)
         return len(svd_calls)
 
-    assert svds(real_spectrum_equivalence_report, paired) == 2
-    assert svds(cli_main, ["hermitize", str(path)]) == 1
+    assert svds(real_spectrum_equivalence_report, paired) == 0
+    assert svds(cli_main, ["hermitize", str(path)]) == 0
     assert svds(metric_from_matrix, np.diag([2.0, -1.0, 0.5])) == 0
     takagi_calls.clear()
     assert svds(canonicalize_tau, sys_, coeffs) == 0
     assert len(takagi_calls) == len({lv.multiplicity for lv in sys_.levels})
+
+
+def two_levels(delta: float, kind: str) -> np.ndarray:
+    """[[1, 1], [0, 1 + delta]]: kappa(Psi) ~ 2/delta; paired, i times it next
+    to its conjugate, 4 x 4 with kappa(Psi) ~ 2/delta too."""
+    a = np.array([[1.0, 1.0], [0.0, 1.0 + delta]])
+    if kind == "real":
+        return a
+    return np.block([[1j * a, np.zeros((2, 2))], [np.zeros((2, 2)), -1j * a]])
+
+
+def outcome(fn, *args) -> tuple:
+    """What a call returns or refuses with, comparable across runs: the JSON
+    text of a report, or the refusal's type, message and its numbers."""
+    try:
+        return ("ok", json.dumps(fn(*args)))
+    except PseudoHermError as exc:
+        cause = exc.__cause__ or exc
+        numbers = (getattr(cause, "measured", None), getattr(cause, "limit", None))
+        return (type(exc).__name__, str(exc), type(cause).__name__, *numbers)
+
+
+def svd_first(monkeypatch):
+    """Every condition ceiling measured by its SVD, as if no bound decided it."""
+    monkeypatch.setattr(pseudoherm._linalg, "_BOUND_MARGIN", np.inf)
+
+
+@pytest.mark.parametrize(
+    "delta, kind, svds",
+    [
+        (0.5, "real", 0),
+        (0.5, "paired", 0),
+        (2.5e-4, "real", 1),  # B < 5e7 < B^2: kappa(eta) = cond^2, cond measured once
+        (2.5e-4, "paired", 1),  # ... and kappa(eta) by the SVD of eta
+        (3e-8, "real", 1),  # kappa(Psi) 6.7e7: B > 5e7, measured by _assemble
+        (3e-8, "paired", 2),
+        (1.5e-8, "real", 1),  # kappa(Psi) 1.3e8: refused by the eigensystem
+        (1.5e-8, "paired", 1),
+    ],
+)
+def test_condition_ceilings_take_an_svd_only_when_the_bound_cannot_decide(
+    monkeypatch, delta, kind, svds
+):
+    """The report takes an SVD of Psi only when ||Psi||_F ||Phi||_F exceeds
+    half the ceiling (or cond is read for the all-real kappa(eta)), and one
+    of a paired eta only when its square does; it reports and refuses as
+    when every ceiling is measured."""
+    h = two_levels(delta, kind)
+    svd_calls = count_calls(monkeypatch, np.linalg.svd)
+    got = outcome(real_spectrum_equivalence_report, h, 1e-6)
+    assert len(svd_calls) == svds
+    svd_first(monkeypatch)
+    assert got == outcome(real_spectrum_equivalence_report, h, 1e-6)
+
+
+def test_exactly_singular_psi_is_refused_by_its_cond():
+    """An eigenvector matrix that inv cannot invert has no bound; its
+    measured condition number, inf, refuses it, with no warning."""
+    psi = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+    h = np.diag([1.0, 2.0]) + 0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NotDiagonalizableError) as err:
+            _assemble(psi, np.array([1.0, 2.0]) + 0j, np.array([0, 1, 2]), h, 2.0, 1e-10)
+    exc = err.value
+    assert (exc.measured, exc.limit, exc.check) == (np.inf, 1e8, None)
+    assert str(exc) == (
+        "eigenvector matrix condition number inf exceeds ceiling 1.000e+08; "
+        "input is defective or nearly so"
+    )
+
+
+def test_cond_of_a_bounded_system_is_measured_on_read(monkeypatch):
+    """A system whose ceiling the bound decided measures cond by one SVD when
+    it is first read, and keeps it."""
+    sys_ = biorthonormal_eigensystem(two_levels(0.5, "real"))
+    assert "cond" not in vars(sys_)
+    svd_calls = count_calls(monkeypatch, np.linalg.svd)
+    assert sys_.cond == sys_.cond <= sys_._cond_bound <= 5e7
+    assert len(svd_calls) == 1
+    assert sys_.cond == np.linalg.cond(sys_.psi_matrix)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["real", "paired", "unpaired"]),
+    st.integers(2, 9),
+    st.floats(1.0, 10.0),
+)
+def test_bounded_ceilings_agree_with_svd_first(seed, kind, n, log_cond):
+    """Planted S diag(E) S^-1 with kappa(S) up to 10^1 .. 10^10: report JSON,
+    or the refusal, is the same as when every ceiling is measured by its SVD,
+    and the eigensystem's Psi, Phi, E and cond are bit for bit the same."""
+    h = planted_matrix(np.random.default_rng(seed), n, kind, max_cond=10.0**log_cond)
+    got = outcome(real_spectrum_equivalence_report, h.matrix, 1e-6)
+    try:
+        sys_ = biorthonormal_eigensystem(h.matrix, tol=1e-6)
+    except NotDiagonalizableError:
+        sys_ = None
+    with pytest.MonkeyPatch.context() as mp:
+        svd_first(mp)
+        assert got == outcome(real_spectrum_equivalence_report, h.matrix, 1e-6)
+        if sys_ is not None:
+            ref = biorthonormal_eigensystem(h.matrix, tol=1e-6)
+            for a, b in [(sys_.psi_matrix, ref.psi_matrix), (sys_.phi_matrix, ref.phi_matrix)]:
+                assert np.array_equal(a, b)
+            assert np.array_equal(sys_.energies, ref.energies)
+            assert sys_.cond == ref.cond
 
 
 @pytest.mark.parametrize("kind", ["simple", "mixed"])

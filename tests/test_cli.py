@@ -297,8 +297,10 @@ SITES = "ValueError: n_sites must be odd and at least 3\n"
         (["--n", "5", "--mass", "1e-320"],
          "ValueError: kinetic coefficient -1/(2 m h^2) = -inf (mass 1.000e-320, spacing "
          "5.000e+00) makes H non-finite\n"),
+        (["--n", "5", "--L", "1e308", "--v1", "0", "--v2", "0"],
+         "ValueError: grid spacing 2L/(n-1) = inf (L 1.000e+308, n 5) is not finite\n"),
     ],
-    ids=["n-1", "n-0", "n-minus-3", "L-1e200", "L-1e308", "mass-1e-320"],
+    ids=["n-1", "n-0", "n-minus-3", "L-1e200", "L-1e308", "mass-1e-320", "L-1e308-zero"],
 )
 def test_pt_model_refuses_unbuildable_lattices(argv, err, capsys):
     """A site count without a center site, samples that overflow and a kinetic
@@ -309,6 +311,23 @@ def test_pt_model_refuses_unbuildable_lattices(argv, err, capsys):
         assert cli_main(["pt-model", *argv]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", err)
+
+
+def test_pt_model_refuses_an_overflowing_verification(capsys):
+    """A diagonal near the float maximum overflows the verification products:
+    the first non-finite residual, right_eigen = inf, refuses the lattice
+    (exit 1), with no RuntimeWarning."""
+    argv = ["pt-model", "--n", "5", "--v1", "x^440", "--L", "5", "--mass", "1.6e-309"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "NotDiagonalizableError: could not reach tolerance 1.0e-10: right_eigen residual is "
+        "inf; input is near-defective, has spectral clusters wider than tol but narrower "
+        "than the cluster gap, or tol is too tight for its conditioning\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [["--cluster-gap", "0"], ["--t", "0"], ["--t", "-0.5"]])

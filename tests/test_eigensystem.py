@@ -1,6 +1,7 @@
 """Biorthonormal eigensystem construction, classification, reconstruction."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from pseudoherm import (
     real_spectrum_equivalence_report,
 )
 from pseudoherm.cli import cli_main
-from pseudoherm.eigensystem import BiorthonormalSystem, EigenLevel, _classify, _cluster_indices
+from pseudoherm.eigensystem import (
+    BiorthonormalSystem,
+    EigenLevel,
+    _classify,
+    _cluster_indices,
+    _verify_system,
+)
 from pseudoherm.ensembles import planted_matrix, random_coefficients, random_unitary
 from pseudoherm.io import save_matrix
 
@@ -150,13 +157,16 @@ def test_residual_refusal_carries_its_numbers(h, tol, check):
 
 def test_refusal_traceback_holds_no_product():
     """A caller that keeps the refusal keeps its frames; the verification
-    drops H Psi before raising, so they hold no array beyond the system's."""
-    with pytest.raises(NotDiagonalizableError) as err:
-        biorthonormal_eigensystem(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    tb = err.value.__traceback__
-    while tb is not None:
-        assert "hpsi" not in tb.tb_frame.f_locals
-        tb = tb.tb_next
+    drops H Psi before raising, so they hold no array beyond the system's,
+    and the kappa(Psi) ceiling, which refuses before a system exists, drops Phi."""
+    # refused by right_eigen, and by the ceiling
+    for eps, dropped in [(0.0, {"hpsi"}), (1.5e-8, {"hpsi", "phi"})]:
+        with pytest.raises(NotDiagonalizableError) as err:
+            biorthonormal_eigensystem(np.array([[1.0, 1.0], [0.0, 1.0 + eps]]))
+        tb = err.value.__traceback__
+        while tb is not None:
+            assert not dropped & tb.tb_frame.f_locals.keys()
+            tb = tb.tb_next
 
 
 def test_tolerance_too_tight_rejected():

@@ -1,5 +1,7 @@
 """Parity-symmetric lattice model: structural identities and metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,18 @@ def test_lattice_refuses_non_finite_fields(build):
     read as an asymmetric potential, and 0 * inf warns)."""
     with pytest.raises(ValueError, match="must be finite"):
         build()
+
+
+def test_lattice_refuses_an_infinite_spacing():
+    """2L/(n-1) overflows at L = 1e308: refused by name, before grid forms
+    0 * inf at the center site, even when every sample is finite (zero)."""
+    zeros = np.zeros(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"^grid spacing 2L/\(n-1\) = inf .* is not finite$"):
+            ptmodel.LatticeSpec(5, 1e308, 1.0, zeros, zeros)
+        with pytest.raises(ValueError, match="^grid spacing"):
+            make_lattice(5, 1e308, v1="0", v2="0")
 
 
 def test_lattice_from_dict_roundtrip():
