@@ -53,7 +53,7 @@ def _emit(args, payload: dict) -> None:
     matrix format as json, or elided in text."""
     if args.output == "json":
         arrays = {k: io.matrix_to_dict(v) for k, v in payload.items() if isinstance(v, np.ndarray)}
-        print(json.dumps({**payload, **arrays}, indent=2, default=float))
+        print(io._json_text({**payload, **arrays}))
         return
     for key, value in payload.items():
         if isinstance(value, dict):

@@ -8,6 +8,10 @@ wrong-length data arrays, a non-integer n and non-numeric data.
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +19,113 @@ import numpy as np
 from .antilinear import CoefficientFamily
 from .errors import DimensionMismatchError, NonFiniteError
 from .metric import MetricOperator
+
+
+# What stands for a table in the text json writes: the string "\x00table",
+# written ``"\u0000table"``.
+_TABLE = "\x00table"
+_TABLE_TOKEN = encode_basestring_ascii(_TABLE)
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2, default=float)``, byte for byte, with each
+    table written by one ``%``-template built for it.
+
+    A table is a list of at least two rows of one shape: lists of cells of one
+    length, or dicts with the same str keys in the same order whose values are
+    cells or cell lists of one length per key.  A cell is a finite float or a
+    non-bool int (its exact type), so ``%r`` writes it as json does, with
+    ``float.__repr__`` or ``int.__repr__``.  json writes everything else, with
+    a placeholder for each table, and each table is written at the indentation
+    of its placeholder."""
+    tables: list = []
+    text = json.dumps(_skeleton(value, tables), indent=2, default=float)
+    if not tables:
+        return text
+    parts = text.split(_TABLE_TOKEN)
+    if len(parts) != len(tables) + 1:  # a string of value reads as the placeholder
+        return json.dumps(value, indent=2, default=float)
+    out = [parts[0]]
+    for (shape, n_rows, cells), part in zip(tables, parts[1:]):
+        line = out[-1][out[-1].rfind("\n") + 1 :]
+        out.append(_table_template(shape, n_rows, len(line) - len(line.lstrip(" "))) % cells)
+        out.append(part)
+    return "".join(out)
+
+
+def _skeleton(value, tables: list):
+    """value with each table replaced by ``_TABLE``; the ``(shape, rows, cells)``
+    of each table are appended to tables in the order json writes them."""
+    if isinstance(value, dict):
+        return {k: _skeleton(v, tables) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        table = _table(value)
+        if table is None:
+            return [_skeleton(v, tables) for v in value]
+        tables.append(table)
+        return _TABLE
+    return value
+
+
+def _width(rows) -> int | None:
+    """The common length of a list of lists; None when one is not a list, is
+    empty or differs in length."""
+    if set(map(type, rows)) != {list}:
+        return None
+    widths = set(map(len, rows))
+    return widths.pop() if len(widths) == 1 and 0 not in widths else None
+
+
+def _table(rows) -> tuple | None:
+    """``(shape, row count, cells)`` of a table, its cells in the order written;
+    None if rows is not one.  shape is the width of list rows, or
+    ``((key, width), ...)`` for dict rows, width None for a cell."""
+    if len(rows) < 2:
+        return None
+    shape = _width(rows)
+    if shape is not None:
+        cells = tuple(chain.from_iterable(rows))
+    elif set(map(type, rows)) == {dict} and len(keys := set(map(tuple, rows))) == 1:
+        shape, columns = [], []
+        for key in keys.pop():
+            column = list(map(itemgetter(key), rows))
+            nested = type(column[0]) is list
+            width = _width(column) if nested else None
+            if type(key) is not str or (nested and width is None):
+                return None
+            shape.append((key, width))
+            columns.extend(zip(*column) if nested else [column])
+        if not shape:
+            return None
+        shape, cells = tuple(shape), tuple(chain.from_iterable(zip(*columns)))
+    else:
+        return None
+    if not set(map(type, cells)) <= {float, int}:
+        return None
+    try:  # json writes NaN and inf as NaN and Infinity, %r as nan and inf
+        finite = math.isfinite(sum(cells))
+    except OverflowError:  # an int beyond the float range
+        return None
+    return (shape, len(rows), cells) if finite else None
+
+
+def _table_template(shape, n_rows: int, indent: int) -> str:
+    """The %-template of a table whose first line is indented by indent spaces."""
+    pad = [" " * (indent + 2 * level) for level in range(4)]
+
+    def cell_list(width: int, level: int) -> str:
+        return "[\n" + ",\n".join([pad[level + 1] + "%r"] * width) + "\n" + pad[level] + "]"
+
+    if type(shape) is int:
+        row = pad[1] + cell_list(shape, 1)
+    else:
+        entries = [
+            f"{pad[2]}{encode_basestring_ascii(key).replace('%', '%%')}: "
+            + ("%r" if width is None else cell_list(width, 2))
+            for key, width in shape
+        ]
+        row = pad[1] + "{\n" + ",\n".join(entries) + "\n" + pad[1] + "}"
+    return "[\n" + ",\n".join([row] * n_rows) + "\n" + pad[0] + "]"
 
 
 def matrix_to_dict(m) -> dict:
@@ -26,7 +137,8 @@ def matrix_to_dict(m) -> dict:
 
 def matrix_from_dict(payload: dict) -> np.ndarray:
     """The matrix of the shared format: payload must be an object, ``n`` an
-    integer, and data holding strings, nulls or only booleans is refused."""
+    integer, and data holding strings, nulls or booleans is refused.  Integers
+    beyond int64 load as floats."""
     if not isinstance(payload, dict):
         raise ValueError(f"a matrix must be a JSON object, got {type(payload).__name__}")
     n = payload["n"]
@@ -34,12 +146,24 @@ def matrix_from_dict(payload: dict) -> np.ndarray:
         raise DimensionMismatchError(f"matrix dimension must be an integer, got {n!r}")
     if n < 1:
         raise DimensionMismatchError("matrix dimension must be at least 1")
-    values = np.array(payload["data"])
+    data = payload["data"]
+    values = np.array(data)
+    if values.dtype == object and set(map(type, values.flat)) <= {int, float, bool}:
+        try:  # numpy keeps JSON integers beyond int64 as Python ints
+            values = np.array(values.tolist(), dtype=np.float64)
+        except OverflowError:
+            raise NonFiniteError("matrix data holds an integer beyond the float range") from None
     if values.dtype.kind not in "iuf":  # strings, nulls and all-boolean data
         raise ValueError(f"matrix data must be numbers, got array of dtype {values.dtype}")
     values = values.astype(np.float64, copy=False)
     if values.shape != (n * n, 2):
         raise DimensionMismatchError(f"data has shape {values.shape}, expected ({n * n}, 2)")
+    # numpy reads a JSON true or false among numbers as 1 or 0: look at those entries only
+    zero_one = np.flatnonzero((values == 0.0) | (values == 1.0)).tolist()
+    if zero_one:
+        entries = list(chain.from_iterable(data))
+        if bool in set(map(type, map(entries.__getitem__, zero_one))):
+            raise ValueError("matrix data must be numbers, got booleans mixed with numbers")
     if not np.all(np.isfinite(values)):
         raise NonFiniteError("matrix data contains NaN or Inf")
     return values.view(np.complex128).reshape(n, n)

@@ -217,12 +217,24 @@ def indefinite_inner_product(eta, xi, zeta) -> complex:
     return complex(xi.conj() @ m @ zeta)
 
 
+def _overflow(what: str, t: float, H: np.ndarray) -> PseudoHermError:
+    return PseudoHermError(f"{what} overflows at t = {t:.3e} (max|H| = {max_abs(H):.3e})")
+
+
 def propagator(H, t: float) -> np.ndarray:
-    """Evolution operator ``exp(-i H t)`` (scaling-and-squaring Pade)."""
+    """Evolution operator ``exp(-i H t)`` (scaling-and-squaring Pade).
+
+    Raises ``PseudoHermError`` when t H or exp(-i H t) is not finite.
+    """
     from scipy.linalg import expm  # imported here: only evolution needs scipy
 
     H = as_square_matrix(H, "H")
-    return expm(-1j * t * H)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = -1j * t * H
+        u = expm(exponent) if np.isfinite(exponent).all() else exponent
+    if not np.isfinite(u).all():
+        raise _overflow("exp(-iHt)", t, H)
+    return u
 
 
 def evolution_invariance_check(
@@ -239,7 +251,8 @@ def evolution_invariance_check(
     pseudo-Hermitian with respect to eta; only with ``strict=True`` is that
     precondition evaluated, first, and its failure raises
     ``NotPseudoHermitianError`` instead of reporting the (expected)
-    invariance failure.  A non-Hermitian eta raises in both modes.
+    invariance failure.  A non-Hermitian eta raises in both modes, and so
+    does a U or a ``U^dagger eta U`` that overflows (``PseudoHermError``).
     """
     H = as_square_matrix(H, "H")
     m = _eta_matrix(eta)
@@ -251,5 +264,8 @@ def evolution_invariance_check(
             "invariance is not expected"
         )
     u = propagator(H, t)
-    raw = max_abs(u.conj().T @ m @ u - m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = max_abs(u.conj().T @ m @ u - m)
+    if not np.isfinite(raw):
+        raise _overflow("U^dagger eta U", t, H)
     return make_check(raw, max_abs(m), tol)

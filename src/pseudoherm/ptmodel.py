@@ -27,6 +27,7 @@ eig of H.  Either way the system is verified against H itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ from ._linalg import (
     as_square_matrix,
     block_groups,
     hermitian_defect,
+    intertwining,
     max_abs,
     require_same_dim,
     scale_of,
@@ -60,7 +62,7 @@ from .errors import (
     NotPTSymmetricError,
     ResultNotHermitianError,
 )
-from .metric import MetricOperator, is_pseudo_hermitian
+from .metric import MetricOperator
 
 
 def _require_site_count(n_sites: int) -> None:
@@ -85,7 +87,7 @@ class LatticeSpec:
 
     def __post_init__(self):
         _require_site_count(self.n_sites)
-        if not np.isfinite([self.half_width, self.mass]).all():
+        if not (math.isfinite(self.half_width) and math.isfinite(self.mass)):
             raise ValueError("half_width and mass must be finite")
         if self.half_width <= 0 or self.mass <= 0:
             raise ValueError("half_width and mass must be positive")
@@ -100,7 +102,7 @@ class LatticeSpec:
             raise AsymmetricPotentialError("v1 samples are not even-symmetric")
         if np.any(self.v2 != -self.v2[::-1]):
             raise AsymmetricPotentialError("v2 samples are not odd-symmetric")
-        if not np.isfinite(self.spacing):  # grid would be 0 * inf at the center
+        if not math.isfinite(self.spacing):  # grid would be 0 * inf at the center
             raise ValueError(
                 f"grid spacing 2L/(n-1) = {self.spacing} (L {self.half_width:.3e}, "
                 f"n {self.n_sites}) is not finite"
@@ -147,7 +149,7 @@ def make_lattice(
     ``eps`` scales the odd (imaginary) potential only; it is the knob for
     the strength of the non-Hermitian part.
     """
-    if not np.isfinite([half_width, eps]).all():  # 0 * inf samples would be NaN
+    if not (math.isfinite(half_width) and math.isfinite(eps)):  # 0 * inf samples would be NaN
         raise ValueError("half_width and eps must be finite")
     _require_site_count(n_sites)
     mid = (n_sites - 1) // 2
@@ -188,15 +190,19 @@ def build_pt_hamiltonian(spec: LatticeSpec) -> np.ndarray:
     n, h = spec.n_sites, spec.spacing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         coeff = -1.0 / (2.0 * np.float64(spec.mass) * h * h)
-        kinetic = coeff * (
-            np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1) - 2.0 * np.eye(n)
-        )
-        H = kinetic + np.diag(spec.v1) + 1j * np.diag(spec.v2)
-    if not np.isfinite(H).all():
+        diagonal = coeff * -2.0 + spec.v1
+    if not (np.isfinite(coeff) and np.isfinite(diagonal).all()):
         raise ValueError(
             f"kinetic coefficient -1/(2 m h^2) = {coeff:.3e} (mass {spec.mass:.3e}, "
             f"spacing {h:.3e}) makes H non-finite"
         )
+    # the entries of the dense sum K + diag(v1) + 1j diag(v2), bit for bit: in it
+    # each band entry and imaginary part had 0.0 added, which turns a -0 into +0
+    H = np.zeros((n, n), dtype=np.complex128)
+    sites = np.arange(n)
+    H.real[sites, sites] = diagonal
+    H.imag[sites, sites] = spec.v2 + 0.0
+    H.real[sites[:-1], sites[1:]] = H.real[sites[1:], sites[:-1]] = coeff + 0.0
     return H
 
 
@@ -231,16 +237,19 @@ def _require_pt_symmetric(H: np.ndarray, parity, tol: float) -> float:
     return r_ptsym
 
 
-def _checked_eta(H: np.ndarray, eta: np.ndarray, tol: float) -> tuple[np.ndarray, CheckResult]:
-    """eta = m P symmetrized, with its ``H^dagger eta = eta H`` check; refuses
-    a non-Hermitian eta or a failed identity."""
+def _checked_eta(
+    H: np.ndarray, eta: np.ndarray, hmax: float, tol: float
+) -> tuple[np.ndarray, CheckResult]:
+    """eta = m P symmetrized, with its ``H^dagger eta = eta H`` check at the
+    scale of hmax = max|H|; refuses a non-Hermitian eta or a failed identity."""
     if hermitian_defect(eta) > tol * scale_of(eta):
         raise ResultNotHermitianError(
             "tau composed with parity-conjugation is not Hermitian; "
             "tau is inconsistent with H (try a parity-adapted eigenbasis)"
         )
-    eta = (eta + eta.conj().T) / 2.0
-    check = is_pseudo_hermitian(H, eta, tol)
+    # the symmetrized eta is Hermitian bit for bit; a NaN or Inf passed the test above
+    eta = as_square_matrix((eta + eta.conj().T) / 2.0, "eta")
+    check = intertwining(H.conj().T, eta, H, hmax, tol)
     if not check.ok:
         raise ResultNotHermitianError(
             f"composed metric fails the intertwining identity (residual {check.residual:.3e})"
@@ -265,7 +274,7 @@ def eta_from_tau_pt(
     require_same_dim(H, p, "H and parity")
     require_same_dim(H, tau.matrix, "H and tau")
     _require_pt_symmetric(H, p, tol)
-    eta, _ = _checked_eta(H, tau.matrix @ np.conj(p), tol)
+    eta, _ = _checked_eta(H, tau.matrix @ np.conj(p), max_abs(H), tol)
     try:
         factor = np.linalg.cholesky(eta)
     except np.linalg.LinAlgError:  # not positive definite
@@ -274,12 +283,11 @@ def eta_from_tau_pt(
 
 
 def _adapted(
-    H: np.ndarray, parity, tol: float, cluster_gap
+    H: np.ndarray, parity, tol: float, cluster_gap, hmax: float
 ) -> tuple[BiorthonormalSystem, SpectrumClass, float]:
-    """The parity-conjugation adapted system of H, its class and the raw
-    ``H P - P conj(H)`` residual of ``_require_pt_symmetric``."""
+    """The parity-conjugation adapted system of H (hmax = max|H|), its class
+    and the raw ``H P - P conj(H)`` residual of ``_require_pt_symmetric``."""
     r_ptsym = _require_pt_symmetric(H, parity, tol)
-    hmax = max_abs(H)
     gap = _cluster_gap(cluster_gap, hmax)
     if parity is None and r_ptsym == 0.0:
         # H P = P conj(H) exactly, so Q = (1 + iP)/sqrt(2) takes H to the real
@@ -328,7 +336,7 @@ def pt_adapted_eigensystem(
     """
     H = as_square_matrix(H, "H")
     p = None if parity is None else as_square_matrix(parity, "parity")
-    return _adapted(H, p, tol, cluster_gap)[0]
+    return _adapted(H, p, tol, cluster_gap, max_abs(H))[0]
 
 
 def _pt_model(
@@ -346,8 +354,9 @@ def _pt_model(
     """
     H = as_square_matrix(H, "H")
     r_parity = max_abs(H.conj().T[:, ::-1] - H[::-1])
-    system, cls, r_ptsym = _adapted(H, None, tol, cluster_gap)
-    _, check = _checked_eta(H, canonical_tau(system).matrix[:, ::-1], tol)
+    hmax = max_abs(H)
+    system, cls, r_ptsym = _adapted(H, None, tol, cluster_gap, hmax)
+    _, check = _checked_eta(H, canonical_tau(system).matrix[:, ::-1], hmax, tol)
     hscale = scale_of(H)
     residuals = {
         "parity_intertwining_residual": r_parity / hscale,

@@ -129,8 +129,8 @@ def test_report_and_analyze_solve_once(monkeypatch, rng, tmp_path, capsys):
 def test_pt_model_runs_one_pass(monkeypatch, capsys, v2, eps):
     """One pt-model command: one eig, one classification and one inverse (Phi);
     no SVD, as ||Psi||_F ||Phi||_F bounds kappa(Psi) below the ceiling, no
-    eigvalsh or cholesky, as positivity is not reported, and no dense parity
-    matrix."""
+    eigvalsh or cholesky, as positivity is not reported, no dense parity
+    matrix, and eta checked once, not again by the public is_pseudo_hermitian."""
     counted = {
         "eig": np.linalg.eig,
         "svd": np.linalg.svd,
@@ -139,12 +139,14 @@ def test_pt_model_runs_one_pass(monkeypatch, capsys, v2, eps):
         "cholesky": np.linalg.cholesky,
         "parity_matrix": pseudoherm.ptmodel.parity_matrix,
         "_classify": pseudoherm.eigensystem._classify,
+        "is_pseudo_hermitian": pseudoherm.metric.is_pseudo_hermitian,
     }
     calls = {name: count_calls(monkeypatch, fn) for name, fn in counted.items()}
     argv = ["pt-model", "--n", "41", "--v2", v2, "--eps", str(eps), "--output", "json"]
     assert cli_main(argv) == 0
     assert json.loads(capsys.readouterr().out)["spectrum_class"] == "conjugate_paired"
-    want = {"eig": 1, "svd": 0, "inv": 1, "eigvalsh": 0, "cholesky": 0, "parity_matrix": 0, "_classify": 1}
+    want = {"eig": 1, "svd": 0, "inv": 1, "eigvalsh": 0, "cholesky": 0, "parity_matrix": 0,
+            "_classify": 1, "is_pseudo_hermitian": 0}
     assert {name: len(c) for name, c in calls.items()} == want
 
 

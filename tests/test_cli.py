@@ -143,6 +143,29 @@ def test_evolve_check(real_matrix):
     assert cli_main(["evolve-check", real_matrix, "--t", "0.7"]) == 0
 
 
+@pytest.mark.parametrize(
+    "data, t, err",
+    [
+        ([[1, 0], [0, 0], [0, 0], [2, 0]], "1e308",
+         "PseudoHermError: exp(-iHt) overflows at t = 1.000e+308 (max|H| = 2.000e+00)\n"),
+        ([[0, 0], [1, 0], [-1, 0], [0, 0]], "800",
+         "PseudoHermError: exp(-iHt) overflows at t = 8.000e+02 (max|H| = 1.000e+00)\n"),
+        ([[0, 0], [1, 0], [-1, 0], [0, 0]], "360",
+         "PseudoHermError: U^dagger eta U overflows at t = 3.600e+02 (max|H| = 1.000e+00)\n"),
+    ],
+    ids=["tH", "expm", "invariant"],
+)
+def test_evolve_check_refuses_an_overflow(data, t, err, tmp_path, capsys):
+    """An overflow in t H, exp(-iHt) or U^dagger eta U is an input error (exit 2,
+    one line), not a failed invariance with a NaN residual."""
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"n": 2, "data": data}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli_main(["evolve-check", str(path), "--t", t]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
 def test_evolve_check_requires_t(real_matrix, capsys):
     assert cli_main(["evolve-check", real_matrix]) == 2
 

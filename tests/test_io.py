@@ -1,13 +1,17 @@
 """JSON matrix format: roundtrips and rejection of malformed input."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pseudoherm import DimensionMismatchError, NonFiniteError, metric_from_matrix
 from pseudoherm.antilinear import CoefficientFamily
 from pseudoherm.io import (
+    _json_text,
     coefficients_from_list,
     coefficients_to_list,
     load_matrix,
@@ -65,6 +69,10 @@ def test_malformed_entry_rejected():
         ({"n": True, "data": [[1.0, 0.0]]}, DimensionMismatchError),
         ([1, 2], ValueError),  # not an object
         ("abc", ValueError),
+        ({"n": 1, "data": [[1.5, True]]}, ValueError),  # not 1.5+1j
+        ({"n": 1, "data": [[0, False]]}, ValueError),  # not 0
+        ({"n": 2, "data": [[0.5, 0.0], [1.0, 0.0], [0.0, 1.0], [True, 0.0]]}, ValueError),
+        ({"n": 1, "data": [[True, 2**70]]}, ValueError),  # with an integer beyond int64
     ],
 )
 def test_non_numeric_input_rejected(payload, error):
@@ -73,8 +81,21 @@ def test_non_numeric_input_rejected(payload, error):
     assert not isinstance(exc.value, NonFiniteError)
 
 
+def test_booleans_among_numbers_are_named():
+    with pytest.raises(ValueError, match="^matrix data must be numbers, got booleans mixed"):
+        matrix_from_dict({"n": 1, "data": [[1.5, True]]})
+
+
 def test_integer_entries_accepted():
     np.testing.assert_array_equal(matrix_from_dict({"n": 1, "data": [[2, -1]]}), [[2 - 1j]])
+
+
+def test_integers_beyond_int64_load_as_floats():
+    text = '{"n": 1, "data": [[1180591620717411303424, -18446744073709551616]]}'
+    got = matrix_from_dict(json.loads(text))  # 2**70 and -2**64
+    np.testing.assert_array_equal(got, [[complex(2.0**70, -(2.0**64))]])
+    with pytest.raises(NonFiniteError, match="integer beyond the float range"):
+        matrix_from_dict({"n": 1, "data": [[10**400, 0]]})
 
 
 def test_nonfinite_rejected():
@@ -117,3 +138,73 @@ def test_indefinite_metric_roundtrip():
     recovered = metric_from_dict(metric_to_dict(metric))
     assert recovered.factor is None
     assert not recovered.positive_definite
+
+
+TEXT = st.one_of(
+    st.text(st.sampled_from('a"\\\n%é☃\x00 '), max_size=6),
+    st.text(max_size=4),
+    st.just("\x00table"),  # the string io._json_text stands in for a table
+)
+CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**80), 2**80))
+LEAVES = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf, True, False, -1, 2**70]),
+    st.integers(),
+    st.builds(np.float64, st.floats()),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+    st.builds(np.bool_, st.booleans()),
+    TEXT,
+    st.none(),
+)
+
+
+@st.composite
+def tables(draw):
+    """Two or more rows of one shape, list or dict rows, or such rows spoiled:
+    one cell replaced by a leaf (NaN, a bool, a numpy scalar, ...) or one row
+    reshaped (a cell more, a key dropped, keys reversed)."""
+    n_rows = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 3))
+        rows = [draw(st.lists(CELLS, min_size=width, max_size=width)) for _ in range(n_rows)]
+    else:
+        keys = st.one_of(TEXT, st.integers(-2, 2))
+        keys = draw(st.lists(keys, min_size=1, max_size=3, unique=True))
+        widths = [draw(st.sampled_from([None, 1, 2])) for _ in keys]
+        rows = [
+            {k: draw(CELLS) if w is None else draw(st.lists(CELLS, min_size=w, max_size=w))
+             for k, w in zip(keys, widths)}
+            for _ in range(n_rows)
+        ]
+    spoil = draw(st.sampled_from(["cell", "shape", None]))
+    i = draw(st.integers(0, n_rows - 1))
+    row = rows[i]
+    if spoil == "cell":
+        slot = draw(st.sampled_from(list(row) if type(row) is dict else range(len(row))))
+        row[slot] = draw(st.sampled_from([True, math.nan, -math.inf, np.float64(0.5), None]))
+    elif spoil == "shape" and type(row) is list:
+        row.append(draw(CELLS))
+    elif spoil == "shape":
+        rows[i] = dict(reversed(row.items()) if len(row) > 1 else list(row.items())[1:])
+    return rows
+
+
+def payload_trees(depth: int = 4):
+    ragged = st.lists(st.lists(CELLS, max_size=3), min_size=2, max_size=3)
+    tree = st.one_of(LEAVES, tables(), ragged)
+    for _ in range(depth):
+        tree = st.one_of(
+            tables(), LEAVES, st.lists(tree, max_size=4), st.dictionaries(TEXT, tree, max_size=4)
+        )
+    return tree
+
+
+@settings(max_examples=500, deadline=None)
+@given(payload_trees())
+@example([[1.0, True], [2.0, 3.0]])
+@example({"x": [[1, -0.0], [math.nan, 2]], "s": "\x00table", "t": [[5e-324], [1e300]]})
+@example({"levels": [{"energy": [0.5, 0.0], "m": 1}, {"energy": [1.5, -2.0], "m": 2}]})
+def test_json_text_is_the_indented_dump(value):
+    """The CLI's writer is json.dumps(value, indent=2, default=float) byte for
+    byte, tables (rows of one shape) or not."""
+    assert _json_text(value) == json.dumps(value, indent=2, default=float)

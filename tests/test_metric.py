@@ -1,5 +1,7 @@
 """Metric construction, intertwining checks, evolution invariance."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ import pseudoherm.metric
 from pseudoherm import (
     NonHermitianEtaError,
     NotPseudoHermitianError,
+    PseudoHermError,
     SingularEtaError,
     UnpairedSpectrumError,
     biorthonormal_eigensystem,
@@ -184,6 +187,28 @@ def test_evolution_precondition_only_when_strict(monkeypatch, strict, calls):
     h = np.diag([1 + 1j, 1 - 1j])
     assert evolution_invariance_check(h, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.7, strict=strict)
     assert len(seen) == calls
+
+
+ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])  # E = +-i, H^dagger eta = eta H for eta below
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize(
+    "h, eta, t, what",
+    [
+        (np.diag([1.0, 2.0]), np.eye(2), 1e308, "exp(-iHt)"),  # t H is inf
+        (ROTATION, np.diag([1.0, -1.0]), 800.0, "exp(-iHt)"),  # U ~ e^800
+        (ROTATION, np.diag([1.0, -1.0]), 360.0, "U^dagger eta U"),  # U ~ 1e156
+    ],
+)
+def test_evolution_refuses_an_overflow(h, eta, t, what, strict):
+    """No NaN or inf residual: an overflowing t H, U or U^dagger eta U is
+    refused with t and max|H|, and no RuntimeWarning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(PseudoHermError) as exc:
+            evolution_invariance_check(h, eta, t, strict=strict)
+    assert str(exc.value) == f"{what} overflows at t = {t:.3e} (max|H| = {np.abs(h).max():.3e})"
 
 
 @pytest.mark.parametrize("strict", [False, True])
