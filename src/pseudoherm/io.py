@@ -2,7 +2,8 @@
 
 The shared matrix format is ``{"n": int, "data": [[re, im], ...]}`` with
 n*n row-major entries written at full double precision.  Readers reject
-wrong-length data arrays, a non-integer n and non-numeric data.
+wrong-length data arrays, a non-integer n and non-numeric data; writers
+refuse NaN and Inf, which JSON cannot hold.
 """
 
 from __future__ import annotations
@@ -169,12 +170,37 @@ def matrix_from_dict(payload: dict) -> np.ndarray:
     return values.view(np.complex128).reshape(n, n)
 
 
+def _read_json(path):
+    """The JSON value of the file at path, parsed by orjson: the value, floats
+    bit for bit, that ``json.loads`` gives, save that an integer beyond the
+    64-bit range reads as its float and nesting beyond json's recursion limit
+    is read, not refused with ``RecursionError``.  A file orjson refuses (NaN
+    or Infinity tokens, a number beyond the float range, a BOM, bytes that are
+    not UTF-8, malformed text) is read again by json, so it is accepted or
+    refused with the same error as json alone."""
+    import orjson  # imported here: importing the package or running pt-model loads numpy only
+
+    try:
+        return orjson.loads(Path(path).read_bytes())
+    except orjson.JSONDecodeError:
+        return json.loads(Path(path).read_text())
+
+
+def _json_file_text(value) -> str:
+    """``json.dumps(value)``, refusing NaN and Inf, which have no JSON token."""
+    try:
+        return json.dumps(value, allow_nan=False)
+    except ValueError:
+        raise NonFiniteError("matrix data contains NaN or Inf") from None
+
+
 def save_matrix(path, m) -> None:
-    Path(path).write_text(json.dumps(matrix_to_dict(m)))
+    """Write m in the shared format; a non-finite m is refused and no file written."""
+    Path(path).write_text(_json_file_text(matrix_to_dict(m)))
 
 
 def load_matrix(path) -> np.ndarray:
-    return matrix_from_dict(json.loads(Path(path).read_text()))
+    return matrix_from_dict(_read_json(path))
 
 
 def coefficients_to_list(coeffs: CoefficientFamily) -> list[dict]:
@@ -190,11 +216,11 @@ def coefficients_from_list(payload: list) -> CoefficientFamily:
 
 
 def save_coefficients(path, coeffs: CoefficientFamily) -> None:
-    Path(path).write_text(json.dumps(coefficients_to_list(coeffs)))
+    Path(path).write_text(_json_file_text(coefficients_to_list(coeffs)))
 
 
 def load_coefficients(path) -> CoefficientFamily:
-    return coefficients_from_list(json.loads(Path(path).read_text()))
+    return coefficients_from_list(_read_json(path))
 
 
 def metric_to_dict(metric: MetricOperator) -> dict:

@@ -143,15 +143,22 @@ def test_no_condition_ceiling_knobs():
     assert knobs == []
 
 
-def test_import_leaves_scipy_out():
+def test_import_leaves_scipy_out(tmp_path):
     """Importing the package and its CLI loads no scipy; only evolution
-    (``metric.propagator``) imports it, when called."""
+    (``metric.propagator``) imports it, when called.  orjson is imported by
+    the first file read, never by the import or by pt-model."""
     code = (
         "import sys, numpy, pseudoherm, pseudoherm.cli\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert pseudoherm.cli.cli_main(['pt-model', '--n', '5']) == 0\n"
+        "pseudoherm.io.save_matrix(sys.argv[1], numpy.eye(2))\n"
+        "assert 'orjson' not in sys.modules\n"
+        "pseudoherm.io.load_matrix(sys.argv[1])\n"
+        "assert 'orjson' in sys.modules\n"
         "pseudoherm.metric.propagator(numpy.eye(2), 0.5)\n"
         "assert 'scipy' in sys.modules"
     )
     src = os.path.dirname(os.path.dirname(pseudoherm.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+    argv = [sys.executable, "-c", code, str(tmp_path / "h.json")]
+    subprocess.run(argv, check=True, env=env, timeout=60, stdout=subprocess.DEVNULL)

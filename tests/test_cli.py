@@ -373,8 +373,14 @@ EXIT_CODES = {
     "string-data": [2, 2, 2, 2, 2, 2],  # malformed input, refused before any analysis
     "list-file": [2, 2, 2, 2, 2, 2],
     "string-file": [2, 2, 2, 2, 2, 2],
+    "nan-data": [2, 2, 2, 2, 2, 2],
 }
-MALFORMED = {"string-data": {"n": 1, "data": [["1.5", "0"]]}, "list-file": [1, 2], "string-file": "abc"}
+MALFORMED = {
+    "string-data": {"n": 1, "data": [["1.5", "0"]]},
+    "list-file": [1, 2],
+    "string-file": "abc",
+    "nan-data": {"n": 1, "data": [[float("nan"), 0.0]]},  # json.dumps writes a NaN token
+}
 
 
 NEAR_REAL = {"near-real-5e-9": 5e-9, "near-real-5e-10": 5e-10}

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from pseudoherm.io import (
     _json_text,
     coefficients_from_list,
     coefficients_to_list,
+    load_coefficients,
     load_matrix,
     matrix_from_dict,
     matrix_to_dict,
     metric_from_dict,
     metric_to_dict,
+    save_coefficients,
     save_matrix,
 )
 
@@ -208,3 +211,148 @@ def test_json_text_is_the_indented_dump(value):
     """The CLI's writer is json.dumps(value, indent=2, default=float) byte for
     byte, tables (rows of one shape) or not."""
     assert _json_text(value) == json.dumps(value, indent=2, default=float)
+
+
+FILE_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225e-308, 1e-310,
+                     1e308, -1e308, 1.7976931348623157e308, 1e-308, 0.1]),
+    st.integers(-(2**80), 2**80),
+)
+
+
+@st.composite
+def matrix_payloads(draw):
+    n = draw(st.integers(1, 3))
+    entry = st.lists(FILE_CELLS, min_size=2, max_size=2)
+    return {"n": n, "data": [draw(entry) for _ in range(n * n)]}
+
+
+def _file_texts(payload) -> list[str]:
+    """payload as json.dumps writes it, and with every float written as %.17e
+    and as %.25e."""
+
+    def dump(value, form):
+        if type(value) is float:
+            return form % value
+        if isinstance(value, list):
+            return "[" + ", ".join(dump(v, form) for v in value) + "]"
+        if isinstance(value, dict):
+            items = (f"{json.dumps(k)}: {dump(v, form)}" for k, v in value.items())
+            return "{" + ", ".join(items) + "}"
+        return json.dumps(value)
+
+    return [json.dumps(payload), dump(payload, "%.17e"), dump(payload, "%.25e")]
+
+
+def _bits(m) -> np.ndarray:
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(matrix_payloads(), min_size=1, max_size=2))
+@example([{"n": 1, "data": [[5e-324, -0.0]]}])
+@example([{"n": 1, "data": [[2**80, -(2**63) - 1]]}])
+def test_reader_returns_what_json_returns(tmp_path_factory, payloads):
+    """load_matrix and load_coefficients give, bit for bit, the matrices of
+    json.loads on the same text, whichever way its floats are written."""
+    path = tmp_path_factory.mktemp("read") / "m.json"
+    for text in _file_texts(payloads[0]):
+        path.write_text(text)
+        np.testing.assert_array_equal(
+            _bits(load_matrix(path)), _bits(matrix_from_dict(json.loads(text)))
+        )
+    for text in _file_texts(payloads):
+        path.write_text(text)
+        want = coefficients_from_list(json.loads(text)).blocks
+        got = load_coefficients(path).blocks
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(_bits(g), _bits(w))
+
+
+ONE = b'"data": [[1.5, -0.0]]'
+REFUSAL_FILES = {
+    "nan": b'{"n": 1, "data": [[NaN, 0.0]]}',
+    "infinity": b'{"n": 1, "data": [[Infinity, 0.0]]}',
+    "minus-infinity": b'{"n": 1, "data": [[0.0, -Infinity]]}',
+    "overflow-float": b'{"n": 1, "data": [[1e400, 0.0]]}',
+    "overflow-int": b'{"n": 1, "data": [[' + b"9" * 400 + b", 0]]}",
+    "empty": b"",
+    "truncated": b'{"n": 1, "data": [[1.5, ',
+    "bom": b'\xef\xbb\xbf{"n": 1, ' + ONE + b"}",
+    "latin-1": b'{"n": 1, "note": "caf\xe9", ' + ONE + b"}",
+    "string-data": b'{"n": 1, "data": [["1.5", "0"]]}',
+    "null-data": b'{"n": 1, "data": [[null, 0.0]]}',
+    "bool-data": b'{"n": 1, "data": [[true, false]]}',
+    "bool-among-numbers": b'{"n": 1, "data": [[1.5, true]]}',
+    "ragged": b'{"n": 2, "data": [[1.0, 0.0], [1.0], [0.0, 0.0], [1.0, 0.0]]}',
+    "n-float": b'{"n": 2.7, "data": [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]}',
+    "top-level-list": b"[1, 2]",
+    "no-data": b'{"n": 1}',
+    "duplicate-key": b'{"n": 2, "n": 1, ' + ONE + b"}",
+    "odd-whitespace": b' \t\r\n{\r\n"n"\t:\t1 ,"data":[ [ 1.5 ,\n-0.0 ] ] }\r\n',
+    "surrogate-key": b'{"\\ud800": 0, "n": 1, ' + ONE + b"}",
+    "beyond-int64": b'{"n": 1, "data": [[9223372036854775808, -9223372036854775809]]}',
+    "beyond-uint64": b'{"n": 1, "data": [[1180591620717411303424, -18446744073709551616]]}',
+}
+
+
+def _outcome(read, path):
+    """The bits of the matrix read, or the type and message of the refusal."""
+    try:
+        return _bits(read(path)).tolist()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", list(REFUSAL_FILES))
+def test_reader_refuses_as_json_does(name, tmp_path):
+    """Each file is read, or refused with the same type and message, as
+    json.loads followed by matrix_from_dict reads or refuses it."""
+    path = tmp_path / "m.json"
+    path.write_bytes(REFUSAL_FILES[name])
+    want = _outcome(lambda f: matrix_from_dict(json.loads(Path(f).read_text())), path)
+    assert _outcome(load_matrix, path) == want
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (2**64, "matrix dimension must be an integer, got 1.8446744073709552e+19"),
+        (-(2**63) - 1, "matrix dimension must be an integer, got -9.223372036854776e+18"),
+    ],
+)
+def test_dimension_beyond_64_bits_reads_as_a_float(n, message, tmp_path):
+    """orjson reads an integer beyond the 64-bit range as a float, so such an
+    n is refused as not an integer (json reads an int and refuses the data's
+    shape or the sign): the same type, another message."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": n, **json.loads("{" + ONE.decode() + "}")}))
+    with pytest.raises(DimensionMismatchError) as exc:
+        load_matrix(path)
+    assert str(exc.value) == message
+
+
+def test_deep_nesting_is_refused_as_not_an_object(tmp_path):
+    """orjson reads nesting deeper than json's recursion limit, so such a
+    file is refused as a list, not by a RecursionError."""
+    path = tmp_path / "m.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    with pytest.raises(ValueError, match="^a matrix must be a JSON object, got list$"):
+        load_matrix(path)
+
+
+def test_non_finite_matrix_is_not_saved(tmp_path):
+    """NaN and Inf have no JSON token: saving them is refused and writes no
+    file.  A finite matrix is written as json.dumps writes its dict."""
+    path = tmp_path / "m.json"
+    for bad in ([[math.nan]], [[complex(1.0, math.inf)]], [[0.0, -math.inf], [1.0, 2.0]]):
+        with pytest.raises(NonFiniteError, match="NaN or Inf"):
+            save_matrix(path, np.array(bad))
+        with pytest.raises(NonFiniteError, match="NaN or Inf"):
+            save_coefficients(path, CoefficientFamily((np.eye(1), np.array(bad, dtype=complex))))
+        assert not path.exists()
+    m = np.array([[complex(-0.0, 5e-324), 1e300], [0.1, complex(2, -0.0)]])
+    save_matrix(path, m)
+    assert path.read_text() == json.dumps(matrix_to_dict(m))
