@@ -240,6 +240,15 @@ def biorthonormal_eigensystem(
         ceiling; only otherwise is ``cond`` measured, by an SVD, while the
         system is built.  Else it is measured when first read.
 
+    Notes
+    -----
+    The one eig is taken in real arithmetic when H's exact entries allow it.
+    An H with ``H P = P conj(H)`` exactly, for P the site reversal (a
+    parity-time lattice), takes the real eig of ``Re H + P Im H``; any other
+    real H takes the real eig of H.  Every other H takes one complex eig.  A
+    real H lists each conjugate pair as exact conjugates and each simple
+    real level with ``Im E == 0``.
+
     Raises
     ------
     NonFiniteError
@@ -267,8 +276,26 @@ def _cluster_gap(cluster_gap, hmax: float) -> float:
 
 
 def _raw_levels(H: np.ndarray, cluster_gap: float) -> tuple:
-    """``_levels`` of one complex eig of H."""
-    return _levels(*np.linalg.eig(H), cluster_gap)
+    """``_levels`` of the one eig of H, in real arithmetic when H's exact
+    entries have an antilinear involution.  An H with H P = P conj(H)
+    exactly, P the site reversal, takes the real eig of
+    M = Q^dagger H Q = Re H + P Im H, Q = (1 + iP)/sqrt(2), and H's
+    eigenvectors are Q V, the 1/sqrt(2) left to the QR: each is fixed by
+    P conj(.) up to a phase, however a near-degenerate pair mixes V.  The
+    scalar test H[0, 0] = conj(H[-1, -1]) turns most other H away before the
+    entrywise one.  Any other real H takes the real eig of H and its
+    eigenvectors V as they are (Q = (1 + i)/sqrt(2) would only add a phase,
+    which the QR keeps).  Every other H takes one complex eig."""
+    if H.item(0) == H.item(-1).conjugate() and (H[:, ::-1] == H[::-1].conj()).all():
+        w, vr = np.linalg.eig(H.real + H.imag[::-1])
+        v = vr[::-1] * 1j
+        v += vr
+        del vr
+    elif not H.imag.any():
+        w, v = np.linalg.eig(H.real)
+    else:
+        return _levels(*np.linalg.eig(H), cluster_gap)
+    return _levels(w.astype(np.complex128, copy=False), v, cluster_gap)
 
 
 def _levels(w: np.ndarray, v: np.ndarray, cluster_gap: float) -> tuple:

@@ -144,7 +144,9 @@ def matrix_from_dict(payload: dict) -> np.ndarray:
         raise ValueError(f"a matrix must be a JSON object, got {type(payload).__name__}")
     n = payload["n"]
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DimensionMismatchError(f"matrix dimension must be an integer, got {n!r}")
+        # a list or dict is named by its type: the repr of deep nesting recurses without bound
+        got = type(n).__name__ if isinstance(n, (list, dict)) else repr(n)
+        raise DimensionMismatchError(f"matrix dimension must be an integer, got {got}")
     if n < 1:
         raise DimensionMismatchError("matrix dimension must be at least 1")
     data = payload["data"]

@@ -16,13 +16,15 @@ re-gauging helper below produces such a basis.
 
 Because the parity-conjugation map is an exact antilinear symmetry that
 squares to 1, H is unitarily similar to a real matrix: with
-``Q = (1 + iP)/sqrt(2)``, ``Q^dagger H Q = M = Re H + P Im H``.  For the
-default parity (the site reversal) and an H with ``H P = P conj(H)``
-exactly, as every lattice built here has, the adapted eigensystem is solved
-by one real eig of M, and H's eigenvectors are ``Q V``.  Its conjugate
-partners are then exact conjugates, the -Im partner listed first.  A dense
-parity matrix, or an H that is symmetric only within tol, takes one complex
-eig of H.  Either way the system is verified against H itself.
+``Q = (1 + iP)/sqrt(2)``, ``Q^dagger H Q = M = Re H + P Im H``.  An H with
+``H P = P conj(H)`` exactly for the site reversal P, as every lattice built
+here has, is solved by one real eig of M, and H's eigenvectors are ``Q V``;
+that is the eig every entry point of the package takes, so the adapted
+system, ``biorthonormal_eigensystem`` and the report list the same energies
+bit for bit.  Its conjugate partners are exact conjugates, the -Im partner
+listed first.  An H that is symmetric only within tol takes one complex
+eig of H, whatever parity matrix is passed.  Either way the system is
+verified against H itself.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .eigensystem import (
     _assemble,
     _classify,
     _cluster_gap,
-    _levels,
     _partner_columns,
     _raw_levels,
     _realness_tol,
@@ -288,17 +289,7 @@ def _adapted(
     """The parity-conjugation adapted system of H (hmax = max|H|), its class
     and the raw ``H P - P conj(H)`` residual of ``_require_pt_symmetric``."""
     r_ptsym = _require_pt_symmetric(H, parity, tol)
-    gap = _cluster_gap(cluster_gap, hmax)
-    if parity is None and r_ptsym == 0.0:
-        # H P = P conj(H) exactly, so Q = (1 + iP)/sqrt(2) takes H to the real
-        # M = Q^dagger H Q = Re H + P Im H; H's eigenvectors are Q V, the
-        # 1/sqrt(2) left to the QR
-        w, vr = np.linalg.eig(H.real + H.imag[::-1])
-        v = vr[::-1] * 1j
-        v += vr
-        psi, energies, offsets = _levels(w.astype(np.complex128, copy=False), v, gap)
-    else:
-        psi, energies, offsets = _raw_levels(H, gap)
+    psi, energies, offsets = _raw_levels(H, _cluster_gap(cluster_gap, hmax))
     sizes = np.diff(offsets)
     cls = _classify(energies, sizes, _realness_tol(hmax))
     pairing = np.asarray(cls.pairing)
@@ -330,9 +321,10 @@ def pt_adapted_eigensystem(
     point-wise (``P conj(psi) = psi``) and each conjugate pair uses the
     parity image of its partner's basis, so the canonical automorphism
     commutes with the parity-conjugation map and ``eta = m P`` is Hermitian.
-    The default parity is the site reversal; with it, an H that commutes
-    with the parity-conjugation map exactly is solved by one real eig of
-    ``Re H + P Im H`` (see the module docstring).
+    The default parity is the site reversal.  Whatever parity is passed, an
+    H that commutes exactly with the site-reversal parity-conjugation map is
+    solved by one real eig of ``Re H + P Im H``, and any other real H by one
+    real eig of H (see the module docstring).
     """
     H = as_square_matrix(H, "H")
     p = None if parity is None else as_square_matrix(parity, "parity")

@@ -63,3 +63,22 @@ def mixed_multiplicity_matrix(seed=11, mults=(1, 1, 2, 2, 3)):
             break
     energies = np.repeat([-2.0, -1.0, 0.5, 1.5, 3.0], mults)
     return s @ np.diag(energies) @ np.linalg.inv(s)
+
+
+def real_planted_matrix(rng, n, kind, d, scale):
+    """scale * S D S^-1 with S real Gaussian and D real block diagonal: for
+    kind "conjugate_paired" max(d, n // 4) conjugate pairs a +- ib (blocks
+    [[a, b], [-b, a]], b in [0.5, 2]), and real levels on a unit grid.  The
+    first level has multiplicity d."""
+    pairs = max(d, n // 4) if kind == "conjugate_paired" else 0
+    ab = zip(rng.uniform(-3, 3, pairs), rng.uniform(0.5, 2, pairs))
+    blocks = [np.array([[a, b], [-b, a]]) for a, b in ab]
+    blocks += [np.array([[e]]) for e in np.arange(n - 2 * pairs) - (n - 2 * pairs - 1) / 2]
+    blocks[1:d] = blocks[:1] * (d - 1)
+    D, at = np.zeros((n, n)), 0
+    for block in blocks:
+        k = len(block)
+        D[at : at + k, at : at + k] = block
+        at += k
+    s = rng.standard_normal((n, n))
+    return scale * (s @ D @ np.linalg.inv(s))

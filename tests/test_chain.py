@@ -43,19 +43,26 @@ from pseudoherm import (
     metric_from_transform,
     real_spectrum_equivalence_report,
 )
+from pseudoherm import hermitize
 from pseudoherm._linalg import hermitian_defect, scale_of
 from pseudoherm.cli import cli_main
-from pseudoherm.eigensystem import CLUSTER_GAP_FACTOR, _assemble, _cluster_indices, _raw_levels
+from pseudoherm.eigensystem import (
+    CLUSTER_GAP_FACTOR,
+    _assemble,
+    _cluster_indices,
+    _levels,
+    _raw_levels,
+)
 from pseudoherm.ensembles import (
     planted_matrix,
     random_coefficients,
     random_invertible,
     random_unitary,
 )
-from pseudoherm.hermitize import _report
+from pseudoherm.hermitize import ReportStageError, _report
 from pseudoherm.io import save_matrix
 
-from conftest import mixed_multiplicity_matrix, near_real_matrix
+from conftest import mixed_multiplicity_matrix, near_real_matrix, real_planted_matrix
 
 
 def count_calls(monkeypatch, fn) -> list:
@@ -564,19 +571,19 @@ def test_raw_levels_stacked_qr_is_bitwise_per_level_qr():
         key=lambda t: (t[0].real, t[0].imag),
     )
     simple = np.diag([3.0, 1.0, 2.0]) + np.triu(np.ones((3, 3)), 1) + 0j  # complex, as the chain passes H
-    for h_ in (h, simple):  # degenerate, all simple
+    for h_ in (h, simple):  # degenerate and complex, all simple and real
         psi, energies, offsets = _raw_levels(h_, CLUSTER_GAP_FACTOR * np.max(np.abs(h_)))
         if h_ is h:
             assert np.diff(offsets).tolist() == [q.shape[1] for _, q in want] == [1, 2, 3, 1, 2]
-        else:
-            w, v = np.linalg.eig(h_)
+        else:  # a real H takes the real eig, and its QR in real arithmetic
+            w, v = np.linalg.eig(h_.real)
             want = sorted(((e, np.linalg.qr(v[:, [i]])[0]) for i, e in enumerate(w.tolist())),
                           key=lambda t: (t[0].real, t[0].imag))
         assert psi.flags.c_contiguous
         for e_got, a, b, (e_want, q_want) in zip(energies, offsets, offsets[1:], want):
             assert e_got == e_want
             got = np.ascontiguousarray(psi[:, a:b])
-            assert got.tobytes() == np.ascontiguousarray(q_want).tobytes()
+            assert got.tobytes() == np.ascontiguousarray(q_want, dtype=np.complex128).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -621,3 +628,32 @@ def test_verdicts_invariant_under_scale_similarity_and_permutation(seed, kind, k
     assert verdicts(10.0**k * h) == want
     assert verdicts(s @ h @ np.linalg.inv(s)) == want
     assert verdicts(p @ h @ p.T) == want
+
+
+def _verdict(h):
+    """Class, multiplicities, refusals and pass/fail of the report on h, or
+    the stage and error type that refused it."""
+    try:
+        report, sys, cls = _report(h, 1e-10, None, 0)
+    except ReportStageError as exc:
+        return exc.stage, type(exc.__cause__)
+    passed = max(report["residuals"].values()) <= 1e-10
+    return cls.tag.value, sorted(sys._sizes.tolist()), sorted(report["refusals"]), passed
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_real_form_verdicts_match_the_complex_eig(seed, monkeypatch):
+    """On real planted inputs (real Gaussian S, n 6-40, one level of
+    multiplicity 1-3, scale 10^+-6) the report's real eig gives the class,
+    multiplicities, refusals and pass/fail that one complex eig of H gives."""
+    rng = np.random.default_rng(seed)
+    n, d, scale = int(rng.integers(6, 41)), int(rng.integers(1, 4)), 10.0 ** rng.uniform(-6, 6)
+    for kind in ("all_real", "conjugate_paired"):
+        h = real_planted_matrix(rng, n, kind, d, scale)
+        real_form = _verdict(h)
+        monkeypatch.setattr(hermitize, "_raw_levels", lambda m, gap: _levels(*np.linalg.eig(m), gap))
+        assert real_form == _verdict(h)
+        monkeypatch.undo()
+        tag, sizes, refusals, passed = real_form
+        assert (tag, refusals, passed) == (kind, [] if kind == "all_real" else ["hermitization"], True)
+        assert d in sizes

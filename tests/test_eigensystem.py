@@ -27,16 +27,19 @@ from pseudoherm import (
 )
 from pseudoherm.cli import cli_main
 from pseudoherm.eigensystem import (
+    CLUSTER_GAP_FACTOR,
     BiorthonormalSystem,
     EigenLevel,
     _classify,
     _cluster_indices,
+    _levels,
+    _raw_levels,
     _verify_system,
 )
 from pseudoherm.ensembles import planted_matrix, random_coefficients, random_unitary
 from pseudoherm.io import save_matrix
 
-from conftest import mixed_multiplicity_matrix, planted_3x3_conjugate
+from conftest import mixed_multiplicity_matrix, planted_3x3_conjugate, real_planted_matrix
 
 
 def test_identity_is_one_degenerate_level():
@@ -140,7 +143,7 @@ def lattice(v2, eps):
         (np.array([[1.0, 1.0], [0.0, 1.0]]), 1e-10, "right_eigen"),
         (np.diag([1.0, 1.0 + 1e-9]), 1e-12, "right_eigen"),
         (lattice("x^3", 0.1), 1e-10, "biorthonormality"),
-        (lattice("x^3", 1.0), 1e-10, "left_eigen"),
+        (lattice("x^3", 1.0), 1e-10, "biorthonormality"),
     ],
     ids=["jordan", "tight-tol", "lattice-x3-0.1", "lattice-x3-1"],
 )
@@ -523,3 +526,72 @@ def test_caller_levels_are_stacked_at_construction():
     short = EigenLevel(2.0 + 0j, psi[:2, 1:], phi[:2, 1:])  # two rows, not three
     with pytest.raises(ValueError):
         BiorthonormalSystem(dim=3, levels=(levels[0], short), tol=1e-10)
+
+
+def _eig_dtypes(monkeypatch, fn):
+    """fn() and the dtypes of the matrices np.linalg.eig was called on."""
+    eig, dtypes = np.linalg.eig, []
+    monkeypatch.setattr(np.linalg, "eig", lambda m: dtypes.append(m.dtype) or eig(m))
+    try:
+        return fn(), dtypes
+    finally:
+        monkeypatch.undo()
+
+
+def _same_bits(a, b):
+    """Each array of a is the array of b at its place, bit for bit."""
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a, b, strict=True))
+
+
+@pytest.mark.parametrize("kind", ["all_real", "conjugate_paired"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_real_h_takes_one_real_eig(kind, d, monkeypatch):
+    """A real H (held as complex) takes one eig in real arithmetic, and its
+    levels are that eig's eigenvectors as they are: every non-real level's
+    partner is exactly conj(E) and every real level has Im E == 0.0."""
+    h = real_planted_matrix(np.random.default_rng(d), 16, kind, d, 1.0) + 0j
+    sys, dtypes = _eig_dtypes(monkeypatch, lambda: biorthonormal_eigensystem(h))
+    assert dtypes == [np.float64]
+    cls = classify_spectrum(sys)
+    assert cls.tag.value == kind
+    assert d in sys._sizes.tolist()
+    e = sys._level_energies
+    for i, j in enumerate(cls.pairing):
+        if i == j:
+            assert e[i].imag == 0.0
+        else:
+            assert e[j].tobytes() == np.conj(e[i]).tobytes()
+    gap = CLUSTER_GAP_FACTOR * np.max(np.abs(h))
+    w, v = np.linalg.eig(h.real)
+    assert _same_bits(_raw_levels(h, gap), _levels(w.astype(complex), v, gap))
+
+
+@pytest.mark.parametrize("v2", ["x", "0"])
+def test_exactly_reversal_symmetric_h_takes_the_real_form(v2, monkeypatch):
+    """An H with H P = P conj(H) exactly (P the site reversal), a real one
+    too, takes the real eig of Re H + P Im H, its eigenvectors mapped back
+    by 1 + iP."""
+    h = build_pt_hamiltonian(make_lattice(21, 5.0, 1.0, "x^2", v2, 0.5))
+    gap = CLUSTER_GAP_FACTOR * np.max(np.abs(h))
+    got, dtypes = _eig_dtypes(monkeypatch, lambda: _raw_levels(h, gap))
+    assert dtypes == [np.float64]
+    w, vr = np.linalg.eig(h.real + h.imag[::-1])
+    assert _same_bits(got, _levels(w.astype(complex), vr + 1j * vr[::-1], gap))
+
+
+def test_other_complex_h_takes_one_complex_eig(monkeypatch):
+    """A complex H without exact reversal symmetry takes one complex eig, and
+    its levels are bit for bit those of np.linalg.eig(H); so is an H whose
+    corner entries pass the symmetry's first test, and a lattice moved off
+    exact symmetry in one entry."""
+    rng = np.random.default_rng(5)
+    planted = planted_matrix(rng, 8, "paired").matrix
+    corner = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    corner[-1, -1] = np.conj(corner[0, 0])
+    lattice = build_pt_hamiltonian(make_lattice(21, 5.0, 1.0, "x^2", "x", 0.5))
+    lattice[3, 4] += 1e-14
+    for h in (planted, planted_3x3_conjugate()[0], corner, lattice):
+        gap = CLUSTER_GAP_FACTOR * np.max(np.abs(h))
+        got, dtypes = _eig_dtypes(monkeypatch, lambda: _raw_levels(h, gap))
+        assert dtypes == [np.complex128]
+        assert _same_bits(got, _levels(*np.linalg.eig(h), gap))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pseudoherm import DimensionMismatchError, NonFiniteError, metric_from_matrix
 from pseudoherm.antilinear import CoefficientFamily
+from pseudoherm.cli import cli_main
 from pseudoherm.io import (
     _json_text,
     coefficients_from_list,
@@ -341,6 +342,22 @@ def test_deep_nesting_is_refused_as_not_an_object(tmp_path):
     path.write_text("[" * 5000 + "]" * 5000)
     with pytest.raises(ValueError, match="^a matrix must be a JSON object, got list$"):
         load_matrix(path)
+
+
+def test_deeply_nested_dimension_is_refused_by_type(tmp_path, capsys):
+    """An ``n`` nested 5000 deep is named by its type, not by a repr that
+    recurses: ``analyze`` exits 2 with one refusal line.  Scalars keep their repr."""
+    path = tmp_path / "m.json"
+    path.write_text('{"n": ' + "[" * 5000 + "]" * 5000 + ', "data": [[1.0, 0.0]]}')
+    assert cli_main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "DimensionMismatchError: matrix dimension must be an integer, got list\n"
+    )
+    for n, got in [({"a": 1}, "dict"), (1.5, "1.5"), ("2", "'2'"), (None, "None")]:
+        with pytest.raises(DimensionMismatchError) as exc:
+            matrix_from_dict({"n": n, "data": [[1.0, 0.0]]})
+        assert str(exc.value) == f"matrix dimension must be an integer, got {got}"
 
 
 def test_non_finite_matrix_is_not_saved(tmp_path):

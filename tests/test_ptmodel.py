@@ -29,6 +29,7 @@ from pseudoherm import (
 from pseudoherm import ptmodel
 from pseudoherm._linalg import max_abs, takagi_factor
 from pseudoherm.cli import cli_main
+from pseudoherm.hermitize import ReportStageError, _report
 from pseudoherm.eigensystem import (
     _assemble,
     _classify,
@@ -309,22 +310,27 @@ def _nearest_match(a, b):
 
 
 def _agrees_with_dense_parity(h, by_index, tol):
-    """by_index has the class and multiplicities of the dense-parity system of
-    h, and level energies within 1e-12 max|H| of it, matched by nearest value."""
+    """by_index lists the energies of the dense-parity system of h bit for
+    bit (both take one eig of h), and has the class and multiplicities of
+    the levels of one complex eig of h, and level energies within 1e-12
+    max|H| of them, matched by nearest value."""
     dense = pt_adapted_eigensystem(h, parity_matrix(h.shape[0]), tol)
-    cls_index, cls_dense = classify_spectrum(by_index), classify_spectrum(dense)
-    assert cls_index.tag is cls_dense.tag
-    assert sorted(by_index._sizes.tolist()) == sorted(dense._sizes.tolist())
-    assert _nearest_match(by_index._level_energies, dense._level_energies) <= 1e-12 * max_abs(h)
+    assert by_index.energies.tobytes() == dense.energies.tobytes()
+    realness_tol = _realness_tol(max_abs(h))
+    _, energies, offsets = _levels(*np.linalg.eig(h), realness_tol)
+    cls_index = classify_spectrum(by_index)
+    assert cls_index.tag is _classify(energies, np.diff(offsets), realness_tol).tag
+    assert sorted(by_index._sizes.tolist()) == sorted(np.diff(offsets).tolist())
+    assert _nearest_match(by_index._level_energies, energies) <= 1e-12 * max_abs(h)
     return cls_index
 
 
 @pytest.mark.parametrize("v2, eps", [("x", 0.1), ("x", 1.0), ("x^3", 1.0)])
 def test_default_parity_agrees_with_dense_parity(v2, eps):
-    """Without a parity, an exactly PT-symmetric H is solved in its real form
-    Re H + P Im H, with the dense parity by a complex eig of H: the two
-    systems agree on the class and the multiplicities, and their energies
-    within 1e-12 max|H|."""
+    """An exactly PT-symmetric H is solved in its real form Re H + P Im H,
+    with or without a dense parity: the two systems list the same energies,
+    and agree with one complex eig of H on the class and the multiplicities,
+    and on the energies within 1e-12 max|H|."""
     h = build_pt_hamiltonian(make_lattice(41, 10.0, 1.0, "x^2", v2, eps))
     _agrees_with_dense_parity(h, pt_adapted_eigensystem(h), 1e-10)
 
@@ -354,22 +360,12 @@ def test_pt_lattice_limit_is_refused_with_its_residual(capsys):
     assert err == f"NotDiagonalizableError: {refused.value}\n"
 
 
-def _reference_levels(h, parity, gap):
-    """Levels of h: for the site reversal and an exactly PT-symmetric h, from
-    the real eig of Re H + P Im H mapped back by Q = 1 + iP; else from one
-    complex eig of h."""
-    if parity is None and np.array_equal(h[:, ::-1], np.conj(h)[::-1]):
-        w, vr = np.linalg.eig(h.real + h.imag[::-1])
-        return _levels(w.astype(complex), vr + 1j * vr[::-1], gap)
-    return _raw_levels(h, gap)
-
-
 def reference_adapted(h, parity, tol=1e-10):
     """pt_adapted_eigensystem with a level loop: one Takagi factor per real level."""
     h = np.asarray(h, dtype=complex)
     parity = None if parity is None else np.asarray(parity, dtype=complex)
     hmax = max_abs(h)
-    psi, energies, offsets = _reference_levels(h, parity, _realness_tol(hmax))
+    psi, energies, offsets = _raw_levels(h, _realness_tol(hmax))
     sizes = np.diff(offsets)
     pairing = np.asarray(_classify(energies, sizes, _realness_tol(hmax)).pairing)
     bounds = offsets.tolist()
@@ -435,8 +431,8 @@ def _random_pt_symmetric(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_random_exactly_pt_symmetric_input(seed, monkeypatch):
-    """On a random exactly PT-symmetric H the real-form solve agrees with the
-    complex eig of the dense-parity path, lists exact conjugate partners and
+    """On a random exactly PT-symmetric H the real-form solve agrees with one
+    complex eig of H, lists exact conjugate partners and
     fixes every real level (P conj(psi) = psi); the same H moved off exact
     symmetry by less than tol takes the complex eig, bit for bit."""
     h = _random_pt_symmetric(seed)
@@ -464,3 +460,48 @@ def test_random_exactly_pt_symmetric_input(seed, monkeypatch):
     for a, b in [(got.psi_matrix, want.psi_matrix), (got.phi_matrix, want.phi_matrix),
                  (got.energies, want.energies)]:
         assert a.tobytes() == b.tobytes()
+
+
+# the benchmark's lattices: L = 10, v1 = x^2
+LATTICE_SWEEP = tuple(
+    (n, v2, eps) for n in (41, 81, 121, 161) for v2 in ("x", "x^3") for eps in (0.1, 1.0)
+)
+
+
+@pytest.mark.parametrize("n, v2, eps", LATTICE_SWEEP)
+def test_report_and_pt_model_take_one_eig(n, v2, eps):
+    """The report and pt-model take the same real eig of a lattice: where
+    both pass they list the same energies bit for bit, and where either is
+    refused both are, with NotDiagonalizableError at the eigensystem (the
+    digits may differ, since pt-model re-gauges Psi before it is verified)."""
+    try:
+        h = build_pt_hamiltonian(make_lattice(n, 10.0, 1.0, "x^2", v2, eps))
+    except AsymmetricPotentialError:  # x^3 samples not exactly odd at n = 121
+        return
+    outcomes = []
+    for run in (lambda: _report(h, 1e-10, None, 0)[1], lambda: ptmodel._pt_model(h, 1e-10, None)[0]):
+        try:
+            outcomes.append(run().energies.tobytes())
+        except ReportStageError as exc:
+            outcomes.append((exc.stage, type(exc.__cause__)))
+        except NotDiagonalizableError:
+            outcomes.append(("eigensystem", NotDiagonalizableError))
+    report, pt_model = outcomes
+    if isinstance(report, bytes) and isinstance(pt_model, bytes):
+        assert report == pt_model
+    else:
+        assert report == pt_model == ("eigensystem", NotDiagonalizableError)
+
+
+def test_real_lattice_keeps_the_parity_gauge(capsys):
+    """A lattice with v2 = 0 is real and exactly reversal symmetric.  It takes
+    the reversal real form, whose eigenvectors are fixed by P conj(.) however
+    a near-degenerate parity doublet mixes them, so eta = tau P is Hermitian
+    and pt-model passes; the real eigenvectors as they are miss that gauge by
+    6.7e-9 at n = 81."""
+    h = build_pt_hamiltonian(make_lattice(81, 10.0, 1.0, "x^2", "0", 0.1))
+    assert not h.imag.any()
+    _, _, residuals = ptmodel._pt_model(h, 1e-10, None)
+    assert max(residuals.values()) <= 1e-10
+    assert cli_main(["pt-model", "--n", "81", "--L", "10", "--v2", "0"]) == 0
+    capsys.readouterr()
