@@ -137,29 +137,32 @@ def block_groups(sizes) -> list[tuple[np.ndarray, np.ndarray]]:
     return groups
 
 
-def checked_stacks(blocks, sizes, groups, test, misfit: str) -> list:
+def checked_stacks(blocks, sizes, groups, test, name: str, misfit: str) -> list:
     """``test(stack, idx)`` once per group of ``block_groups(sizes)``, on the
     blocks numbered by idx as one complex stack (k, d, d); test returns its
-    result or raises a ``PseudoHermError`` naming a faulty block, and a block
-    that is not d x d is refused with ``misfit`` (fields k, shape and d).
-    When a group fails, ``_first_fault`` runs the same checks one block at a
-    time, so the refusal names the lowest faulty level."""
+    result or raises a ``PseudoHermError`` naming a faulty block.  A block
+    that is not d x d is refused first, with ``misfit`` (fields k, shape and
+    d), and then one with a NaN or Inf entry, as ``NonFiniteError`` naming
+    it ``name k``, so test only sees finite blocks.  When a group fails,
+    ``_first_fault`` runs the same checks one block at a time, so the refusal
+    names the lowest faulty level."""
     try:
-        return [_tested(blocks, idx, cols.shape[1], test, misfit) for idx, cols in groups]
+        return [_tested(blocks, idx, cols.shape[1], test, name, misfit) for idx, cols in groups]
     except PseudoHermError as fault:
         stacked = fault
-    _first_fault(blocks, sizes, test, misfit)
+    _first_fault(blocks, sizes, test, name, misfit)
     raise stacked  # no block fails alone
 
 
-def _first_fault(blocks, sizes, test, misfit: str) -> None:
+def _first_fault(blocks, sizes, test, name: str, misfit: str) -> None:
     """The checks of ``checked_stacks`` on each block alone, in level order."""
     for k, d in enumerate(sizes):
-        _tested(blocks, np.array([k]), d, test, misfit)
+        _tested(blocks, np.array([k]), d, test, name, misfit)
 
 
-def _tested(blocks, idx, d: int, test, misfit: str):
-    """test on the blocks numbered by idx, stacked, once they are all d x d."""
+def _tested(blocks, idx, d: int, test, name: str, misfit: str):
+    """test on the blocks numbered by idx, stacked, once they are all d x d
+    and finite: one shape and one finiteness test per stack."""
     try:
         stack = np.array([blocks[k] for k in idx.tolist()], dtype=np.complex128)
     except ValueError:  # blocks of different shapes
@@ -167,6 +170,9 @@ def _tested(blocks, idx, d: int, test, misfit: str):
     if stack is None or stack.shape != (len(idx), d, d):
         shape = block_shape(blocks[idx[0]])
         raise DimensionMismatchError(misfit.format(k=idx[0], shape=shape, d=d))
+    if not np.isfinite(stack).all():  # complex isfinite is false when either part is NaN or Inf
+        k = idx[np.isfinite(stack).all(axis=(-2, -1)).argmin()]
+        raise NonFiniteError(f"{name} {k} contains NaN or Inf entries")
     return test(stack, idx)
 
 

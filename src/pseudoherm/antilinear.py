@@ -86,39 +86,50 @@ class CoefficientFamily:
 
     def validate_against(self, sys: BiorthonormalSystem) -> list[np.ndarray]:
         """Check the blocks against sys and return their Takagi factors v (c = v v^T):
-        each must be symmetric within ``1e-10 * max(max|c|, 1)`` and have a condition
-        number, read off its Takagi values, at most ``DEFAULT_COND_CEILING``."""
-        return unstack(sys._groups, [v for _, v in self._factored(sys)], len(self.blocks))
+        each must be finite (else ``NonFiniteError``), symmetric within
+        ``1e-10 * max(max|c|, 1)`` and have a condition number, read off its Takagi
+        values, at most ``DEFAULT_COND_CEILING``; a 1 x 1 block is refused only
+        when it is 0."""
+        return unstack(sys._groups, [v for _, v, *_ in self._factored(sys)], len(self.blocks))
 
-    def _factored(self, sys: BiorthonormalSystem) -> list[tuple[np.ndarray, np.ndarray]]:
+    def _factored(self, sys: BiorthonormalSystem) -> list[tuple[np.ndarray, ...]]:
         """validate_against per distinct multiplicity, in the order of ``sys._groups``:
-        the blocks c as one complex stack and their Takagi factors v, with one
-        symmetry test, one stacked factorization and one condition test per
-        multiplicity; ``checked_stacks`` names the first faulty block in level order."""
+        ``_symmetric_invertible`` of the blocks as one complex stack, with one
+        finiteness test, one symmetry test, one stacked factorization and one
+        condition test per multiplicity; ``checked_stacks`` names the first faulty
+        block in level order."""
         if len(self.blocks) != len(sys._level_energies):
             raise DimensionMismatchError(
                 f"{len(self.blocks)} coefficient blocks for {len(sys._level_energies)} levels"
             )
         return checked_stacks(
-            self.blocks, sys._sizes, sys._groups, _symmetric_invertible,
+            self.blocks, sys._sizes, sys._groups, _symmetric_invertible, "coefficient block",
             "block {k} has shape {shape}, level multiplicity is {d}",
         )
 
 
-def _symmetric_invertible(c: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(c, v) for a stack c of coefficient blocks numbered by idx and their Takagi
-    factors v; refuses the first block that is not symmetric or else singular."""
-    v, s = takagi_factor(c)  # s: the singular values of each c
-    asymmetric = block_max_abs(c - c.swapaxes(-1, -2)) > 1e-10 * np.maximum(block_max_abs(c), 1.0)
-    faulty = asymmetric | (cond_of(s) > DEFAULT_COND_CEILING)
+def _symmetric_invertible(c: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(c, v, s, cmax) for a stack c of finite coefficient blocks numbered by idx:
+    their Takagi factors ``v = u diag(sqrt(s))``, their Takagi values s and
+    ``cmax = max|c|`` of each block; refuses the first block that is not
+    symmetric or else singular.  A 1 x 1 block is symmetric, s = |c| and its
+    condition number is 1, so it is refused only when it is 0."""
+    v, s = takagi_factor(c)
+    if c.shape[-1] == 1:
+        cmax = s[:, 0]
+        asymmetric, faulty = None, cmax == 0.0
+    else:
+        cmax = block_max_abs(c)
+        asymmetric = block_max_abs(c - c.swapaxes(-1, -2)) > 1e-10 * np.maximum(cmax, 1.0)
+        faulty = asymmetric | (cond_of(s) > DEFAULT_COND_CEILING)
     if faulty.any():
         j = faulty.argmax()
-        if asymmetric[j]:
+        if asymmetric is not None and asymmetric[j]:
             raise AsymmetricCoefficientsError(f"coefficient block {idx[j]} is not symmetric")
         raise SingularCoefficientsError(
             f"coefficient block {idx[j]} is singular or too ill-conditioned"
         )
-    return c, v
+    return c, v, s, cmax
 
 
 def compose_antilinear(s: AntilinearOperator, t: AntilinearOperator) -> np.ndarray:
@@ -142,7 +153,7 @@ def build_tau(
     phi = sys.phi_matrix
     if coeffs is None:
         return AntilinearOperator(phi @ phi.T)
-    c = [c for c, _ in coeffs._factored(sys)]
+    c = [c for c, *_ in coeffs._factored(sys)]
     return AntilinearOperator(times_block_diag(sys._groups, (phi, c))[0] @ phi.T)
 
 
@@ -160,7 +171,7 @@ def invert_tau(
     psi = sys.psi_matrix
     if coeffs is None:
         return AntilinearOperator(psi @ psi.T)
-    c_inv = [np.conj(np.linalg.inv(c)) for c, _ in coeffs._factored(sys)]
+    c_inv = [np.conj(np.linalg.inv(c)) for c, *_ in coeffs._factored(sys)]
     return AntilinearOperator(times_block_diag(sys._groups, (psi, c_inv))[0] @ psi.T)
 
 

@@ -67,11 +67,11 @@ class UnpairedSpectrumError(PseudoHermError):
     invertible Hermitian metric exists."""
 
 
-class NotPseudoHermitianError(PseudoHermError):
+class NotPseudoHermitianError(_MeasuredError):
     """Operator fails the metric intertwining identity within tolerance."""
 
 
-class NotASymmetryError(PseudoHermError):
+class NotASymmetryError(_MeasuredError):
     """Candidate operator does not commute with the Hamiltonian."""
 
 
@@ -103,6 +103,6 @@ class NotPTSymmetricError(_MeasuredError):
     """Hamiltonian does not commute with the parity-conjugation map."""
 
 
-class ResultNotHermitianError(PseudoHermError):
+class ResultNotHermitianError(_MeasuredError):
     """Composed candidate metric fails Hermiticity or the intertwining check;
     the supplied antilinear operator is inconsistent with the Hamiltonian."""

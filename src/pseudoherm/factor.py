@@ -91,15 +91,21 @@ def _invertible_stacks(blocks, sizes, groups, what: str) -> list[np.ndarray]:
         return u
 
     misfit = what + " block {k} has shape {shape}, expected ({d}, {d})"
-    return checked_stacks(blocks, sizes, groups, invertible, misfit)
+    return checked_stacks(blocks, sizes, groups, invertible, what + " block", misfit)
 
 
-def _inv_adjoint(v: np.ndarray) -> np.ndarray:
-    """(v^dagger)^{-1} of each block of a stack (k, d, d): one stacked inverse,
-    or the reciprocals when d = 1."""
+def _inv_adjoint(v: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
+    """(v^dagger)^{-1} of each block of a stack (k, d, d): the reciprocals when
+    d = 1; read off the factor, ``v diag(1/s)``, when v holds Takagi factors
+    ``u diag(sqrt(s))`` (u unitary) with their Takagi values s; else one
+    stacked inverse."""
     if v.shape[-1] == 1:
         return 1.0 / np.conj(v)
-    return np.linalg.inv(v.conj().swapaxes(-1, -2))
+    if s is None:
+        return np.linalg.inv(v.conj().swapaxes(-1, -2))
+    # real and imaginary parts divided by the real s: a complex divisor below
+    # 1 / (largest float) would overflow
+    return (v.view(np.float64) / np.repeat(s, 2, axis=-1)[:, None, :]).view(np.complex128)
 
 
 def _regauge(sys: BiorthonormalSystem, g: list, h: list) -> BiorthonormalSystem:
@@ -135,7 +141,7 @@ def coefficient_transform(coeffs: CoefficientFamily, u_blocks) -> CoefficientFam
     sizes = [(block_shape(c) or (0,))[0] for c in coeffs.blocks]
     groups = block_groups(sizes)
     square = "coefficient block {k} is not square"
-    cs = checked_stacks(coeffs.blocks, sizes, groups, lambda c, _: c, square)
+    cs = checked_stacks(coeffs.blocks, sizes, groups, lambda c, _: c, "coefficient block", square)
     us = _invertible_stacks(u_blocks, sizes, groups, "transform")
     out = [u.conj().swapaxes(-1, -2) @ c @ np.conj(u) for c, u in zip(cs, us)]
     return CoefficientFamily(tuple(unstack(groups, out, len(sizes))))
@@ -147,20 +153,24 @@ def canonicalize_tau(
     """Re-gauge the basis so the coefficient family becomes the identity.
 
     Checks each block's Takagi factor ``c = v v^T`` from ``validate_against``
-    as ``symmetric_factor`` does and applies the basis change with
-    ``u = (v^dagger)^{-1}``, so the phi gauge ``(u^{-1})^dagger`` is v
-    itself; both run once per multiplicity, and when a factor fails its
-    check a level loop names the first faulty level.  The returned
-    automorphism is ``Phi' Phi'^T``, identity coefficients on the new basis,
-    and equals the operator built from (sys, coeffs) up to rounding: the
-    automorphism is unique up to the choice of eigenbasis.
+    as ``symmetric_factor`` does, against the max|c| validation measured,
+    and applies the basis change with ``u = (v^dagger)^{-1}``, so the phi
+    gauge ``(u^{-1})^dagger`` is v itself.  With ``v = u_T diag(sqrt(s))``,
+    u_T unitary and s the Takagi values, the psi gauge is read off the
+    factor as ``v diag(1/s)``: no inverse is taken.  Both run once per
+    multiplicity, and when a factor fails its check a level loop names the
+    first faulty level.  The returned automorphism is ``Phi' Phi'^T``,
+    identity coefficients on the new basis, and equals the operator built
+    from (sys, coeffs) up to rounding: the automorphism is unique up to the
+    choice of eigenbasis.
     """
     factored = coeffs._factored(sys)
-    for c, v in factored:
+    for c, v, _, cmax in factored:
         residual = block_max_abs(v @ v.swapaxes(-1, -2) - c)
-        if (residual > tol * np.maximum(block_max_abs(c), 1e-300)).any():
+        if (residual > tol * np.maximum(cmax, 1e-300)).any():
             for block in coeffs.blocks:  # the same check level by level
                 b = np.asarray(block, dtype=np.complex128)
                 _check_factor(b, takagi_factor(b)[0], tol)
-    new_sys = _regauge(sys, [_inv_adjoint(v) for _, v in factored], [v for _, v in factored])
+    psi_gauge = [_inv_adjoint(v, s) for _, v, s, _ in factored]
+    new_sys = _regauge(sys, psi_gauge, [v for _, v, *_ in factored])
     return new_sys, build_tau(new_sys, None)

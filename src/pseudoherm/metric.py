@@ -261,7 +261,8 @@ def evolution_invariance_check(
     if strict and not (pre := is_pseudo_hermitian(H, m, tol)).ok:
         raise NotPseudoHermitianError(
             f"H is not pseudo-Hermitian w.r.t. eta (residual {pre.residual:.3e}); "
-            "invariance is not expected"
+            "invariance is not expected",
+            pre.residual, tol,
         )
     u = propagator(H, t)
     with np.errstate(over="ignore", invalid="ignore"):

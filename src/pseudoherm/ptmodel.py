@@ -243,17 +243,21 @@ def _checked_eta(
 ) -> tuple[np.ndarray, CheckResult]:
     """eta = m P symmetrized, with its ``H^dagger eta = eta H`` check at the
     scale of hmax = max|H|; refuses a non-Hermitian eta or a failed identity."""
-    if hermitian_defect(eta) > tol * scale_of(eta):
+    defect, scale = hermitian_defect(eta), scale_of(eta)
+    if defect > tol * scale:
         raise ResultNotHermitianError(
             "tau composed with parity-conjugation is not Hermitian; "
-            "tau is inconsistent with H (try a parity-adapted eigenbasis)"
+            "tau is inconsistent with H (try a parity-adapted eigenbasis); "
+            f"Hermiticity defect {defect / scale:.3e}",
+            defect / scale, tol,
         )
     # the symmetrized eta is Hermitian bit for bit; a NaN or Inf passed the test above
     eta = as_square_matrix((eta + eta.conj().T) / 2.0, "eta")
     check = intertwining(H.conj().T, eta, H, hmax, tol)
     if not check.ok:
         raise ResultNotHermitianError(
-            f"composed metric fails the intertwining identity (residual {check.residual:.3e})"
+            f"composed metric fails the intertwining identity (residual {check.residual:.3e})",
+            check.residual, tol,
         )
     return eta, check
 

@@ -123,7 +123,9 @@ def is_exact_symmetry(
     """
     check = commutes_with(reconstruct(sys), x, tol)
     if not check.ok:
-        raise NotASymmetryError(f"X does not commute with H (residual {check.residual:.3e})")
+        raise NotASymmetryError(
+            f"X does not commute with H (residual {check.residual:.3e})", check.residual, tol
+        )
     return _is_exact(check, sys, x, tol)
 
 

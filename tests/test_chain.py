@@ -302,9 +302,11 @@ def test_bounded_ceilings_agree_with_svd_first(seed, kind, n, log_cond):
 
 @pytest.mark.parametrize("kind", ["simple", "mixed"])
 def test_gauge_op_lapack_budget(monkeypatch, kind):
-    """canonicalize_tau takes one eigh (the Takagi factors) and one inv (the
-    psi gauge) per distinct multiplicity d >= 2 and none for simple levels;
-    basis_change one SVD (the block conditions) per distinct multiplicity."""
+    """canonicalize_tau takes one eigh (the Takagi factors) per distinct
+    multiplicity d >= 2, none for simple levels and no inv: the psi gauge is
+    read off the factor; basis_change, whose blocks are arbitrary, one SVD
+    (the block conditions) per distinct multiplicity and one inv per distinct
+    multiplicity d >= 2."""
     if kind == "simple":
         h = np.random.default_rng(5).standard_normal((32, 32)) + 0j
     else:
@@ -316,7 +318,7 @@ def test_gauge_op_lapack_budget(monkeypatch, kind):
     calls = {name: count_calls(monkeypatch, getattr(np.linalg, name)) for name in ("inv", "eigh", "svd")}
     canonicalize_tau(sys_, coeffs)
     want = len(dims - {1})
-    assert {name: len(c) for name, c in calls.items()} == {"inv": want, "eigh": want, "svd": 0}
+    assert {name: len(c) for name, c in calls.items()} == {"inv": 0, "eigh": want, "svd": 0}
     for c in calls.values():
         c.clear()
     basis_change(sys_, coeffs.blocks)

@@ -1,13 +1,17 @@
 """Symmetric factorization and the basis-change covariance of tau."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from pseudoherm import (
     AsymmetricCoefficientsError,
     DimensionMismatchError,
+    NonFiniteError,
     NotSymmetricError,
     PseudoHermError,
     SingularCoefficientsError,
@@ -18,6 +22,7 @@ from pseudoherm import (
     build_tau,
     canonicalize_tau,
     coefficient_transform,
+    invert_tau,
     recover_coefficients,
     symmetric_factor,
 )
@@ -700,3 +705,122 @@ def test_stacked_decisions_are_the_single_block_ones_bitwise():
             assert np.linalg.svd(b, compute_uv=False).tobytes() == sv[j].tobytes()
             assert max_abs(b - b.T) == defect[j]
             assert max_abs(vb @ vb.T - b) == residual[j]
+
+
+def non_finite(value, d):
+    """The d x d identity with its lower-left entry replaced by value."""
+    block = np.eye(d, dtype=complex)
+    block[-1, 0] = value
+    return block
+
+
+BLOCK_ENTRY_POINTS = {
+    "canonicalize_tau": lambda s, b: canonicalize_tau(s, CoefficientFamily(tuple(b))),
+    "build_tau": lambda s, b: build_tau(s, CoefficientFamily(tuple(b))),
+    "invert_tau": lambda s, b: invert_tau(s, CoefficientFamily(tuple(b))),
+    "validate_against": lambda s, b: CoefficientFamily(tuple(b)).validate_against(s),
+    "basis_change": basis_change,
+    "coefficient_transform": lambda s, b: coefficient_transform(CoefficientFamily.identity_for(s), b),
+    "coefficient_transform-coeffs": lambda s, b: coefficient_transform(
+        CoefficientFamily(tuple(b)), [np.eye(len(c)) for c in b]
+    ),
+}
+BLOCK_NAMES = {"basis_change": "basis-change block", "coefficient_transform": "transform block"}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(np.nan, 0.0)], ids=["nan", "inf", "nan+0j"])
+@pytest.mark.parametrize(
+    "faults, k",
+    [({3: non_finite, 4: non_finite}, 3), ({2: non_finite, 3: ZERO1}, 2)],
+    ids=["1x1", "2x2"],
+)
+@pytest.mark.parametrize("entry", BLOCK_ENTRY_POINTS)
+def test_non_finite_blocks_are_refused(unsorted, entry, faults, k, value):
+    """A block with a NaN or Inf entry is refused as NonFiniteError naming the
+    lowest faulty level, before any arithmetic on it: no RuntimeWarning.  In
+    the 2x2 case a zero 1x1 block at level 3, whose group is tested first,
+    is the later fault."""
+    sys_, coeffs = unsorted
+    blocks = with_faults(coeffs.blocks, {
+        j: make(value, sys_.levels[j].multiplicity) if callable(make) else make
+        for j, make in faults.items()
+    })
+    name = BLOCK_NAMES.get(entry, "coefficient block")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = refusal(BLOCK_ENTRY_POINTS[entry], sys_, blocks)
+    assert got == (NonFiniteError, f"{name} {k} contains NaN or Inf entries")
+
+
+@pytest.mark.parametrize("entry", BLOCK_ENTRY_POINTS)
+def test_a_lower_fault_is_named_before_a_non_finite_block(unsorted, entry):
+    sys_, coeffs = unsorted
+    blocks = with_faults(coeffs.blocks, {1: ZERO1, 2: non_finite(np.nan, 2)})
+    cause, message = refusal(BLOCK_ENTRY_POINTS[entry], sys_, blocks)
+    if entry == "coefficient_transform-coeffs":  # a zero coefficient block is no fault here
+        assert (cause, message) == (NonFiniteError, "coefficient block 2 contains NaN or Inf entries")
+    else:
+        assert cause in (SingularCoefficientsError, SingularBlockError) and " 1 is singular" in message
+
+
+def test_simple_level_is_refused_only_when_zero(unsorted):
+    """A 1x1 coefficient block is validated by |c| != 0 alone: 0 is refused
+    with the singular-block message, 1e-320 is accepted and re-gauged as the
+    level loop re-gauges it."""
+    sys_, coeffs = unsorted
+    zero = CoefficientFamily(tuple(with_faults(coeffs.blocks, {3: ZERO1})))
+    want = (SingularCoefficientsError, "coefficient block 3 is singular or too ill-conditioned")
+    for call in (canonicalize_tau, build_tau, invert_tau, CoefficientFamily.validate_against):
+        args = (zero, sys_) if call is CoefficientFamily.validate_against else (sys_, zero)
+        assert refusal(call, *args) == want
+    tiny = CoefficientFamily(tuple(with_faults(coeffs.blocks, {3: np.array([[1e-320 + 0j]])})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        new_sys, tau = canonicalize_tau(sys_, tiny)
+        build_tau(sys_, tiny)
+    ref_sys, ref_tau = reference_canonicalize_tau(sys_, tiny)
+    np.testing.assert_allclose(new_sys.psi_matrix, ref_sys.psi_matrix, rtol=1e-13)
+    np.testing.assert_allclose(tau.matrix, ref_tau.matrix, rtol=1e-13)
+
+
+def lattice_matrix(n, v2, eps):
+    return build_pt_hamiltonian(make_lattice(n, 10.0, 1.0, "x^2", v2, eps))
+
+
+GAUGE_SWEEP = [
+    *[
+        pytest.param(mixed_multiplicity_matrix, {"mults": m}, cond, id=f"planted-{m}-cond{cond:.0e}")
+        for m in [(1, 1, 2, 2, 3), (3, 1, 2, 1, 2), (1, 3, 1, 2, 1)]
+        for cond in (50.0, 1e7)
+    ],
+    *[
+        pytest.param(lattice_matrix, {"n": n, "v2": v2, "eps": eps}, 50.0, id=f"lattice-{n}-{v2}-{eps}")
+        for n, v2, eps in [
+            (41, "x", 0.1), (41, "x", 1.0), (41, "x^3", 0.1), (41, "x^3", 1.0), (81, "x", 0.1), (81, "x", 1.0)
+        ]
+    ],
+]
+
+
+@pytest.mark.parametrize("make, kwargs, max_cond", GAUGE_SWEEP)
+def test_gauge_sweep(make, kwargs, max_cond):
+    """The gauge op's two checks on planted systems with levels of
+    multiplicity 1, 2 and 3, coefficient blocks with condition numbers up to
+    max_cond, and the n = 41 and 81 lattices that build: the coefficients
+    read back off the new basis are identity blocks within 1e-8, tau is
+    unchanged within 1e-8 relative, and the new basis is biorthonormal and
+    complete within tol.  The lattices run at the default max_cond: reading
+    the coefficients back through Psi' of the n = 81, eps = 1 lattice
+    (kappa(Psi) 6.4e3) at kappa(c) near 1e7 loses about 1e-4, with an inverse
+    psi gauge as much as with this one."""
+    sys_ = biorthonormal_eigensystem(make(**kwargs))
+    phi = sys_.phi_matrix
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        blocks = tuple(random_symmetric_invertible(rng, d, max_cond) for d in sys_._sizes.tolist())
+        new_sys, tau = canonicalize_tau(sys_, CoefficientFamily(blocks))
+        recovered = recover_coefficients(new_sys, tau).blocks
+        assert max(max_abs(b - np.eye(len(b))) for b in recovered) <= 1e-8
+        ref = phi @ block_diag(*blocks) @ phi.T
+        assert max_abs(tau.matrix - ref) <= 1e-8 * max_abs(ref)
+        assert max(new_sys._biorthonormality) <= sys_.tol

@@ -175,6 +175,17 @@ def test_evolution_strict_raises():
         evolution_invariance_check(h, np.eye(2), 0.7, strict=True)
 
 
+def test_strict_refusal_carries_its_residual():
+    """.measured is the intertwining residual of the precondition, .limit
+    the tol it exceeded; the message prints the same number."""
+    h = np.diag([1 + 1j, 1 - 1j])
+    with pytest.raises(NotPseudoHermitianError) as refused:
+        evolution_invariance_check(h, np.eye(2), 0.7, tol=1e-9, strict=True)
+    assert refused.value.measured == is_pseudo_hermitian(h, np.eye(2), 1e-9).residual
+    assert refused.value.limit == 1e-9 < refused.value.measured
+    assert f"(residual {refused.value.measured:.3e})" in str(refused.value)
+
+
 @pytest.mark.parametrize("strict, calls", [(False, 0), (True, 1)])
 def test_evolution_precondition_only_when_strict(monkeypatch, strict, calls):
     seen = []

@@ -118,6 +118,25 @@ def test_unadapted_canonical_tau_is_rejected(lattice41):
         eta_from_tau_pt(h, tau, p, 1e-9)
 
 
+def test_composed_metric_refusals_carry_their_numbers(lattice41):
+    """Both refusals of the composed eta carry what they measured (.measured)
+    and the tol it exceeded (.limit); the message prints the same number."""
+    _, h, p = lattice41
+    tau = canonical_tau(biorthonormal_eigensystem(h))
+    with pytest.raises(ResultNotHermitianError) as not_hermitian:
+        eta_from_tau_pt(h, tau, p, 1e-9)
+    eta = tau.matrix @ p  # symmetric tau: its Hermiticity defect is that of tau P
+    want = np.max(np.abs(eta - eta.conj().T)) / np.max(np.abs(eta))
+    # an identity eta is Hermitian and fails the intertwining identity with H
+    with pytest.raises(ResultNotHermitianError) as not_intertwining:
+        ptmodel._checked_eta(h, np.eye(41, dtype=complex), max_abs(h), 1e-9)
+    residual = is_pseudo_hermitian(h, np.eye(41), 1e-9).residual
+    for refused, measured in [(not_hermitian.value, want), (not_intertwining.value, residual)]:
+        assert refused.measured == pytest.approx(measured, rel=1e-12)
+        assert refused.limit == 1e-9 < refused.measured
+        assert f"{refused.measured:.3e}" in str(refused)
+
+
 def test_eta_parity_valid_in_hermitian_limit():
     spec = make_lattice(21, 5.0, 1.0, "x^2", "x^3", eps=0.0)
     h = build_pt_hamiltonian(spec)

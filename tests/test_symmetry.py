@@ -139,6 +139,19 @@ def test_exactness_requires_commutation(planted_real, rng):
         is_exact_symmetry(sys_, garbage, 1e-10)
 
 
+def test_not_a_symmetry_carries_its_residual(planted_real, rng):
+    """.measured is the commutation residual against the reconstructed H,
+    .limit the tol it exceeded; the message prints the same number."""
+    sys_ = biorthonormal_eigensystem(planted_real.matrix)
+    garbage = AntilinearOperator(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    with pytest.raises(NotASymmetryError) as refused:
+        is_exact_symmetry(sys_, garbage, 1e-10)
+    want = commutes_with(sys_.psi_matrix @ np.diag(sys_.energies) @ sys_.phi_matrix.conj().T, garbage)
+    assert refused.value.measured == pytest.approx(want.residual, rel=1e-8)
+    assert refused.value.limit == 1e-10 < refused.value.measured
+    assert f"(residual {refused.value.measured:.3e})" in str(refused.value)
+
+
 def test_singular_metric_rejected_in_sandwich(rng):
     x = AntilinearOperator(np.eye(2, dtype=complex))
     tau = AntilinearOperator(np.eye(2, dtype=complex))
