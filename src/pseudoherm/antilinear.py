@@ -90,9 +90,9 @@ class CoefficientFamily:
         ``1e-10 * max(max|c|, 1)`` and have a condition number, read off its Takagi
         values, at most ``DEFAULT_COND_CEILING``; a 1 x 1 block is refused only
         when it is 0."""
-        return unstack(sys._groups, [v for _, v, *_ in self._factored(sys)], len(self.blocks))
+        return unstack(sys._groups, [v for _, v, _ in self._factored(sys)], len(self.blocks))
 
-    def _factored(self, sys: BiorthonormalSystem) -> list[tuple[np.ndarray, ...]]:
+    def _factored(self, sys: BiorthonormalSystem) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """validate_against per distinct multiplicity, in the order of ``sys._groups``:
         ``_symmetric_invertible`` of the blocks as one complex stack, with one
         finiteness test, one symmetry test, one stacked factorization and one
@@ -108,19 +108,17 @@ class CoefficientFamily:
         )
 
 
-def _symmetric_invertible(c: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(c, v, s, cmax) for a stack c of finite coefficient blocks numbered by idx:
-    their Takagi factors ``v = u diag(sqrt(s))``, their Takagi values s and
-    ``cmax = max|c|`` of each block; refuses the first block that is not
-    symmetric or else singular.  A 1 x 1 block is symmetric, s = |c| and its
-    condition number is 1, so it is refused only when it is 0."""
+def _symmetric_invertible(c: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, v, s) for a stack c of finite coefficient blocks numbered by idx, their
+    Takagi factors ``v = u diag(sqrt(s))`` and their Takagi values s, ascending;
+    refuses the first block that is not symmetric or else singular.  A 1 x 1
+    block is symmetric, s = |c| and its condition number is 1, so it is
+    refused only when it is 0."""
     v, s = takagi_factor(c)
     if c.shape[-1] == 1:
-        cmax = s[:, 0]
-        asymmetric, faulty = None, cmax == 0.0
+        asymmetric, faulty = None, s[:, 0] == 0.0
     else:
-        cmax = block_max_abs(c)
-        asymmetric = block_max_abs(c - c.swapaxes(-1, -2)) > 1e-10 * np.maximum(cmax, 1.0)
+        asymmetric = block_max_abs(c - c.swapaxes(-1, -2)) > 1e-10 * np.maximum(block_max_abs(c), 1.0)
         faulty = asymmetric | (cond_of(s) > DEFAULT_COND_CEILING)
     if faulty.any():
         j = faulty.argmax()
@@ -129,7 +127,7 @@ def _symmetric_invertible(c: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, .
         raise SingularCoefficientsError(
             f"coefficient block {idx[j]} is singular or too ill-conditioned"
         )
-    return c, v, s, cmax
+    return c, v, s
 
 
 def compose_antilinear(s: AntilinearOperator, t: AntilinearOperator) -> np.ndarray:
@@ -153,7 +151,7 @@ def build_tau(
     phi = sys.phi_matrix
     if coeffs is None:
         return AntilinearOperator(phi @ phi.T)
-    c = [c for c, *_ in coeffs._factored(sys)]
+    c = [c for c, _, _ in coeffs._factored(sys)]
     return AntilinearOperator(times_block_diag(sys._groups, (phi, c))[0] @ phi.T)
 
 
@@ -171,7 +169,7 @@ def invert_tau(
     psi = sys.psi_matrix
     if coeffs is None:
         return AntilinearOperator(psi @ psi.T)
-    c_inv = [np.conj(np.linalg.inv(c)) for c, *_ in coeffs._factored(sys)]
+    c_inv = [np.conj(np.linalg.inv(c)) for c, _, _ in coeffs._factored(sys)]
     return AntilinearOperator(times_block_diag(sys._groups, (psi, c_inv))[0] @ psi.T)
 
 

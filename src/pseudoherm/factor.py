@@ -94,18 +94,37 @@ def _invertible_stacks(blocks, sizes, groups, what: str) -> list[np.ndarray]:
     return checked_stacks(blocks, sizes, groups, invertible, what + " block", misfit)
 
 
-def _inv_adjoint(v: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
-    """(v^dagger)^{-1} of each block of a stack (k, d, d): the reciprocals when
-    d = 1; read off the factor, ``v diag(1/s)``, when v holds Takagi factors
-    ``u diag(sqrt(s))`` (u unitary) with their Takagi values s; else one
-    stacked inverse."""
+def _inv_adjoint(v: np.ndarray) -> np.ndarray:
+    """(v^dagger)^{-1} of each block of a stack (k, d, d): one stacked inverse,
+    or the reciprocals when d = 1."""
     if v.shape[-1] == 1:
         return 1.0 / np.conj(v)
-    if s is None:
-        return np.linalg.inv(v.conj().swapaxes(-1, -2))
+    return np.linalg.inv(v.conj().swapaxes(-1, -2))
+
+
+# Largest Takagi condition number s_max / s_min for which the psi gauge is read
+# off the factor.  u from the embedding's eigh is unitary only to about
+# eps * kappa(c), so past some kappa(c) the re-gauged basis is less
+# biorthonormal and complete than with an inverse (at kappa(c) = 9e7,
+# 1.4e-10 against 1.6e-11); up to this bound both stay within a few eps.
+_READOFF_COND = 1e2
+
+
+def _takagi_inv_adjoint(v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(v^dagger)^{-1} of each Takagi factor ``v = u diag(sqrt(s))`` of a
+    validated stack (k, d, d), s its Takagi values in ascending order: the
+    reciprocals when d = 1, else ``v diag(1/s)`` (u unitary), with one
+    stacked inverse for the blocks whose s_max / s_min exceeds
+    ``_READOFF_COND``."""
+    if v.shape[-1] == 1:
+        return 1.0 / np.conj(v)
     # real and imaginary parts divided by the real s: a complex divisor below
     # 1 / (largest float) would overflow
-    return (v.view(np.float64) / np.repeat(s, 2, axis=-1)[:, None, :]).view(np.complex128)
+    g = (v.view(np.float64) / np.repeat(s, 2, axis=-1)[:, None, :]).view(np.complex128)
+    far = s[:, -1] > _READOFF_COND * s[:, 0]
+    if far.any():
+        g[far] = np.linalg.inv(v[far].conj().swapaxes(-1, -2))
+    return g
 
 
 def _regauge(sys: BiorthonormalSystem, g: list, h: list) -> BiorthonormalSystem:
@@ -153,24 +172,25 @@ def canonicalize_tau(
     """Re-gauge the basis so the coefficient family becomes the identity.
 
     Checks each block's Takagi factor ``c = v v^T`` from ``validate_against``
-    as ``symmetric_factor`` does, against the max|c| validation measured,
-    and applies the basis change with ``u = (v^dagger)^{-1}``, so the phi
-    gauge ``(u^{-1})^dagger`` is v itself.  With ``v = u_T diag(sqrt(s))``,
-    u_T unitary and s the Takagi values, the psi gauge is read off the
-    factor as ``v diag(1/s)``: no inverse is taken.  Both run once per
-    multiplicity, and when a factor fails its check a level loop names the
-    first faulty level.  The returned automorphism is ``Phi' Phi'^T``,
-    identity coefficients on the new basis, and equals the operator built
-    from (sys, coeffs) up to rounding: the automorphism is unique up to the
-    choice of eigenbasis.
+    as ``symmetric_factor`` does and applies the basis change with
+    ``u = (v^dagger)^{-1}``, so the phi gauge ``(u^{-1})^dagger`` is v
+    itself.  With ``v = u_T diag(sqrt(s))``, u_T unitary and s the Takagi
+    values, the psi gauge is read off the factor as ``v diag(1/s)``; only a
+    block whose s_max / s_min exceeds ``_READOFF_COND`` takes an inverse,
+    which keeps the new basis as biorthonormal as an inverse makes it.  Both
+    run once per multiplicity, and when a factor fails its check a level
+    loop names the first faulty level.  The returned automorphism is
+    ``Phi' Phi'^T``, identity coefficients on the new basis, and equals the
+    operator built from (sys, coeffs) up to rounding: the automorphism is
+    unique up to the choice of eigenbasis.
     """
     factored = coeffs._factored(sys)
-    for c, v, _, cmax in factored:
+    for c, v, _ in factored:
         residual = block_max_abs(v @ v.swapaxes(-1, -2) - c)
-        if (residual > tol * np.maximum(cmax, 1e-300)).any():
+        if (residual > tol * np.maximum(block_max_abs(c), 1e-300)).any():
             for block in coeffs.blocks:  # the same check level by level
                 b = np.asarray(block, dtype=np.complex128)
                 _check_factor(b, takagi_factor(b)[0], tol)
-    psi_gauge = [_inv_adjoint(v, s) for _, v, s, _ in factored]
-    new_sys = _regauge(sys, psi_gauge, [v for _, v, *_ in factored])
+    psi_gauge = [_takagi_inv_adjoint(v, s) for _, v, s in factored]
+    new_sys = _regauge(sys, psi_gauge, [v for _, v, _ in factored])
     return new_sys, build_tau(new_sys, None)

@@ -21,6 +21,7 @@ import pseudoherm.ptmodel
 import pseudoherm.symmetry
 from pseudoherm import (
     AntilinearOperator,
+    CoefficientFamily,
     NotDiagonalizableError,
     PseudoCanonicalTransform,
     PseudoHermError,
@@ -304,9 +305,10 @@ def test_bounded_ceilings_agree_with_svd_first(seed, kind, n, log_cond):
 def test_gauge_op_lapack_budget(monkeypatch, kind):
     """canonicalize_tau takes one eigh (the Takagi factors) per distinct
     multiplicity d >= 2, none for simple levels and no inv: the psi gauge is
-    read off the factor; basis_change, whose blocks are arbitrary, one SVD
-    (the block conditions) per distinct multiplicity and one inv per distinct
-    multiplicity d >= 2."""
+    read off the factor, and a multiplicity with a block of condition number
+    above factor._READOFF_COND takes one inv; basis_change, whose blocks are
+    arbitrary, one SVD (the block conditions) per distinct multiplicity and
+    one inv per distinct multiplicity d >= 2."""
     if kind == "simple":
         h = np.random.default_rng(5).standard_normal((32, 32)) + 0j
     else:
@@ -323,6 +325,13 @@ def test_gauge_op_lapack_budget(monkeypatch, kind):
         c.clear()
     basis_change(sys_, coeffs.blocks)
     assert {name: len(c) for name, c in calls.items()} == {"inv": want, "eigh": 0, "svd": len(dims)}
+    for c in calls.values():
+        c.clear()
+    rng = np.random.default_rng(7)
+    units = [random_unitary(rng, d) for d in sys_._sizes.tolist()]
+    far = CoefficientFamily(tuple((u * np.geomspace(1.0, 1e6, len(u))) @ u.T for u in units))
+    canonicalize_tau(sys_, far)
+    assert {name: len(c) for name, c in calls.items()} == {"inv": want, "eigh": want, "svd": 0}
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -824,3 +824,24 @@ def test_gauge_sweep(make, kwargs, max_cond):
         ref = phi @ block_diag(*blocks) @ phi.T
         assert max_abs(tau.matrix - ref) <= 1e-8 * max_abs(ref)
         assert max(new_sys._biorthonormality) <= sys_.tol
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e4, 9e7])
+def test_gauge_keeps_biorthonormality_up_to_the_cond_ceiling(cond):
+    """Blocks whose singular values span [0.2, 0.2 cond] exactly, up to just
+    below DEFAULT_COND_CEILING: the re-gauged basis is biorthonormal and
+    complete within tol and within 10x what an inverse psi gauge gives, on
+    either side of the read-off bound."""
+    sys_ = biorthonormal_eigensystem(mixed_multiplicity_matrix())
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for d in sys_._sizes.tolist():
+            u = random_unitary(rng, d)
+            blocks.append((u * np.geomspace(0.2, 0.2 * cond, d)) @ u.T)
+        coeffs = CoefficientFamily(tuple(blocks))
+        new_sys = canonicalize_tau(sys_, coeffs)[0]
+        v = [v for _, v, _ in coeffs._factored(sys_)]
+        inverse = factor._regauge(sys_, [factor._inv_adjoint(b) for b in v], v)
+        for got, want in zip(new_sys._biorthonormality, inverse._biorthonormality):
+            assert got <= min(sys_.tol, 10 * max(want, 1e-15))
