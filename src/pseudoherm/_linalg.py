@@ -102,13 +102,6 @@ def condition_number(a: np.ndarray) -> float:
     return cond_of(np.linalg.svd(np.asarray(a), compute_uv=False))
 
 
-def measured_unless_bounded(bound: float, measure) -> float | None:
-    """The condition number ``measure()``, or None, without measuring it, when
-    ``bound`` (an upper bound on it; inf or NaN when there is none) already
-    places it below ``DEFAULT_COND_CEILING``."""
-    return None if bound <= DEFAULT_COND_CEILING / _BOUND_MARGIN else measure()
-
-
 def cond_of(s):
     """2-norm condition number max|s| / min|s| from the singular values s
     (or the eigenvalues of a Hermitian matrix); inf when min|s| is 0.  On a
@@ -216,15 +209,41 @@ def times_block_diag(groups, *operands) -> list[np.ndarray]:
 def solve(a: np.ndarray, b: np.ndarray, error_cls, what: str):
     """np.linalg.solve wrapping singularity in a package error, which carries
     the condition number of a and the ceiling it exceeded."""
-    cond = condition_number(a)
-    if cond > DEFAULT_COND_CEILING:
-        raise error_cls(
-            f"{what} is singular or too ill-conditioned to invert", cond, DEFAULT_COND_CEILING
-        )
+    message = "{what} is singular or too ill-conditioned to invert"
+    require_conditioned(condition_number(a), error_cls, message, what=what)
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:  # exact singularity
         raise error_cls(f"{what} is singular") from exc
+
+
+def require_within(measured, limit, error, message: str, levels=None, **fields):
+    """measured, if it is at most limit; else (a NaN is not) raises ``error(text,
+    measured, limit)``, text the ``str.format`` template message of measured,
+    limit and fields.  Every threshold refusal of the package is made here.
+    With ``levels`` (the level of each block of a stack) measured and limit
+    hold one number per block, or limit one for all: the first failing block
+    is refused with its two numbers, and its level is the field k."""
+    ok = measured <= limit
+    if ok if levels is None else ok.all():
+        return measured
+    if levels is not None:
+        j = ok.argmin()
+        measured, limit = (float(np.broadcast_to(x, ok.shape)[j]) for x in (measured, limit))
+        fields["k"] = levels[j]
+    raise error(message.format(measured=measured, limit=limit, **fields), measured, limit)
+
+
+def require_conditioned(kappa, error, message: str, bound=None, levels=None, **fields):
+    """``require_within(kappa, DEFAULT_COND_CEILING, ...)``.  With ``bound`` >=
+    kappa (inf or NaN when there is none), kappa is a function measuring it,
+    called only when the bound does not place it below the ceiling; None is
+    returned when it is not called."""
+    if bound is not None:
+        if bound <= DEFAULT_COND_CEILING / _BOUND_MARGIN:
+            return None
+        kappa = kappa()
+    return require_within(kappa, DEFAULT_COND_CEILING, error, message, levels, **fields)
 
 
 def takagi_factor(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

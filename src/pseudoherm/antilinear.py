@@ -29,14 +29,16 @@ from ._linalg import (
     cond_of,
     intertwining,
     max_abs,
+    require_conditioned,
     require_same_dim,
+    require_within,
     scale_of,
     symmetric_defect,
     takagi_factor,
     times_block_diag,
     unstack,
 )
-from .eigensystem import DEFAULT_COND_CEILING, DEFAULT_TOL, BiorthonormalSystem
+from .eigensystem import DEFAULT_TOL, BiorthonormalSystem
 from .errors import (
     AsymmetricCoefficientsError,
     DimensionMismatchError,
@@ -86,10 +88,12 @@ class CoefficientFamily:
 
     def validate_against(self, sys: BiorthonormalSystem) -> list[np.ndarray]:
         """Check the blocks against sys and return their Takagi factors v (c = v v^T):
-        each must be finite (else ``NonFiniteError``), symmetric within
-        ``1e-10 * max(max|c|, 1)`` and have a condition number, read off its Takagi
-        values, at most ``DEFAULT_COND_CEILING``; a 1 x 1 block is refused only
-        when it is 0."""
+        each must be finite (else ``NonFiniteError``), symmetric relative to its
+        size, ``max|c - c^T| <= 1e-10 * max|c|`` (else
+        ``AsymmetricCoefficientsError``), and have a condition number, read off
+        its Takagi values, at most ``DEFAULT_COND_CEILING`` (else
+        ``SingularCoefficientsError``); a 1 x 1 block is refused only when it is
+        0.  The rule is scale-invariant: c and 10^k c get the same verdict."""
         return unstack(sys._groups, [v for _, v, _ in self._factored(sys)], len(self.blocks))
 
     def _factored(self, sys: BiorthonormalSystem) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -111,22 +115,19 @@ class CoefficientFamily:
 def _symmetric_invertible(c: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(c, v, s) for a stack c of finite coefficient blocks numbered by idx, their
     Takagi factors ``v = u diag(sqrt(s))`` and their Takagi values s, ascending;
-    refuses the first block that is not symmetric or else singular.  A 1 x 1
-    block is symmetric, s = |c| and its condition number is 1, so it is
-    refused only when it is 0."""
+    refuses a block that is not symmetric, ``max|c - c^T| <= 1e-10 max|c|``,
+    or else singular.  A 1 x 1 block is symmetric, s = |c| and its condition
+    number is 1, so it is refused only when it is 0 (condition number inf)."""
     v, s = takagi_factor(c)
     if c.shape[-1] == 1:
-        asymmetric, faulty = None, s[:, 0] == 0.0
+        kappa = np.where(s[:, 0] > 0.0, 1.0, np.inf)
     else:
-        asymmetric = block_max_abs(c - c.swapaxes(-1, -2)) > 1e-10 * np.maximum(block_max_abs(c), 1.0)
-        faulty = asymmetric | (cond_of(s) > DEFAULT_COND_CEILING)
-    if faulty.any():
-        j = faulty.argmax()
-        if asymmetric is not None and asymmetric[j]:
-            raise AsymmetricCoefficientsError(f"coefficient block {idx[j]} is not symmetric")
-        raise SingularCoefficientsError(
-            f"coefficient block {idx[j]} is singular or too ill-conditioned"
-        )
+        asymmetry, limit = block_max_abs(c - c.swapaxes(-1, -2)), 1e-10 * block_max_abs(c)
+        message = "coefficient block {k} is not symmetric"
+        require_within(asymmetry, limit, AsymmetricCoefficientsError, message, idx)
+        kappa = cond_of(s)
+    message = "coefficient block {k} is singular or too ill-conditioned"
+    require_conditioned(kappa, SingularCoefficientsError, message, levels=idx)
     return c, v, s
 
 
@@ -165,11 +166,16 @@ def invert_tau(
     sys: BiorthonormalSystem, coeffs: CoefficientFamily | None = None
 ) -> AntilinearOperator:
     """Inverse automorphism ``tau^{-1} = Psi blockdiag(conj(c^{-1})) Psi^T``,
-    formed as build_tau forms tau."""
+    formed as build_tau forms tau.  After ``validate_against``, a block whose
+    inverse is not finite (a nonzero 1 x 1 block below about 1e-308, say) is
+    refused as ``SingularCoefficientsError``, the lowest such level named."""
     psi = sys.psi_matrix
     if coeffs is None:
         return AntilinearOperator(psi @ psi.T)
     c_inv = [np.conj(np.linalg.inv(c)) for c, _, _ in coeffs._factored(sys)]
+    size = np.array(unstack(sys._groups, [block_max_abs(m) for m in c_inv], len(coeffs.blocks)))
+    levels, message = np.arange(len(size)), "coefficient block {k} is too small to invert"
+    require_within(size, np.finfo(float).max, SingularCoefficientsError, message, levels)
     return AntilinearOperator(times_block_diag(sys._groups, (psi, c_inv))[0] @ psi.T)
 
 

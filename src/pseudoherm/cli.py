@@ -20,7 +20,7 @@ import numpy as np
 from . import io
 from ._linalg import max_abs, scale_of, symmetric_defect
 from .antilinear import build_tau, is_anti_pseudo_hermitian
-from .eigensystem import DEFAULT_TOL, biorthonormal_eigensystem, classify_spectrum
+from .eigensystem import DEFAULT_TOL, _assemble, _cluster_gap, _raw_levels, classify_spectrum
 from .errors import (
     AmbiguousPairingError,
     NotDiagonalizableError,
@@ -65,10 +65,12 @@ def _emit(args, payload: dict) -> None:
 
 
 def _analysis(args) -> tuple:
+    """(H, system, class, H Psi), built as the report builds them."""
     h = io.load_matrix(args.matrix)
-    system = biorthonormal_eigensystem(h, args.tol, args.cluster_gap)
-    cls = classify_spectrum(system)
-    return h, system, cls
+    hmax = max_abs(h)
+    levels = _raw_levels(h, _cluster_gap(args.cluster_gap, hmax))
+    system, hpsi = _assemble(*levels, h, hmax, args.tol)
+    return h, system, classify_spectrum(system), hpsi
 
 
 def _levels_payload(system) -> list:
@@ -99,7 +101,7 @@ def cmd_analyze(args) -> tuple[bool, dict]:
 
 
 def cmd_metric(args) -> tuple[bool, dict]:
-    h, system, cls = _analysis(args)
+    h, system, cls = _analysis(args)[:3]
     metric = _metric(system, cls)
     check = is_pseudo_hermitian(h, metric, args.tol)
     return check.ok, {
@@ -111,7 +113,7 @@ def cmd_metric(args) -> tuple[bool, dict]:
 
 
 def cmd_tau(args) -> tuple[bool, dict]:
-    h, system, cls = _analysis(args)
+    h, system = _analysis(args)[:2]
     coeffs = io.load_coefficients(args.coeffs) if args.coeffs else None
     tau = build_tau(system, coeffs)
     check = is_anti_pseudo_hermitian(h, tau, args.tol)
@@ -124,7 +126,7 @@ def cmd_tau(args) -> tuple[bool, dict]:
 
 
 def cmd_symmetry(args) -> tuple[bool, dict]:
-    h, system, cls = _analysis(args)
+    h, system, cls = _analysis(args)[:3]
     _metric(system, cls)  # refuses an unpaired spectrum or an ill-conditioned eta
     x = _canonical_symmetry(system, cls)
     check = commutes_with(h, x, args.tol)
@@ -138,14 +140,14 @@ def cmd_symmetry(args) -> tuple[bool, dict]:
 
 
 def cmd_hermitize(args) -> tuple[bool, dict]:
-    h, system, cls = _analysis(args)
+    _, system, cls, hpsi = _analysis(args)
     transform = hermitizing_transform(system, cls)
-    h_t, r = _hermitized(transform, h @ system.psi_matrix)
+    h_t, r = _hermitized(transform, hpsi)
     return r <= args.tol, {"hermiticity_residual": r, "A": transform.matrix, "transformed": h_t}
 
 
 def cmd_evolve_check(args) -> tuple[bool, dict]:
-    h, system, cls = _analysis(args)
+    h, system, cls = _analysis(args)[:3]
     metric = _metric(system, cls)
     check = evolution_invariance_check(h, metric, args.t, args.tol, strict=True)
     return check.ok, {"t": args.t, "invariant": check.ok, "residual": check.residual}

@@ -17,18 +17,19 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from ._linalg import (
+from ._linalg import (  # DEFAULT_COND_CEILING is re-exported
     DEFAULT_COND_CEILING,
     as_square_matrix,
     block_groups,
     condition_number,
     diagonal_defect,
     max_abs,
-    measured_unless_bounded,
+    require_conditioned,
+    require_within,
 )
 from .errors import AmbiguousPairingError, NotDiagonalizableError
 
@@ -326,6 +327,15 @@ def _levels(w: np.ndarray, v: np.ndarray, cluster_gap: float) -> tuple:
 
 
 _RESIDUALS = ("biorthonormality", "completeness", "right_eigen", "left_eigen", "reconstruction")
+_CEILING = (
+    "eigenvector matrix condition number {measured:.3e} exceeds ceiling {limit:.3e}; "
+    "input is defective or nearly so"
+)
+_UNREACHED = (
+    "could not reach tolerance {limit:.1e}: {check} residual is {measured:.3e}; input is "
+    "near-defective, has spectral clusters wider than tol but narrower than the cluster gap, "
+    "or tol is too tight for its conditioning"
+)
 
 
 def _assemble(
@@ -339,17 +349,16 @@ def _assemble(
     (seeded as ``cond``)."""
     try:
         phi = np.linalg.inv(psi).conj().T
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = float(np.linalg.norm(psi) * np.linalg.norm(phi))
     except np.linalg.LinAlgError:  # exactly singular: no bound, the measured cond refuses it
-        cond = condition_number(psi)
-        if cond > DEFAULT_COND_CEILING:
-            raise _ill_conditioned(cond) from None
-        raise
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = float(np.linalg.norm(psi) * np.linalg.norm(phi))
-    cond = measured_unless_bounded(bound, lambda: condition_number(psi))
-    if cond is not None and cond > DEFAULT_COND_CEILING:
+        phi, bound = None, np.inf
+    measure = partial(condition_number, psi)
+    try:
+        cond = require_conditioned(measure, NotDiagonalizableError, _CEILING, bound)
+    except NotDiagonalizableError:
         del phi  # a kept traceback holds this frame
-        raise _ill_conditioned(cond)
+        raise
     energies, sizes = _read_only(level_energies), np.diff(offsets)
     sys = _on_stored(
         _read_only(psi), _read_only(phi), energies, offsets, tol,
@@ -357,15 +366,6 @@ def _assemble(
         _hmax=hmax, _sizes=sizes, energies=_read_only(np.repeat(energies, sizes)),
     )
     return sys, _verify_system(sys, H, hmax, tol)
-
-
-def _ill_conditioned(cond: float) -> NotDiagonalizableError:
-    """The refusal of an eigenvector matrix whose condition number cond exceeds the ceiling."""
-    return NotDiagonalizableError(
-        f"eigenvector matrix condition number {cond:.3e} exceeds ceiling "
-        f"{DEFAULT_COND_CEILING:.3e}; input is defective or nearly so",
-        cond, DEFAULT_COND_CEILING,
-    )
 
 
 def _on_stored(
@@ -400,17 +400,12 @@ def _verify_system(sys: BiorthonormalSystem, H: np.ndarray, hmax: float, tol: fl
         )
     ranked = [r if r < np.inf else np.inf for r in residuals]  # NaN ranks as inf
     at = ranked.index(max(ranked))
-    worst = residuals[at]
-    if not worst <= tol:
+    error = partial(NotDiagonalizableError, check=_RESIDUALS[at])
+    try:
+        require_within(residuals[at], tol, error, _UNREACHED, check=_RESIDUALS[at])
+    except NotDiagonalizableError:
         del hpsi, psi_e  # a kept traceback holds this frame
-        check = _RESIDUALS[at]
-        raise NotDiagonalizableError(
-            f"could not reach tolerance {tol:.1e}: {check} residual is "
-            f"{worst:.3e}; input is near-defective, has spectral "
-            f"clusters wider than tol but narrower than the cluster gap, or "
-            f"tol is too tight for its conditioning",
-            worst, tol, check,
-        )
+        raise
     return hpsi
 
 

@@ -2,13 +2,8 @@
 
 
 class PseudoHermError(Exception):
-    """Base class for every error raised by this package."""
-
-
-class _MeasuredError(PseudoHermError):
-    """A refusal that carries its numbers: ``measured`` exceeded ``limit``.
-    Both are None where a refusal has no single number (an exactly
-    singular matrix)."""
+    """Base class for every error raised by this package.  A threshold refusal
+    carries the two numbers it compared, ``measured`` not at most ``limit``."""
 
     def __init__(self, message: str, measured: float | None = None, limit: float | None = None):
         super().__init__(message)
@@ -24,7 +19,7 @@ class DimensionMismatchError(PseudoHermError):
     """Operands have incompatible shapes."""
 
 
-class NotDiagonalizableError(_MeasuredError):
+class NotDiagonalizableError(PseudoHermError):
     """Eigenvector matrix is numerically rank-deficient or the requested
     construction tolerance cannot be met (defective or near-defective input).
 
@@ -50,15 +45,15 @@ class SingularCoefficientsError(PseudoHermError):
     """A coefficient block is singular or too ill-conditioned to invert."""
 
 
-class NonHermitianEtaError(_MeasuredError):
+class NonHermitianEtaError(PseudoHermError):
     """Candidate metric matrix is not Hermitian."""
 
 
-class SingularEtaError(_MeasuredError):
+class SingularEtaError(PseudoHermError):
     """Metric matrix is singular or too ill-conditioned to invert."""
 
 
-class SingularTauError(_MeasuredError):
+class SingularTauError(PseudoHermError):
     """Antilinear operator matrix is singular or too ill-conditioned to invert."""
 
 
@@ -67,11 +62,11 @@ class UnpairedSpectrumError(PseudoHermError):
     invertible Hermitian metric exists."""
 
 
-class NotPseudoHermitianError(_MeasuredError):
+class NotPseudoHermitianError(PseudoHermError):
     """Operator fails the metric intertwining identity within tolerance."""
 
 
-class NotASymmetryError(_MeasuredError):
+class NotASymmetryError(PseudoHermError):
     """Candidate operator does not commute with the Hamiltonian."""
 
 
@@ -79,7 +74,7 @@ class SpectrumNotRealError(PseudoHermError):
     """Hermitization requested for a spectrum that is not entirely real."""
 
 
-class SingularTransformError(_MeasuredError):
+class SingularTransformError(PseudoHermError):
     """Similarity transform matrix is singular or too ill-conditioned."""
 
 
@@ -99,10 +94,10 @@ class AsymmetricPotentialError(PseudoHermError):
     """Lattice potential samples violate the required parity."""
 
 
-class NotPTSymmetricError(_MeasuredError):
+class NotPTSymmetricError(PseudoHermError):
     """Hamiltonian does not commute with the parity-conjugation map."""
 
 
-class ResultNotHermitianError(_MeasuredError):
+class ResultNotHermitianError(PseudoHermError):
     """Composed candidate metric fails Hermiticity or the intertwining check;
     the supplied antilinear operator is inconsistent with the Hamiltonian."""

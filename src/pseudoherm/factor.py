@@ -21,6 +21,8 @@ from ._linalg import (
     checked_stacks,
     cond_of,
     max_abs,
+    require_conditioned,
+    require_within,
     scale_of,
     symmetric_defect,
     takagi_factor,
@@ -29,7 +31,6 @@ from ._linalg import (
 )
 from .antilinear import AntilinearOperator, CoefficientFamily, build_tau
 from .eigensystem import (
-    DEFAULT_COND_CEILING,
     DEFAULT_TOL,
     BiorthonormalSystem,
     _on_stored,
@@ -58,21 +59,21 @@ def symmetric_factor(c, tol: float = DEFAULT_TOL) -> np.ndarray:
     c, read off s, exceeds ``DEFAULT_COND_CEILING``, as ``validate_against`` does.
     """
     c = as_square_matrix(c, "c")
-    if symmetric_defect(c) > tol * scale_of(c):
-        raise NotSymmetricError("input is not complex symmetric")
-
+    asymmetric = "input is not complex symmetric"
+    require_within(symmetric_defect(c), tol * scale_of(c), NotSymmetricError, asymmetric)
     v, s = takagi_factor(c)
-    if cond_of(s) > DEFAULT_COND_CEILING:
-        raise SingularInputError("input is singular or too ill-conditioned; no invertible factor")
+    singular = "input is singular or too ill-conditioned; no invertible factor"
+    require_conditioned(cond_of(s), SingularInputError, singular)
     _check_factor(c, v, tol)
     return v
 
 
 def _check_factor(c: np.ndarray, v: np.ndarray, tol: float) -> None:
     """Refuse a factor v that misses ``c = v v^T`` by more than ``tol * max|c|``."""
-    residual = max_abs(v @ v.T - c)
-    if residual > tol * scale_of(c):
-        raise PseudoHermError(f"factorization residual {residual:.3e} exceeds tolerance")
+    require_within(max_abs(v @ v.T - c), tol * scale_of(c), PseudoHermError, _MISSED)
+
+
+_MISSED = "factorization residual {measured:.3e} exceeds tolerance"
 
 
 def _invertible_stacks(blocks, sizes, groups, what: str) -> list[np.ndarray]:
@@ -83,11 +84,9 @@ def _invertible_stacks(blocks, sizes, groups, what: str) -> list[np.ndarray]:
         raise DimensionMismatchError(f"{len(blocks)} {what} blocks, expected {len(sizes)}")
 
     def invertible(u: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        singular = cond_of(np.linalg.svd(u, compute_uv=False)) > DEFAULT_COND_CEILING
-        if singular.any():
-            raise SingularBlockError(
-                f"{what} block {idx[singular.argmax()]} is singular or ill-conditioned"
-            )
+        kappa = cond_of(np.linalg.svd(u, compute_uv=False))
+        message = "{what} block {k} is singular or ill-conditioned"
+        require_conditioned(kappa, SingularBlockError, message, levels=idx, what=what)
         return u
 
     misfit = what + " block {k} has shape {shape}, expected ({d}, {d})"
@@ -185,12 +184,16 @@ def canonicalize_tau(
     unique up to the choice of eigenbasis.
     """
     factored = coeffs._factored(sys)
-    for c, v, _ in factored:
+    for (idx, _), (c, v, _) in zip(sys._groups, factored):
         residual = block_max_abs(v @ v.swapaxes(-1, -2) - c)
-        if (residual > tol * np.maximum(block_max_abs(c), 1e-300)).any():
-            for block in coeffs.blocks:  # the same check level by level
+        limit = tol * np.maximum(block_max_abs(c), 1e-300)
+        try:
+            require_within(residual, limit, PseudoHermError, _MISSED, idx)
+        except PseudoHermError:
+            for block in coeffs.blocks:  # the same check level by level names the lowest
                 b = np.asarray(block, dtype=np.complex128)
                 _check_factor(b, takagi_factor(b)[0], tol)
+            raise
     psi_gauge = [_takagi_inv_adjoint(v, s) for _, v, s in factored]
     new_sys = _regauge(sys, psi_gauge, [v for _, v, _ in factored])
     return new_sys, build_tau(new_sys, None)

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (
-    DEFAULT_COND_CEILING,
     as_square_matrix,
     condition_number,
     diagonal_defect,
     hermitian_defect,
     intertwining,
     max_abs,
-    measured_unless_bounded,
+    require_conditioned,
     require_same_dim,
     scale_of,
     solve,
@@ -87,20 +86,16 @@ def hermitizing_transform(sys: BiorthonormalSystem, cls: SpectrumClass) -> Pseud
         If the condition number ``sys.cond ** 2`` of the positive metric
         ``A^dagger A`` exceeds ``DEFAULT_COND_CEILING`` (kappa(A) is below it then).
 
-    On a system that ``biorthonormal_eigensystem`` certified by
-    ``||Psi||_F ||Phi||_F = B``, B^2 at most half the ceiling decides it
-    without an SVD; otherwise ``sys.cond`` is read, measured once.
+    The eigensystem's bound B = ``||Psi||_F ||Phi||_F`` decides it without an
+    SVD when B^2 is at most half the ceiling; otherwise ``sys.cond`` is read.
     """
     if cls.tag is not SpectrumTag.ALL_REAL:
         raise SpectrumNotRealError(
             f"spectrum classified as {cls.tag.value}; hermitization needs an all-real spectrum"
         )
     # kappa(eta) = kappa(A)^2 = kappa(Psi)^2 for the positive metric eta = A^dagger A
-    kappa = measured_unless_bounded(sys._cond_bound * sys._cond_bound, lambda: sys.cond * sys.cond)
-    if kappa is not None and kappa > DEFAULT_COND_CEILING:
-        raise SingularEtaError(
-            "the positive metric A^dagger A is too ill-conditioned", kappa, DEFAULT_COND_CEILING
-        )
+    message, bound = "the positive metric A^dagger A is too ill-conditioned", sys._cond_bound
+    require_conditioned(lambda: sys.cond * sys.cond, SingularEtaError, message, bound * bound)
     return PseudoCanonicalTransform(matrix=sys.phi_matrix.conj().T)
 
 
@@ -123,11 +118,8 @@ def _hermitized(transform: PseudoCanonicalTransform, hpsi: np.ndarray) -> tuple:
 def metric_from_transform(transform: PseudoCanonicalTransform) -> MetricOperator:
     """Positive metric ``a^dagger a`` certified by a hermitizing transform."""
     a = transform.matrix
-    kappa = condition_number(a)
-    if kappa > DEFAULT_COND_CEILING:
-        raise SingularTransformError(
-            "transform is singular or too ill-conditioned", kappa, DEFAULT_COND_CEILING
-        )
+    message = "transform is singular or too ill-conditioned"
+    require_conditioned(condition_number(a), SingularTransformError, message)
     eta = a.conj().T @ a
     eta = (eta + eta.conj().T) / 2.0
     return MetricOperator(matrix=eta, positive_definite=True, factor=a.conj().T)

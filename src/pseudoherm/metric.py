@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (
-    DEFAULT_COND_CEILING,
     CheckResult,
     as_square_matrix,
     as_vector,
@@ -28,8 +27,9 @@ from ._linalg import (
     intertwining,
     make_check,
     max_abs,
-    measured_unless_bounded,
+    require_conditioned,
     require_same_dim,
+    require_within,
     scale_of,
     solve,
 )
@@ -85,11 +85,8 @@ def metric_from_matrix(eta, tol: float = DEFAULT_TOL) -> MetricOperator:
     _hermiticity(m, tol, "candidate metric")
     m = (m + m.conj().T) / 2.0
     eigenvalues = np.linalg.eigvalsh(m)
-    kappa = cond_of(eigenvalues)
-    if kappa > DEFAULT_COND_CEILING:
-        raise SingularEtaError(
-            "candidate metric is singular or too ill-conditioned", kappa, DEFAULT_COND_CEILING
-        )
+    message = "candidate metric is singular or too ill-conditioned"
+    require_conditioned(cond_of(eigenvalues), SingularEtaError, message)
     positive = bool(eigenvalues[0] > 0.0)
     factor = np.linalg.cholesky(m) if positive else None
     return MetricOperator(matrix=m, positive_definite=positive, factor=factor)
@@ -98,10 +95,8 @@ def metric_from_matrix(eta, tol: float = DEFAULT_TOL) -> MetricOperator:
 def _hermiticity(m: np.ndarray, tol: float, name: str = "eta") -> float:
     """The normalized Hermiticity defect ``max|m - m^dagger| / max|m|`` of
     the metric m; one above tol refuses m as ``NonHermitianEtaError``."""
-    defect, scale = hermitian_defect(m), scale_of(m)
-    if defect > tol * scale:
-        raise NonHermitianEtaError(f"{name} is not Hermitian within tolerance", defect / scale, tol)
-    return defect / scale
+    defect, message = hermitian_defect(m) / scale_of(m), "{name} is not Hermitian within tolerance"
+    return require_within(defect, tol, NonHermitianEtaError, message, name=name)
 
 
 def is_pseudo_hermitian(H, eta, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -118,9 +113,7 @@ def is_pseudo_hermitian(H, eta, tol: float = DEFAULT_TOL) -> CheckResult:
 
 def _metric(sys: BiorthonormalSystem, cls: SpectrumClass, weights=None) -> MetricOperator:
     """build_metric without its self-check: callers that hold H check
-    ``H^dagger eta = eta H`` against it once themselves.  With unit weights
-    kappa(eta) <= kappa(Psi)^2 <= B^2 for the bound B = ||Psi||_F ||Phi||_F
-    of ``_assemble``: at B^2 <= ceiling / 2 no SVD is taken."""
+    ``H^dagger eta = eta H`` against it once themselves."""
     if cls.tag is SpectrumTag.UNPAIRED:
         raise UnpairedSpectrumError(
             "spectrum has an unpaired complex eigenvalue; no Hermitian metric exists"
@@ -142,17 +135,12 @@ def _metric(sys: BiorthonormalSystem, cls: SpectrumClass, weights=None) -> Metri
 
     eta = left @ phi[:, _partner_columns(sys._offsets, cls.pairing)].conj().T
     real = cls.tag is SpectrumTag.ALL_REAL
-    # with unit weights eta = Phi Pi Phi^dagger, Pi a permutation, so kappa(eta) <=
-    # kappa(Psi)^2 <= _cond_bound^2; all-real, Pi = 1 and kappa(eta) = kappa(Psi)^2
+    # with unit weights eta = Phi Pi Phi^dagger, Pi a permutation, so kappa(eta) <= kappa(Psi)^2
+    # <= B^2 (B the bound of _assemble); all-real, Pi = 1 and kappa(eta) = kappa(Psi)^2
     unit = weights is None
-    kappa = measured_unless_bounded(
-        sys._cond_bound * sys._cond_bound if unit else np.inf,
-        lambda: sys.cond * sys.cond if real and unit else condition_number(eta),
-    )
-    if kappa is not None and kappa > DEFAULT_COND_CEILING:
-        raise SingularEtaError(
-            "constructed metric is too ill-conditioned", kappa, DEFAULT_COND_CEILING
-        )
+    kappa = (lambda: sys.cond * sys.cond) if real and unit else (lambda: condition_number(eta))
+    bound = sys._cond_bound * sys._cond_bound if unit else np.inf
+    require_conditioned(kappa, SingularEtaError, "constructed metric is too ill-conditioned", bound)
     factor = None
     if real:
         factor = phi.copy() if col_w is None else phi * np.sqrt(col_w)
@@ -181,19 +169,16 @@ def build_metric(sys: BiorthonormalSystem, cls: SpectrumClass, weights=None) -> 
         spectrum with unit weights) exceeds ``DEFAULT_COND_CEILING``, or it
         fails the intertwining identity with the operator ``reconstruct(sys)``.
 
-    With unit weights kappa(eta) <= kappa(Psi)^2 for both classes (eta =
-    Phi Pi Phi^dagger with Pi a permutation), so on a system that
-    ``biorthonormal_eigensystem`` certified by ``||Psi||_F ||Phi||_F = B``
-    with B^2 at most half the ceiling, the ceiling is decided without an
-    SVD.  Otherwise, and with weights, the condition number is measured.
+    With unit weights kappa(eta) <= kappa(Psi)^2 <= B^2 for the eigensystem's
+    bound B = ``||Psi||_F ||Phi||_F``, which decides the ceiling without an SVD
+    when B^2 is at most half of it; otherwise, and with weights, kappa(eta) is measured.
     """
     metric = _metric(sys, cls, weights)
-    check = is_pseudo_hermitian(reconstruct(sys), metric, sys.tol)
-    if not check.ok:
-        raise PseudoHermError(
-            f"constructed metric fails the intertwining identity "
-            f"(residual {check.residual:.3e}); the system is inconsistent"
-        )
+    require_within(
+        is_pseudo_hermitian(reconstruct(sys), metric, sys.tol).residual, sys.tol, PseudoHermError,
+        "constructed metric fails the intertwining identity (residual {measured:.3e}); "
+        "the system is inconsistent",
+    )
     return metric
 
 
@@ -258,11 +243,11 @@ def evolution_invariance_check(
     m = _eta_matrix(eta)
     require_same_dim(H, m, "H and eta")
     _hermiticity(m, tol)
-    if strict and not (pre := is_pseudo_hermitian(H, m, tol)).ok:
-        raise NotPseudoHermitianError(
-            f"H is not pseudo-Hermitian w.r.t. eta (residual {pre.residual:.3e}); "
+    if strict:
+        require_within(
+            is_pseudo_hermitian(H, m, tol).residual, tol, NotPseudoHermitianError,
+            "H is not pseudo-Hermitian w.r.t. eta (residual {measured:.3e}); "
             "invariance is not expected",
-            pre.residual, tol,
         )
     u = propagator(H, t)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -42,6 +42,7 @@ from ._linalg import (
     intertwining,
     max_abs,
     require_same_dim,
+    require_within,
     scale_of,
     symmetric_defect,
     takagi_factor,
@@ -230,11 +231,9 @@ def _pt_residual(H: np.ndarray, parity) -> float:
 
 def _require_pt_symmetric(H: np.ndarray, parity, tol: float) -> float:
     """The raw ``H P - P conj(H)`` residual, which refuses H above tol * max|H|."""
-    r_ptsym, scale = _pt_residual(H, parity), scale_of(H)
-    if r_ptsym > tol * scale:
-        raise NotPTSymmetricError(
-            "H does not commute with the parity-conjugation map", r_ptsym / scale, tol
-        )
+    r_ptsym = _pt_residual(H, parity)
+    message = "H does not commute with the parity-conjugation map"
+    require_within(r_ptsym / scale_of(H), tol, NotPTSymmetricError, message)
     return r_ptsym
 
 
@@ -243,22 +242,17 @@ def _checked_eta(
 ) -> tuple[np.ndarray, CheckResult]:
     """eta = m P symmetrized, with its ``H^dagger eta = eta H`` check at the
     scale of hmax = max|H|; refuses a non-Hermitian eta or a failed identity."""
-    defect, scale = hermitian_defect(eta), scale_of(eta)
-    if defect > tol * scale:
-        raise ResultNotHermitianError(
-            "tau composed with parity-conjugation is not Hermitian; "
-            "tau is inconsistent with H (try a parity-adapted eigenbasis); "
-            f"Hermiticity defect {defect / scale:.3e}",
-            defect / scale, tol,
-        )
-    # the symmetrized eta is Hermitian bit for bit; a NaN or Inf passed the test above
-    eta = as_square_matrix((eta + eta.conj().T) / 2.0, "eta")
+    require_within(
+        hermitian_defect(eta) / scale_of(eta), tol, ResultNotHermitianError,
+        "tau composed with parity-conjugation is not Hermitian; tau is inconsistent with H "
+        "(try a parity-adapted eigenbasis); Hermiticity defect {measured:.3e}",
+    )
+    eta = (eta + eta.conj().T) / 2.0  # Hermitian bit for bit
     check = intertwining(H.conj().T, eta, H, hmax, tol)
-    if not check.ok:
-        raise ResultNotHermitianError(
-            f"composed metric fails the intertwining identity (residual {check.residual:.3e})",
-            check.residual, tol,
-        )
+    require_within(
+        check.residual, tol, ResultNotHermitianError,
+        "composed metric fails the intertwining identity (residual {measured:.3e})",
+    )
     return eta, check
 
 

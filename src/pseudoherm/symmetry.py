@@ -18,6 +18,7 @@ from ._linalg import (
     intertwining,
     max_abs,
     require_same_dim,
+    require_within,
     scale_of,
     solve,
 )
@@ -122,10 +123,8 @@ def is_exact_symmetry(
         If X does not commute with the reconstructed H in the first place.
     """
     check = commutes_with(reconstruct(sys), x, tol)
-    if not check.ok:
-        raise NotASymmetryError(
-            f"X does not commute with H (residual {check.residual:.3e})", check.residual, tol
-        )
+    message = "X does not commute with H (residual {measured:.3e})"
+    require_within(check.residual, tol, NotASymmetryError, message)
     return _is_exact(check, sys, x, tol)
 
 

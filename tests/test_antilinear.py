@@ -1,5 +1,7 @@
 """Antilinear operators, automorphism construction, coefficient recovery."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -292,3 +294,28 @@ def test_invert_tau_inverts_each_block():
     # tau^{-1} o tau has the matrix m' conj(m)
     composed = inverse @ np.conj(build_tau(sys_, coeffs).matrix)
     assert relative_gap(composed, np.eye(sys_.dim)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "h, blocks, k",
+    [
+        (np.diag([1.0, 2.0, 3.0]), [[[1.0]], [[1e-320]], [[1.0]]], 1),
+        (np.diag([1.0, 2.0, 2.0, 3.0]), [[[1e-320]], 1e-320 * np.eye(2), [[1.0]]], 0),
+        (np.diag([1.0, 2.0, 2.0, 3.0]), [[[1.0]], 1e-320 * np.eye(2), [[1e-320]]], 1),
+    ],
+    ids=["simple", "d2-after-simple", "d2"],
+)
+def test_invert_tau_refuses_a_block_whose_inverse_overflows(h, blocks, k):
+    """A block that validation accepts but whose inverse is not finite is
+    refused as singular, the lowest such level named, with no RuntimeWarning;
+    build_tau keeps accepting it."""
+    sys_ = biorthonormal_eigensystem(h)
+    coeffs = CoefficientFamily(tuple(np.asarray(b, dtype=complex) for b in blocks))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        build_tau(sys_, coeffs)
+        with pytest.raises(SingularCoefficientsError) as refused:
+            invert_tau(sys_, coeffs)
+    assert str(refused.value) == f"coefficient block {k} is too small to invert"
+    assert not np.isfinite(refused.value.measured)
+    assert refused.value.limit == np.finfo(float).max

@@ -10,6 +10,7 @@ import pytest
 
 from pseudoherm import (
     NotDiagonalizableError,
+    biorthonormal_eigensystem,
     build_pt_hamiltonian,
     canonical_tau,
     classify_spectrum,
@@ -22,9 +23,10 @@ from pseudoherm import (
     pt_commutation_residuals,
     time_reversal,
 )
+from pseudoherm import cli, eigensystem
 from pseudoherm._linalg import scale_of
 from pseudoherm.cli import build_parser, cli_main
-from pseudoherm.io import save_coefficients, save_matrix
+from pseudoherm.io import load_matrix, matrix_to_dict, save_coefficients, save_matrix
 from pseudoherm.antilinear import CoefficientFamily
 from pseudoherm.ensembles import planted_matrix
 
@@ -104,6 +106,58 @@ def test_hermitize_real_spectrum(real_matrix, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["hermiticity_residual"] < 1e-10
     assert payload["A"]["n"] == 4
+
+
+def test_hermitize_reuses_the_verified_product(real_matrix, capsys, monkeypatch):
+    """hermitize forms A H A^{-1} as A (H Psi) from the product H Psi that
+    verified the eigensystem: the text is that of A @ (H @ Psi) bit for bit,
+    and the command forms no second H @ Psi."""
+    h = load_matrix(real_matrix)
+    sys_ = biorthonormal_eigensystem(h)
+    want = matrix_to_dict(sys_.phi_matrix.conj().T @ (h @ sys_.psi_matrix))
+    assert cli_main(["hermitize", "--output", "json", real_matrix]) == 0
+    assert json.loads(capsys.readouterr().out)["transformed"] == want
+    calls = []
+    monkeypatch.setattr(cli, "_hermitized", lambda t, hpsi: calls.append(hpsi) or (hpsi, 0.0))
+    monkeypatch.setattr(eigensystem, "_verify_system", _recording(eigensystem._verify_system, calls))
+    cli_main(["hermitize", real_matrix])
+    assert calls[0] is calls[1]
+
+
+def _recording(fn, calls):
+    def recorded(*args):
+        out = fn(*args)
+        calls.append(out)
+        return out
+    return recorded
+
+
+def test_analyze_refuses_a_jordan_block_by_its_cause(tmp_path, capsys):
+    """analyze reports the eigensystem's own refusal, not the report stage
+    that wraps it: exit 1, nothing on stdout, one stderr line."""
+    path = tmp_path / "jordan.json"
+    save_matrix(path, np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(NotDiagonalizableError) as refused:
+        biorthonormal_eigensystem(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert cli_main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"NotDiagonalizableError: {refused.value}\n"
+
+
+def test_tau_refuses_a_small_asymmetric_block(tmp_path, capsys):
+    """A coefficient block 1e-12 [[1, 2], [3, 1]] is refused as asymmetric
+    (exit 2), as the same block at scale 1 is."""
+    matrix_path, coeff_path = tmp_path / "h4.json", tmp_path / "asym.json"
+    save_matrix(matrix_path, np.diag([1.0, 2.0, 3.0, 3.0]))
+    one = np.ones((1, 1), dtype=complex)
+    for scale in (1e-12, 1.0):
+        block = scale * np.array([[1.0, 2.0], [3.0, 1.0]], dtype=complex)
+        save_coefficients(coeff_path, CoefficientFamily((one, one, block)))
+        assert cli_main(["tau", str(matrix_path), "--coeffs", str(coeff_path)]) == 2
+        assert capsys.readouterr().err == (
+            "AsymmetricCoefficientsError: coefficient block 2 is not symmetric\n"
+        )
 
 
 def test_hermitize_paired_exits_one(paired_matrix, capsys):

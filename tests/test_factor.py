@@ -283,10 +283,14 @@ def test_canonicalize_refusals():
         canonicalize([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularCoefficientsError):
         canonicalize(np.diag([1.0, 1e-9]))
-    # asymmetry 5e-11 passes the absolute 1e-10 symmetry check of a block
-    # with max|c| < 1 but not the relative factorization residual
+    # asymmetry 5e-11 passes the symmetry check, 1e-10 max|c|, but not the
+    # factorization residual at tol 1e-11; asymmetry 5e-11 at max|c| = 1e-3 is
+    # refused, as it is at max|c| = 1, where no floor at 1 lets it pass
     with pytest.raises(PseudoHermError, match="factorization residual"):
-        canonicalize(1e-3 * np.array([[1.0, 0.5 + 5e-8], [0.5, 1.0]]))
+        canonicalize([[1.0, 0.5 + 5e-11], [0.5, 1.0]], tol=1e-11)
+    for scale in (1e-3, 1.0):
+        with pytest.raises(AsymmetricCoefficientsError):
+            canonicalize(scale * np.array([[1.0, 0.5 + 5e-8], [0.5, 1.0]]))
     with pytest.raises(PseudoHermError, match="factorization residual"):
         canonicalize([[2.0, 1j], [1j, 3.0]], tol=1e-20)
     canonicalize([[2.0, 1j], [1j, 3.0]])
@@ -324,7 +328,7 @@ def reference_canonicalize_tau(sys_, coeffs, tol=1e-10):
             raise DimensionMismatchError(
                 f"block {k} has shape {b.shape}, level multiplicity is {lv.multiplicity}"
             )
-        if np.max(np.abs(b - b.T)) > 1e-10 * max(np.max(np.abs(b)), 1.0):
+        if not np.max(np.abs(b - b.T)) <= 1e-10 * np.max(np.abs(b)):
             raise AsymmetricCoefficientsError(f"coefficient block {k} is not symmetric")
         v, s = takagi_factor(b)
         if cond_of(s) > 1e8:
@@ -416,9 +420,12 @@ def refusal(fn, *args):
 
 ASYMMETRIC = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
 SINGULAR = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-# asymmetry 5e-11 passes the absolute symmetry test of a block with
-# max|c| < 1 but not the relative factorization residual
-RESIDUAL = 1e-3 * np.array([[1.0, 0.5 + 5e-8], [0.5, 1.0]], dtype=complex)
+# asymmetry 5e-11 passes the symmetry test, 1e-10 max|c|, but not the
+# factorization residual at RESIDUAL_TOL
+RESIDUAL = np.array([[1.0, 0.5 + 5e-11], [0.5, 1.0]], dtype=complex)
+# the tol of the canonicalize_tau runs below: under every RESIDUAL block's
+# factor residual, far above those of the random blocks
+RESIDUAL_TOL = 1e-11
 
 
 @pytest.mark.parametrize(
@@ -451,8 +458,8 @@ def test_refusals_name_the_first_faulty_level(mixed, faults, cause):
     for k, block in faults.items():
         blocks[k] = block
     bad = CoefficientFamily(tuple(blocks))
-    got = refusal(canonicalize_tau, sys_, bad)
-    assert got == refusal(reference_canonicalize_tau, sys_, bad)
+    got = refusal(canonicalize_tau, sys_, bad, RESIDUAL_TOL)
+    assert got == refusal(reference_canonicalize_tau, sys_, bad, RESIDUAL_TOL)
     assert got[0] is cause
     if cause is not PseudoHermError:
         assert refusal(build_tau, sys_, bad) == got
@@ -527,7 +534,7 @@ SINGULAR3 = np.ones((3, 3), dtype=complex)
 ASYMMETRIC3 = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
 # a d=3 block that passes validation but not its factor check; its residual
 # (about 8e-11) differs from RESIDUAL's (about 5e-11), so the message names the level
-RESIDUAL3 = 1e-3 * np.array([[1.0, 0.5 + 8e-8, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+RESIDUAL3 = np.array([[1.0, 0.5 + 8e-11, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
 ZERO1 = np.zeros((1, 1), dtype=complex)
 
 
@@ -554,12 +561,12 @@ def test_refusals_follow_level_order_not_group_order(unsorted, faults, cause):
     the multiplicity groups run in ascending d."""
     sys_, coeffs = unsorted
     bad = CoefficientFamily(tuple(with_faults(coeffs.blocks, faults)))
-    got = refusal(canonicalize_tau, sys_, bad)
-    assert got == refusal(reference_canonicalize_tau, sys_, bad)
+    got = refusal(canonicalize_tau, sys_, bad, RESIDUAL_TOL)
+    assert got == refusal(reference_canonicalize_tau, sys_, bad, RESIDUAL_TOL)
     assert got[0] is cause
     if cause is PseudoHermError:  # the lowest level's residual, not the other one
         later = CoefficientFamily(tuple(with_faults(coeffs.blocks, {max(faults): faults[max(faults)]})))
-        assert got[1] != refusal(canonicalize_tau, sys_, later)[1]
+        assert got[1] != refusal(canonicalize_tau, sys_, later, RESIDUAL_TOL)[1]
     else:
         assert refusal(build_tau, sys_, bad) == got
 
@@ -845,3 +852,42 @@ def test_gauge_keeps_biorthonormality_up_to_the_cond_ceiling(cond):
         inverse = factor._regauge(sys_, [factor._inv_adjoint(b) for b in v], v)
         for got, want in zip(new_sys._biorthonormality, inverse._biorthonormality):
             assert got <= min(sys_.tol, 10 * max(want, 1e-15))
+
+
+SCALES = [-12, -6, 0, 6, 12]
+SCALED_FAULTS = {
+    "asymmetric": ASYMMETRIC, "singular": SINGULAR, "residual": RESIDUAL, "zero": ZERO1,
+    "asymmetric3": ASYMMETRIC3, "singular3": SINGULAR3, "residual3": RESIDUAL3,
+}
+
+
+@pytest.mark.parametrize("k", SCALES)
+@pytest.mark.parametrize("name", SCALED_FAULTS)
+def test_block_verdicts_are_scale_invariant(unsorted, name, k):
+    """A faulty coefficient block keeps its verdict when it is scaled by 10^k:
+    the symmetry, condition and factor-residual tests are all relative to
+    max|c|, with no floor at 1."""
+    sys_, coeffs = unsorted
+    block = SCALED_FAULTS[name]
+    level = sys_._sizes.tolist().index(len(block))
+
+    def verdict(scale):
+        bad = CoefficientFamily(tuple(with_faults(coeffs.blocks, {level: scale * block})))
+        return refusal(canonicalize_tau, sys_, bad, RESIDUAL_TOL)[0]
+
+    assert verdict(10.0**k) is verdict(1.0)
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_a_small_asymmetric_block_is_refused(k):
+    """1e-12 [[1, 2], [3, 1]] is as asymmetric as [[1, 2], [3, 1]]: refused at
+    every scale by every entry point that validates it (an absolute floor at
+    max|c| = 1 once let it through, with a factor 33% off)."""
+    sys_ = biorthonormal_eigensystem(np.diag([1.0, 2.0, 3.0, 3.0]))
+    one = np.ones((1, 1), dtype=complex)
+    block = 10.0**k * 1e-12 * np.array([[1.0, 2.0], [3.0, 1.0]], dtype=complex)
+    coeffs = CoefficientFamily((one, one, block))
+    want = (AsymmetricCoefficientsError, "coefficient block 2 is not symmetric")
+    assert refusal(coeffs.validate_against, sys_) == want
+    assert refusal(build_tau, sys_, coeffs) == want
+    assert refusal(canonicalize_tau, sys_, coeffs) == want
