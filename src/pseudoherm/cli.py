@@ -2,8 +2,8 @@
 
 Each ``cmd_*`` computes and returns ``(ok, payload)``; :func:`cli_main`
 prints the payload with :func:`_emit`, the only place that formats output.
-Exit codes: 0 success, 1 verification failure (a residual exceeded the
-tolerance or a theorem-level obstruction such as an unpaired spectrum),
+Exit codes: 0 success, 1 verification failure (a residual or a condition number
+above its bound, or a theorem-level obstruction such as an unpaired spectrum),
 2 input or usage error, or a failed write of the output (a closed pipe).
 """
 
@@ -18,9 +18,9 @@ import sys
 import numpy as np
 
 from . import io
-from ._linalg import max_abs, scale_of, symmetric_defect
+from ._linalg import scale_of, symmetric_defect
 from .antilinear import build_tau, is_anti_pseudo_hermitian
-from .eigensystem import DEFAULT_TOL, _assemble, _cluster_gap, _raw_levels, classify_spectrum
+from .eigensystem import DEFAULT_TOL, _solve, classify_spectrum
 from .errors import (
     AmbiguousPairingError,
     NotDiagonalizableError,
@@ -28,10 +28,11 @@ from .errors import (
     NotPTSymmetricError,
     PseudoHermError,
     ResultNotHermitianError,
+    SingularEtaError,
     SpectrumNotRealError,
     UnpairedSpectrumError,
 )
-from .factor import symmetric_factor
+from .factor import _symmetric_factor
 from .hermitize import ReportStageError, _hermitized, _report, hermitizing_transform
 from .metric import _metric, evolution_invariance_check, is_pseudo_hermitian
 from .ptmodel import _pt_model, build_pt_hamiltonian, make_lattice
@@ -45,6 +46,7 @@ VERIFICATION_ERRORS = (
     NotPTSymmetricError,
     ResultNotHermitianError,
     NotPseudoHermitianError,
+    SingularEtaError,
 )
 
 
@@ -67,9 +69,7 @@ def _emit(args, payload: dict) -> None:
 def _analysis(args) -> tuple:
     """(H, system, class, H Psi), built as the report builds them."""
     h = io.load_matrix(args.matrix)
-    hmax = max_abs(h)
-    levels = _raw_levels(h, _cluster_gap(args.cluster_gap, hmax))
-    system, hpsi = _assemble(*levels, h, hmax, args.tol)
+    system, hpsi = _solve(h, args.tol, args.cluster_gap)
     return h, system, classify_spectrum(system), hpsi
 
 
@@ -86,9 +86,7 @@ def cmd_analyze(args) -> tuple[bool, dict]:
     try:
         report, system, cls = _report(h, args.tol, args.cluster_gap, args.seed)
     except ReportStageError as exc:
-        if exc.stage in ("eigensystem", "classification"):
-            raise exc.__cause__ from None  # no analysis at all: report the cause itself
-        raise
+        raise exc.__cause__ from None  # the refusal the stage's own command prints
     payload = {
         "spectrum_class": cls.tag.value,
         "levels": _levels_payload(system),
@@ -165,9 +163,7 @@ def cmd_pt_model(args) -> tuple[bool, dict]:
 
 
 def cmd_factor(args) -> tuple[bool, dict]:
-    c = io.load_matrix(args.matrix)
-    v = symmetric_factor(c, args.tol)
-    resid = max_abs(v @ v.T - c) / scale_of(c)
+    v, resid = _symmetric_factor(io.load_matrix(args.matrix), args.tol)
     return resid <= args.tol, {"residual": resid, "v": v}
 
 

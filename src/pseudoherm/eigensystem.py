@@ -113,7 +113,7 @@ class BiorthonormalSystem:
 
     @cached_property
     def _hmax(self) -> float:
-        """max|H|; seeded by ``_assemble``, else measured once from ``reconstruct``."""
+        """max|H|; seeded by ``_assemble`` and ``_regauged``, else read off ``reconstruct``."""
         return max_abs(reconstruct(self))
 
     @cached_property
@@ -261,9 +261,15 @@ def biorthonormal_eigensystem(
         It carries the number (``measured``), the bound it exceeded
         (``limit``) and the residual's name (``check``, None for the ceiling).
     """
-    H = as_square_matrix(H, "H")
+    return _solve(as_square_matrix(H, "H"), tol, cluster_gap)[0]
+
+
+def _solve(H: np.ndarray, tol: float, cluster_gap) -> tuple:
+    """(system, H Psi) of a validated H: the eig of ``_raw_levels``, clustered at
+    cluster_gap (None: the default), verified by ``_assemble``.  Every eigensystem
+    is solved here, but ``ptmodel._adapted``'s, which re-gauges Psi in between."""
     hmax = max_abs(H)
-    return _assemble(*_raw_levels(H, _cluster_gap(cluster_gap, hmax)), H, hmax, tol)[0]
+    return _assemble(*_raw_levels(H, _cluster_gap(cluster_gap, hmax)), H, hmax, tol)
 
 
 def _realness_tol(hmax: float) -> float:
@@ -336,6 +342,9 @@ _UNREACHED = (
     "near-defective, has spectral clusters wider than tol but narrower than the cluster gap, "
     "or tol is too tight for its conditioning"
 )
+_AMBIGUOUS = (
+    "level {i} (E={e:.6g}) has {measured} conjugate-partner candidates within tolerance {tol:.1e}"
+)
 
 
 def _assemble(
@@ -359,27 +368,33 @@ def _assemble(
     except NotDiagonalizableError:
         del phi  # a kept traceback holds this frame
         raise
-    energies, sizes = _read_only(level_energies), np.diff(offsets)
     sys = _on_stored(
-        _read_only(psi), _read_only(phi), energies, offsets, tol,
-        **({"_cond_bound": bound} if cond is None else {"cond": cond}),
-        _hmax=hmax, _sizes=sizes, energies=_read_only(np.repeat(energies, sizes)),
+        psi, phi, level_energies, offsets, tol,
+        **({"_cond_bound": bound} if cond is None else {"cond": cond}), _hmax=hmax,
     )
     return sys, _verify_system(sys, H, hmax, tol)
+
+
+def _regauged(sys: BiorthonormalSystem, psi: np.ndarray, phi: np.ndarray) -> BiorthonormalSystem:
+    """sys on re-gauged bases psi and phi of its levels, keeping its levels, tol,
+    ``energies``, ``_groups`` and ``_hmax``; ``cond`` is measured on first access."""
+    return _on_stored(
+        psi, phi, sys._level_energies, sys._offsets, sys.tol,
+        energies=sys.energies, _groups=sys._groups, _hmax=sys._hmax,
+    )
 
 
 def _on_stored(
     psi: np.ndarray, phi: np.ndarray, level_energies: np.ndarray, offsets: np.ndarray, tol: float,
     **cached,
 ) -> BiorthonormalSystem:
-    """System that is its read-only Psi and Phi, per-level energies and level
-    offsets: it builds no ``EigenLevel`` (``levels`` is made on first read);
-    seeds the ``cached`` properties and leaves the rest to be measured on
-    first access."""
+    """System that is its Psi, Phi and per-level energies, made read-only here,
+    and its level offsets: no ``EigenLevel`` is built (``levels`` is made on first
+    read); the ``cached`` properties are seeded, the rest formed on first access."""
     sys = object.__new__(BiorthonormalSystem)
     vars(sys).update(
-        dim=psi.shape[0], tol=tol, psi_matrix=psi, phi_matrix=phi,
-        _level_energies=level_energies, _offsets=offsets, **cached,
+        dim=psi.shape[0], tol=tol, psi_matrix=_read_only(psi), phi_matrix=_read_only(phi),
+        _level_energies=_read_only(level_energies), _offsets=offsets, **cached,
     )
     return sys
 
@@ -444,13 +459,9 @@ def _classify(energies: np.ndarray, mult: np.ndarray, realness_tol: float) -> Sp
         e = energies[nonreal]
         near = np.abs(e[None, :] - np.conj(e)[:, None]) <= realness_tol
         count = near.sum(axis=1)
-        if np.any(count > 1):
-            a = int(np.argmax(count > 1))
-            i = nonreal[a]
-            raise AmbiguousPairingError(
-                f"level {i} (E={energies[i]:.6g}) has {count[a]} conjugate-partner "
-                f"candidates within tolerance {realness_tol:.1e}"
-            )
+        a = int(np.argmax(count > 1))  # the first ambiguous level; with none, one that passes
+        i, error = nonreal[a], AmbiguousPairingError
+        require_within(int(count[a]), 1, error, _AMBIGUOUS, i=i, e=energies[i], tol=realness_tol)
         partner = nonreal[np.argmax(near, axis=1)]
         paired = (count == 1) & (mult[partner] == mult[nonreal])
         pairing[nonreal[paired]] = partner[paired]

@@ -30,12 +30,7 @@ from ._linalg import (
     unstack,
 )
 from .antilinear import AntilinearOperator, CoefficientFamily, build_tau
-from .eigensystem import (
-    DEFAULT_TOL,
-    BiorthonormalSystem,
-    _on_stored,
-    _read_only,
-)
+from .eigensystem import DEFAULT_TOL, BiorthonormalSystem, _regauged
 from .errors import (
     DimensionMismatchError,
     NotSymmetricError,
@@ -58,19 +53,23 @@ def symmetric_factor(c, tol: float = DEFAULT_TOL) -> np.ndarray:
     because c is.  Raises ``SingularInputError`` when the condition number of
     c, read off s, exceeds ``DEFAULT_COND_CEILING``, as ``validate_against`` does.
     """
+    return _symmetric_factor(c, tol)[0]
+
+
+def _symmetric_factor(c, tol: float) -> tuple[np.ndarray, float]:
+    """(v, max|v v^T - c| / max|c|): symmetric_factor and the residual it checked."""
     c = as_square_matrix(c, "c")
     asymmetric = "input is not complex symmetric"
     require_within(symmetric_defect(c), tol * scale_of(c), NotSymmetricError, asymmetric)
     v, s = takagi_factor(c)
     singular = "input is singular or too ill-conditioned; no invertible factor"
     require_conditioned(cond_of(s), SingularInputError, singular)
-    _check_factor(c, v, tol)
-    return v
+    return v, _check_factor(c, v, tol) / scale_of(c)
 
 
-def _check_factor(c: np.ndarray, v: np.ndarray, tol: float) -> None:
-    """Refuse a factor v that misses ``c = v v^T`` by more than ``tol * max|c|``."""
-    require_within(max_abs(v @ v.T - c), tol * scale_of(c), PseudoHermError, _MISSED)
+def _check_factor(c: np.ndarray, v: np.ndarray, tol: float) -> float:
+    """max|v v^T - c|, refused above ``tol * max|c|``."""
+    return require_within(max_abs(v @ v.T - c), tol * scale_of(c), PseudoHermError, _MISSED)
 
 
 _MISSED = "factorization residual {measured:.3e} exceeds tolerance"
@@ -116,13 +115,13 @@ def _takagi_inv_adjoint(v: np.ndarray, s: np.ndarray) -> np.ndarray:
     stacked inverse for the blocks whose s_max / s_min exceeds
     ``_READOFF_COND``."""
     if v.shape[-1] == 1:
-        return 1.0 / np.conj(v)
+        return _inv_adjoint(v)
     # real and imaginary parts divided by the real s: a complex divisor below
     # 1 / (largest float) would overflow
     g = (v.view(np.float64) / np.repeat(s, 2, axis=-1)[:, None, :]).view(np.complex128)
     far = s[:, -1] > _READOFF_COND * s[:, 0]
     if far.any():
-        g[far] = np.linalg.inv(v[far].conj().swapaxes(-1, -2))
+        g[far] = _inv_adjoint(v[far])
     return g
 
 
@@ -132,11 +131,7 @@ def _regauge(sys: BiorthonormalSystem, g: list, h: list) -> BiorthonormalSystem:
     Psi' and Phi' are two new stored arrays, formed in one walk of the groups:
     one column scaling for every d = 1 level and one stacked product per
     multiplicity d >= 2."""
-    psi, phi = times_block_diag(sys._groups, (sys.psi_matrix, g), (sys.phi_matrix, h))
-    return _on_stored(
-        _read_only(psi), _read_only(phi), sys._level_energies, sys._offsets, sys.tol,
-        energies=sys.energies, _groups=sys._groups, _hmax=sys._hmax,
-    )
+    return _regauged(sys, *times_block_diag(sys._groups, (sys.psi_matrix, g), (sys.phi_matrix, h)))
 
 
 def basis_change(sys: BiorthonormalSystem, u_blocks) -> BiorthonormalSystem:

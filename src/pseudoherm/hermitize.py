@@ -21,7 +21,6 @@ from ._linalg import (
     diagonal_defect,
     hermitian_defect,
     intertwining,
-    max_abs,
     require_conditioned,
     require_same_dim,
     scale_of,
@@ -33,10 +32,8 @@ from .eigensystem import (
     BiorthonormalSystem,
     SpectrumClass,
     SpectrumTag,
-    _assemble,
     _cluster_gap,
-    _raw_levels,
-    _realness_tol,
+    _solve,
     classify_spectrum,
 )
 from .errors import (
@@ -63,10 +60,10 @@ class PseudoCanonicalTransform:
 
 
 class ReportStageError(PseudoHermError):
-    """Unexpected failure inside the report runner, labelled by stage."""
+    """Failure inside the report runner, labelled by stage, with its cause's numbers."""
 
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage '{stage}': {cause}")
+    def __init__(self, stage: str, cause: PseudoHermError):
+        super().__init__(f"stage '{stage}': {cause}", cause.measured, cause.limit)
         self.stage = stage
 
 
@@ -164,22 +161,9 @@ def real_spectrum_equivalence_report(
 def _report(H, tol, cluster_gap, seed) -> tuple:
     """(report, eigensystem, spectrum class) of one chain run; matrices stay arrays."""
     H = as_square_matrix(H, "H")
-    hmax = max_abs(H)
-    hscale = max(hmax, 1e-300)
-    gap = _cluster_gap(cluster_gap, hmax)
     residuals: dict[str, float] = {}
     refusals: dict[str, str] = {}
     certificates: dict[str, np.ndarray | None] = {"eta": None, "A": None, "X": None}
-    report = {
-        "input": H,
-        "spectrum_class": None,
-        "tolerances": {"tol": tol, "realness_tol": _realness_tol(hmax), "cluster_gap": gap},
-        "residuals": residuals,
-        "refusals": refusals,
-        "certificates": certificates,
-        "exact_symmetry": None,
-        "positive_definite_metric": None,
-    }
 
     def run(stage, fn):
         try:
@@ -190,11 +174,22 @@ def _report(H, tol, cluster_gap, seed) -> tuple:
         except PseudoHermError as exc:
             raise ReportStageError(stage, exc) from exc
 
-    sys, hpsi = run("eigensystem", lambda: _assemble(*_raw_levels(H, gap), H, hmax, tol))
+    sys, hpsi = run("eigensystem", lambda: _solve(H, tol, cluster_gap))
     residuals["biorthonormality"], residuals["completeness"] = sys._biorthonormality
 
     cls = run("classification", lambda: classify_spectrum(sys))
-    report["spectrum_class"] = cls.tag.value
+    hmax, gap = sys._hmax, _cluster_gap(cluster_gap, sys._hmax)
+    hscale = max(hmax, 1e-300)
+    report = {
+        "input": H,
+        "spectrum_class": cls.tag.value,
+        "tolerances": {"tol": tol, "realness_tol": cls.realness_tol, "cluster_gap": gap},
+        "residuals": residuals,
+        "refusals": refusals,
+        "certificates": certificates,
+        "exact_symmetry": None,
+        "positive_definite_metric": None,
+    }
 
     h_conj = H.conj()  # conj(H); H^dagger is its transpose
     tau = canonical_tau(sys).matrix

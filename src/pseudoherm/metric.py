@@ -202,10 +202,6 @@ def indefinite_inner_product(eta, xi, zeta) -> complex:
     return complex(xi.conj() @ m @ zeta)
 
 
-def _overflow(what: str, t: float, H: np.ndarray) -> PseudoHermError:
-    return PseudoHermError(f"{what} overflows at t = {t:.3e} (max|H| = {max_abs(H):.3e})")
-
-
 def propagator(H, t: float) -> np.ndarray:
     """Evolution operator ``exp(-i H t)`` (scaling-and-squaring Pade).
 
@@ -217,9 +213,15 @@ def propagator(H, t: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         exponent = -1j * t * H
         u = expm(exponent) if np.isfinite(exponent).all() else exponent
-    if not np.isfinite(u).all():
-        raise _overflow("exp(-iHt)", t, H)
+        top = max_abs(u)
+    _require_finite(top, "exp(-iHt)", t, H)
     return u
+
+
+def _require_finite(top: float, what: str, t: float, H: np.ndarray) -> None:
+    """Refuse max|.| = top of an evolution product above the largest float (or NaN)."""
+    message, hmax = "{what} overflows at t = {t:.3e} (max|H| = {hmax:.3e})", max_abs(H)
+    require_within(top, np.finfo(float).max, PseudoHermError, message, what=what, t=t, hmax=hmax)
 
 
 def evolution_invariance_check(
@@ -252,6 +254,5 @@ def evolution_invariance_check(
     u = propagator(H, t)
     with np.errstate(over="ignore", invalid="ignore"):
         raw = max_abs(u.conj().T @ m @ u - m)
-    if not np.isfinite(raw):
-        raise _overflow("U^dagger eta U", t, H)
+    _require_finite(raw, "U^dagger eta U", t, H)
     return make_check(raw, max_abs(m), tol)

@@ -285,7 +285,9 @@ def _adapted(
     H: np.ndarray, parity, tol: float, cluster_gap, hmax: float
 ) -> tuple[BiorthonormalSystem, SpectrumClass, float]:
     """The parity-conjugation adapted system of H (hmax = max|H|), its class
-    and the raw ``H P - P conj(H)`` residual of ``_require_pt_symmetric``."""
+    and the raw ``H P - P conj(H)`` residual of ``_require_pt_symmetric``.
+    Not ``_solve``: the gauge is set on the raw Psi before ``_assemble``, so
+    the adapted system is inverted and verified once."""
     r_ptsym = _require_pt_symmetric(H, parity, tol)
     psi, energies, offsets = _raw_levels(H, _cluster_gap(cluster_gap, hmax))
     sizes = np.diff(offsets)

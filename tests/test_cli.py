@@ -145,6 +145,22 @@ def test_analyze_refuses_a_jordan_block_by_its_cause(tmp_path, capsys):
     assert captured.err == f"NotDiagonalizableError: {refused.value}\n"
 
 
+def test_an_ill_conditioned_metric_is_refused_as_a_verification_failure(tmp_path, capsys):
+    """kappa(eta) = kappa(Psi)^2 = 4e12 is above the 1e8 ceiling: analyze
+    prints the line metric prints, its report's metric stage unwrapped, and
+    every command that needs the metric exits 1, as for kappa(Psi) > 1e8."""
+    path = tmp_path / "ill.json"
+    save_matrix(path, np.array([[1.0, 1e6], [0.0, 2.0]]))
+    refusals = {
+        "analyze": "SingularEtaError: constructed metric is too ill-conditioned\n",
+        "metric": "SingularEtaError: constructed metric is too ill-conditioned\n",
+        "hermitize": "SingularEtaError: the positive metric A^dagger A is too ill-conditioned\n",
+    }
+    for command, line in refusals.items():
+        assert cli_main([command, str(path)]) == 1
+        assert capsys.readouterr() == ("", line)
+
+
 def test_tau_refuses_a_small_asymmetric_block(tmp_path, capsys):
     """A coefficient block 1e-12 [[1, 2], [3, 1]] is refused as asymmetric
     (exit 2), as the same block at scale 1 is."""
@@ -424,6 +440,7 @@ EXIT_CODES = {
     "unpaired": [0, 1, 1, 1, 1, 0],
     "near-real-5e-9": [1, 1, 1, 1, 1, 0],
     "near-real-5e-10": [1, 0, 1, 1, 1, 0],  # eta intertwines, X does not commute
+    "ill-conditioned-metric": [1, 1, 1, 1, 1, 0],  # kappa(eta) = kappa(Psi)^2 = 4e12 > 1e8
     "string-data": [2, 2, 2, 2, 2, 2],  # malformed input, refused before any analysis
     "list-file": [2, 2, 2, 2, 2, 2],
     "string-file": [2, 2, 2, 2, 2, 2],
@@ -443,6 +460,8 @@ NEAR_REAL = {"near-real-5e-9": 5e-9, "near-real-5e-10": 5e-10}
 def _exit_table_matrix(name):
     if name in NEAR_REAL:
         return near_real_matrix(NEAR_REAL[name])
+    if name == "ill-conditioned-metric":
+        return np.array([[1.0, 1e6], [0.0, 2.0]])  # kappa(Psi) = 2e6: a verified eigensystem
     return planted_matrix(np.random.default_rng(1), 6, name).matrix
 
 

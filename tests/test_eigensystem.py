@@ -1,11 +1,15 @@
 """Biorthonormal eigensystem construction, classification, reconstruction."""
 
+import ast
 import json
 import warnings
+from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pseudoherm
 from pseudoherm import (
     AmbiguousPairingError,
     DimensionMismatchError,
@@ -406,6 +410,52 @@ def test_assembled_levels_are_read_only_views(kind):
     for a in (sys_.psi_matrix, sys_.phi_matrix, sys_.energies, *blocks):
         with pytest.raises(ValueError):
             a[...] = 0.0
+
+
+# The private pieces an eigensystem is made of, and the modules that may use
+# them: every other module solves through ``_solve`` or re-gauges through
+# ``_regauged``, and the report reads its realness tolerance off the class.
+EIGENSYSTEM_PIECES = {
+    "_raw_levels": {"eigensystem", "ptmodel"},
+    "_assemble": {"eigensystem", "ptmodel"},
+    "_on_stored": {"eigensystem"},
+    "_read_only": {"eigensystem"},
+    "_realness_tol": {"eigensystem", "ptmodel"},
+}
+
+
+def test_only_eigensystem_makes_an_eigensystem():
+    misused = []
+    for path in sorted(Path(pseudoherm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        misused += [
+            (path.stem, name) for name, users in EIGENSYSTEM_PIECES.items()
+            if name in names and path.stem not in users
+        ]
+    assert misused == []
+
+
+def _seeded(sys_):
+    """The names a system holds beyond what the constructor stores."""
+    stored = {"dim", "levels", "tol", "psi_matrix", "phi_matrix", "_level_energies", "_offsets"}
+    return set(vars(sys_)) - stored
+
+
+@pytest.mark.parametrize("h", [np.diag([1.0, 2.0]), np.array([[1.0, 1.0], [0.0, 1.0 + 3e-8]])])
+def test_every_seeded_name_is_a_cached_property(h):
+    """``_on_stored`` accepts any name, so a seed under a stale name would be
+    dropped silently: each name ``_assemble`` and ``_regauged`` seed is one the
+    class reads.  The second H's bound (kappa(Psi) = 6.7e7) does not decide
+    its ceiling, so its ``cond`` is seeded instead of ``_cond_bound``."""
+    sys_ = biorthonormal_eigensystem(h)
+    regauged = basis_change(sys_, [2.0 * np.eye(1), 3.0 * np.eye(1)])
+    cached = {k for k, v in vars(BiorthonormalSystem).items() if isinstance(v, cached_property)}
+    assert _seeded(sys_) - {"_cond_bound"} <= cached
+    assert ("cond" in vars(sys_)) == bool(h[0, 1])
+    assert _seeded(regauged) == {"energies", "_groups", "_hmax"}
+    assert regauged._groups is sys_._groups and regauged._hmax == sys_._hmax
 
 
 def test_biorthonormality_residuals_are_the_verified_ones(planted_paired):

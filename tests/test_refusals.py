@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from pseudoherm import (
+    AmbiguousPairingError,
     AsymmetricCoefficientsError,
     BiorthonormalSystem,
     CoefficientFamily,
+    DimensionMismatchError,
     EigenLevel,
+    LatticeSpec,
     MetricOperator,
     NonHermitianEtaError,
     NotASymmetryError,
@@ -19,6 +22,7 @@ from pseudoherm import (
     NotSymmetricError,
     PseudoCanonicalTransform,
     PseudoHermError,
+    ReportStageError,
     ResultNotHermitianError,
     SingularBlockError,
     SingularCoefficientsError,
@@ -36,19 +40,26 @@ from pseudoherm import (
     commutes_with,
     evolution_invariance_check,
     hermitizing_transform,
+    indefinite_inner_product,
     invert_tau,
     is_exact_symmetry,
     is_pseudo_hermitian,
+    level_invariance_residuals,
     make_lattice,
     metric_from_matrix,
     metric_from_transform,
     parity_matrix,
+    propagator,
     pseudo_adjoint,
+    real_spectrum_equivalence_report,
     reconstruct,
+    recover_coefficients,
     symmetric_factor,
     time_reversal,
 )
 from pseudoherm.antilinear import AntilinearOperator
+from pseudoherm.ensembles import planted_matrix
+from pseudoherm.io import matrix_from_dict, matrix_to_dict
 from pseudoherm.ptmodel import eta_from_tau_pt
 
 CEILING = (
@@ -198,6 +209,36 @@ def case_evolution_strict():
             "invariance is not expected", residual, 1e-9)
 
 
+def case_propagator_overflow():
+    # -i t H overflows to -inf i on the diagonal: U is that exponent
+    return (lambda: propagator(10.0 * np.eye(2), 1e308), PseudoHermError,
+            "exp(-iHt) overflows at t = 1.000e+308 (max|H| = 1.000e+01)", np.inf,
+            np.finfo(float).max)
+
+
+def case_evolution_overflow():
+    h = 700.0 * np.array([[0.0, 1.0], [-1.0, 0.0]])  # E = +-700i: U is finite, U^dagger U is not
+    return (lambda: evolution_invariance_check(h, np.eye(2), 1.0), PseudoHermError,
+            "U^dagger eta U overflows at t = 1.000e+00 (max|H| = 7.000e+02)", np.inf,
+            np.finfo(float).max)
+
+
+def case_ambiguous_pairing():
+    # cluster gap 0 keeps 1 - i and 1 + 1e-12 - i apart; both lie within
+    # realness_tol of conj(1 + i), the second level in (Re E, Im E) order
+    sys_ = biorthonormal_eigensystem(np.diag([1 + 1j, 1 - 1j, 1 + 1e-12 - 1j]), cluster_gap=0.0)
+    return (lambda: classify_spectrum(sys_), AmbiguousPairingError,
+            "level 1 (E=1+1j) has 2 conjugate-partner candidates within tolerance 1.4e-08", 2, 1)
+
+
+def case_report_stage():
+    # kappa(Psi) = 2e6 passes the eigensystem, kappa(eta) = kappa(Psi)^2 = 4e12 the metric not
+    h = np.array([[1.0, 1e6], [0.0, 2.0]])
+    kappa = biorthonormal_eigensystem(h).cond
+    return (lambda: real_spectrum_equivalence_report(h), ReportStageError,
+            "stage 'metric': constructed metric is too ill-conditioned", kappa * kappa, 1e8)
+
+
 def case_hermitizing_transform():
     sys_, cls = near_defective()
     return (lambda: hermitizing_transform(sys_, cls), SingularEtaError,
@@ -273,3 +314,70 @@ def test_a_nan_is_refused():
     with pytest.raises(NonHermitianEtaError) as refused:
         is_pseudo_hermitian(np.eye(2), eta)
     assert np.isnan(refused.value.measured) and refused.value.limit == 1e-10
+
+
+def _spec(**changes):
+    fields = {"n_sites": 3, "half_width": 1.0, "mass": 1.0, "v1": np.zeros(3), "v2": np.zeros(3)}
+    return LatticeSpec(**{**fields, **changes})
+
+
+# Input refusals that carry no number: the public call, its error class and its message.
+INPUT_REFUSALS = {
+    "inner-product-vector": (
+        lambda: indefinite_inner_product(np.eye(2), np.ones(3), np.ones(2)),
+        DimensionMismatchError, "xi must have shape (2,), got (3,)"),
+    "pseudo-hermitian-dims": (
+        lambda: is_pseudo_hermitian(np.eye(2), np.eye(3)),
+        DimensionMismatchError, "H and eta have different shapes: (2, 2) vs (3, 3)"),
+    "recover-coefficients-dims": (
+        lambda: recover_coefficients(DEGENERATE, AntilinearOperator(np.eye(2, dtype=complex))),
+        DimensionMismatchError, "tau dimension does not match the system"),
+    "level-invariance-dims": (
+        lambda: level_invariance_residuals(DEGENERATE, AntilinearOperator(np.eye(2, dtype=complex))),
+        DimensionMismatchError, "X has dimension 2, the system has dimension 3"),
+    "metric-class-size": (
+        lambda: build_metric(DEGENERATE, classify_spectrum(biorthonormal_eigensystem(np.eye(1)))),
+        DimensionMismatchError, "spectrum class does not match the system"),
+    "metric-weight-shape": (
+        lambda: build_metric(DEGENERATE, classify_spectrum(DEGENERATE), [1.0, 1.0, 1.0]),
+        DimensionMismatchError, "need 2 weights, got shape (3,)"),
+    "metric-weight-sign": (
+        lambda: build_metric(DEGENERATE, classify_spectrum(DEGENERATE), [1.0, 0.0]),
+        ValueError, "metric weights must be strictly positive"),
+    "lattice-potential": (
+        lambda: make_lattice(5, 1.0, v2="sin(x)"),
+        ValueError, "unrecognized potential expression 'sin(x)'"),
+    "lattice-sample-count": (
+        lambda: _spec(v1=np.zeros(5)),
+        ValueError, "potential samples must have one value per site"),
+    "parity-dimension": (
+        lambda: parity_matrix(0), ValueError, "dimension must be at least 1"),
+    "matrix-dimension": (
+        lambda: matrix_from_dict({"n": 0, "data": []}),
+        DimensionMismatchError, "matrix dimension must be at least 1"),
+    "matrix-not-square": (
+        lambda: matrix_to_dict(np.ones((2, 3))),
+        DimensionMismatchError, "expected a square matrix, got shape (2, 3)"),
+    "planted-kind": (
+        lambda: planted_matrix(np.random.default_rng(0), 4, "complex"),
+        ValueError, "unknown kind 'complex'"),
+    "planted-dim": (
+        lambda: planted_matrix(np.random.default_rng(0), 1, "paired"),
+        ValueError, "paired spectra need dim >= 2"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_REFUSALS.values(), ids=INPUT_REFUSALS.keys())
+def test_input_refusal_class_and_message(case):
+    refuse, cls, message = case
+    with pytest.raises(Exception) as refused:
+        refuse()
+    assert type(refused.value) is cls
+    assert str(refused.value) == message
+
+
+def test_a_zero_scale_check_passes_only_on_a_zero_residual():
+    """``make_check`` at scale max|H| max|eta| = 0 compares the raw residual
+    with 0 instead of dividing by the scale."""
+    check = is_pseudo_hermitian(np.zeros((2, 2)), np.eye(2))
+    assert check.ok and check.residual == 0.0
