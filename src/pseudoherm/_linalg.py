@@ -52,7 +52,7 @@ class CheckResult:
     """Outcome of a residual-based verification.
 
     `residual` is normalized by the operator scales of the identity being
-    checked, so `ok == (residual <= tol)` for the tolerance the check ran at.
+    checked, and ok iff residual <= tol for the tolerance the check ran at.
     """
 
     ok: bool
@@ -63,9 +63,11 @@ class CheckResult:
 
 
 def make_check(raw_residual: float, scale: float, tol: float) -> CheckResult:
-    """Build a CheckResult from a raw max-norm residual and its scale."""
+    """Build a CheckResult from a raw max-norm residual and its scale: the
+    residual ``raw / scale``, ok iff it is at most tol."""
     if scale > 0.0:
-        return CheckResult(raw_residual <= tol * scale, raw_residual / scale)
+        residual = raw_residual / scale
+        return CheckResult(residual <= tol, residual)
     return CheckResult(raw_residual == 0.0, raw_residual)
 
 

@@ -67,7 +67,7 @@ class AntilinearOperator:
 
     def is_anti_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
         """Matrix-transpose symmetry, the representation of anti-Hermiticity."""
-        return symmetric_defect(self.matrix) <= tol * scale_of(self.matrix)
+        return symmetric_defect(self.matrix) / scale_of(self.matrix) <= tol
 
     @property
     def adjoint(self) -> "AntilinearOperator":
@@ -89,7 +89,7 @@ class CoefficientFamily:
     def validate_against(self, sys: BiorthonormalSystem) -> list[np.ndarray]:
         """Check the blocks against sys and return their Takagi factors v (c = v v^T):
         each must be finite (else ``NonFiniteError``), symmetric relative to its
-        size, ``max|c - c^T| <= 1e-10 * max|c|`` (else
+        size, ``max|c - c^T| / max|c| <= 1e-10`` (else
         ``AsymmetricCoefficientsError``), and have a condition number, read off
         its Takagi values, at most ``DEFAULT_COND_CEILING`` (else
         ``SingularCoefficientsError``); a 1 x 1 block is refused only when it is
@@ -115,16 +115,18 @@ class CoefficientFamily:
 def _symmetric_invertible(c: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(c, v, s) for a stack c of finite coefficient blocks numbered by idx, their
     Takagi factors ``v = u diag(sqrt(s))`` and their Takagi values s, ascending;
-    refuses a block that is not symmetric, ``max|c - c^T| <= 1e-10 max|c|``,
+    refuses a block that is not symmetric, ``max|c - c^T| / max|c| <= 1e-10``,
     or else singular.  A 1 x 1 block is symmetric, s = |c| and its condition
     number is 1, so it is refused only when it is 0 (condition number inf)."""
     v, s = takagi_factor(c)
     if c.shape[-1] == 1:
         kappa = np.where(s[:, 0] > 0.0, 1.0, np.inf)
     else:
-        asymmetry, limit = block_max_abs(c - c.swapaxes(-1, -2)), 1e-10 * block_max_abs(c)
+        # the size floored at the least float above 0 (5e-324), which a nonzero block
+        # is not below, so c and 10^k c get one verdict and a zero block reads 0
+        asymmetry = block_max_abs(c - c.swapaxes(-1, -2)) / np.maximum(block_max_abs(c), 5e-324)
         message = "coefficient block {k} is not symmetric"
-        require_within(asymmetry, limit, AsymmetricCoefficientsError, message, idx)
+        require_within(asymmetry, 1e-10, AsymmetricCoefficientsError, message, idx)
         kappa = cond_of(s)
     message = "coefficient block {k} is singular or too ill-conditioned"
     require_conditioned(kappa, SingularCoefficientsError, message, levels=idx)
@@ -184,8 +186,8 @@ def is_anti_pseudo_hermitian(
 ) -> CheckResult:
     """Check ``H^dagger tau = tau H`` in matrix form.
 
-    Returns ok iff ``max|H^dagger m - m conj(H)| <= tol * max|H| * max|m|``;
-    the normalized residual is always reported.
+    ok iff the residual ``max|H^dagger m - m conj(H)| / (max|H| max|m|)`` <= tol;
+    the residual is always reported.
     """
     H = as_square_matrix(H, "H")
     m = tau.matrix

@@ -49,27 +49,25 @@ def symmetric_factor(c, tol: float = DEFAULT_TOL) -> np.ndarray:
     singular values need no special treatment, and the result is
     deterministic for a given input.
 
-    Returns v with ``max|v v^T - c| <= tol * max|c|``; v is invertible
-    because c is.  Raises ``SingularInputError`` when the condition number of
-    c, read off s, exceeds ``DEFAULT_COND_CEILING``, as ``validate_against`` does.
+    Returns v, ok iff its residual ``max|v v^T - c| / max|c|`` <= tol (else
+    ``PseudoHermError``); v is invertible because c is.  Raises
+    ``SingularInputError`` when the condition number of c, read off s,
+    exceeds ``DEFAULT_COND_CEILING``, as ``validate_against`` does.
     """
-    return _symmetric_factor(c, tol)[0]
+    v, residual = _symmetric_factor(c, tol)
+    require_within(residual, tol, PseudoHermError, _MISSED)
+    return v
 
 
 def _symmetric_factor(c, tol: float) -> tuple[np.ndarray, float]:
-    """(v, max|v v^T - c| / max|c|): symmetric_factor and the residual it checked."""
+    """(v, max|v v^T - c| / max|c|): symmetric_factor's v and its unchecked residual."""
     c = as_square_matrix(c, "c")
-    asymmetric = "input is not complex symmetric"
-    require_within(symmetric_defect(c), tol * scale_of(c), NotSymmetricError, asymmetric)
+    scale, asymmetric = scale_of(c), "input is not complex symmetric"
+    require_within(symmetric_defect(c) / scale, tol, NotSymmetricError, asymmetric)
     v, s = takagi_factor(c)
     singular = "input is singular or too ill-conditioned; no invertible factor"
     require_conditioned(cond_of(s), SingularInputError, singular)
-    return v, _check_factor(c, v, tol) / scale_of(c)
-
-
-def _check_factor(c: np.ndarray, v: np.ndarray, tol: float) -> float:
-    """max|v v^T - c|, refused above ``tol * max|c|``."""
-    return require_within(max_abs(v @ v.T - c), tol * scale_of(c), PseudoHermError, _MISSED)
+    return v, max_abs(v @ v.T - c) / scale
 
 
 _MISSED = "factorization residual {measured:.3e} exceeds tolerance"
@@ -172,23 +170,19 @@ def canonicalize_tau(
     values, the psi gauge is read off the factor as ``v diag(1/s)``; only a
     block whose s_max / s_min exceeds ``_READOFF_COND`` takes an inverse,
     which keeps the new basis as biorthonormal as an inverse makes it.  Both
-    run once per multiplicity, and when a factor fails its check a level
-    loop names the first faulty level.  The returned automorphism is
+    run once per multiplicity, and so does the residual
+    ``max|v v^T - c| / max|c|`` of each block; when one exceeds tol, the
+    lowest such level is refused.  The returned automorphism is
     ``Phi' Phi'^T``, identity coefficients on the new basis, and equals the
     operator built from (sys, coeffs) up to rounding: the automorphism is
     unique up to the choice of eigenbasis.
     """
     factored = coeffs._factored(sys)
-    for (idx, _), (c, v, _) in zip(sys._groups, factored):
-        residual = block_max_abs(v @ v.swapaxes(-1, -2) - c)
-        limit = tol * np.maximum(block_max_abs(c), 1e-300)
-        try:
-            require_within(residual, limit, PseudoHermError, _MISSED, idx)
-        except PseudoHermError:
-            for block in coeffs.blocks:  # the same check level by level names the lowest
-                b = np.asarray(block, dtype=np.complex128)
-                _check_factor(b, takagi_factor(b)[0], tol)
-            raise
+    residuals = [block_max_abs(v @ v.swapaxes(-1, -2) - c) / np.maximum(block_max_abs(c), 1e-300)
+                 for c, v, _ in factored]
+    if not all((r <= tol).all() for r in residuals):  # name the lowest faulty level
+        in_order = np.array(unstack(sys._groups, residuals, len(coeffs.blocks)))
+        require_within(in_order, tol, PseudoHermError, _MISSED, np.arange(len(in_order)))
     psi_gauge = [_takagi_inv_adjoint(v, s) for _, v, s in factored]
     new_sys = _regauge(sys, psi_gauge, [v for _, v, _ in factored])
     return new_sys, build_tau(new_sys, None)

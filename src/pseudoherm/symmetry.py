@@ -57,7 +57,7 @@ def _canonical_symmetry(sys: BiorthonormalSystem, cls: SpectrumClass) -> Antilin
 def commutes_with(H, x: AntilinearOperator, tol: float = DEFAULT_TOL) -> CheckResult:
     """Check ``[H, X] = 0`` for antilinear X: ``H x = x conj(H)``.
 
-    ok iff ``max|H x - x conj(H)| <= tol * max|H| * max|x|``.
+    ok iff the residual ``max|H x - x conj(H)| / (max|H| max|x|)`` <= tol.
     """
     H = as_square_matrix(H, "H")
     xm = x.matrix

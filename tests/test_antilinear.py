@@ -32,6 +32,20 @@ def test_apply_is_conjugation_for_identity():
     np.testing.assert_allclose(op.apply([1j, 0.0]), [-1j, 0.0])
 
 
+def test_adjoint_is_defined_by_the_antilinear_inner_product():
+    """<zeta, A^dag xi> = <xi, A zeta> for every pair, and A equals its
+    adjoint exactly when A is anti-Hermitian."""
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    op = AntilinearOperator(m)
+    xi, zeta = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    assert np.vdot(zeta, op.adjoint.apply(xi)) == pytest.approx(np.vdot(xi, op.apply(zeta)), rel=1e-14)
+    assert op.adjoint.dim == 4 and not op.is_anti_hermitian()
+    assert not np.array_equal(op.adjoint.matrix, op.matrix)
+    sym = AntilinearOperator(m + m.T)
+    assert sym.is_anti_hermitian() and np.array_equal(sym.adjoint.matrix, sym.matrix)
+
+
 def test_apply_conjugates_scalars():
     op = AntilinearOperator(np.eye(2, dtype=complex))
     xi = np.array([1.0, 0.0], dtype=complex)

@@ -26,9 +26,15 @@ from pseudoherm import (
 from pseudoherm import cli, eigensystem
 from pseudoherm._linalg import scale_of
 from pseudoherm.cli import build_parser, cli_main
-from pseudoherm.io import load_matrix, matrix_to_dict, save_coefficients, save_matrix
+from pseudoherm.io import (
+    load_matrix,
+    matrix_from_dict,
+    matrix_to_dict,
+    save_coefficients,
+    save_matrix,
+)
 from pseudoherm.antilinear import CoefficientFamily
-from pseudoherm.ensembles import planted_matrix
+from pseudoherm.ensembles import planted_matrix, random_symmetric_invertible
 
 from conftest import near_real_matrix
 
@@ -303,6 +309,25 @@ def test_pt_model_lattice_limit_keeps_its_refusal(capsys):
     assert captured.err == f"NotDiagonalizableError: {ref.value}\n"
 
 
+def hermitian_lattice(n):
+    """The pt-model lattice at eps = 0: real symmetric, so never defective."""
+    return build_pt_hamiltonian(make_lattice(n, 10.0, eps=0.0))
+
+
+def test_a_hermitian_lattice_passes_at_a_narrower_cluster_gap(capsys):
+    """The default gap 1e-8 max|H| merges the n = 3 lattice's eigenvalues
+    100.0100000 and 100.0100005 into one level, which then fails its
+    reconstruction (an open defect, pinned by the merged-levels row of
+    EXIT_CODES); at gap 1e-9 every level is simple and every identity holds."""
+    h3 = hermitian_lattice(3)
+    assert np.max(np.abs(h3 - h3.T)) == 0.0 and not np.iscomplex(h3).any()
+    with pytest.raises(NotDiagonalizableError, match="reconstruction residual"):
+        biorthonormal_eigensystem(h3)
+    assert [lv.multiplicity for lv in biorthonormal_eigensystem(h3, cluster_gap=1e-9).levels] == [1, 1, 1]
+    assert cli_main(["pt-model", "--n", "41", "--eps", "0"]) == 1
+    assert cli_main(["pt-model", "--n", "41", "--eps", "0", "--cluster-gap", "1e-9"]) == 0
+
+
 def test_factor_command(tmp_path, rng, capsys):
     c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     c = (c + c.T) / 2
@@ -311,6 +336,23 @@ def test_factor_command(tmp_path, rng, capsys):
     assert cli_main(["factor", "--output", "json", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["residual"] <= 1e-10
+
+
+def test_a_factor_residual_above_tol_exits_one(tmp_path, capsys):
+    """A factorization residual above --tol is a verification failure: the
+    command prints the normalized residual it compared, and v, and exits 1."""
+    s = random_symmetric_invertible(np.random.default_rng(1), 6, 1e6)
+    c = (s + s.T) / 2  # kappa(c) = 6.9e4, max|c| = 3.8e4
+    path = tmp_path / "c.json"
+    save_matrix(path, c)
+    assert cli_main(["factor", "--output", "json", str(path), "--tol", "1e-15"]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    v = matrix_from_dict(payload["v"])
+    residual = np.max(np.abs(v @ v.T - c)) / np.max(np.abs(c))
+    assert payload["residual"] == residual > 1e-15
+    assert captured.err == ""
+    assert cli_main(["factor", str(path)]) == 0
 
 
 def test_missing_file_exits_two(capsys):
@@ -441,6 +483,7 @@ EXIT_CODES = {
     "near-real-5e-9": [1, 1, 1, 1, 1, 0],
     "near-real-5e-10": [1, 0, 1, 1, 1, 0],  # eta intertwines, X does not commute
     "ill-conditioned-metric": [1, 1, 1, 1, 1, 0],  # kappa(eta) = kappa(Psi)^2 = 4e12 > 1e8
+    "merged-levels": [1, 1, 1, 1, 1, 1],  # a Hermitian lattice, two levels merged by the gap
     "string-data": [2, 2, 2, 2, 2, 2],  # malformed input, refused before any analysis
     "list-file": [2, 2, 2, 2, 2, 2],
     "string-file": [2, 2, 2, 2, 2, 2],
@@ -462,6 +505,8 @@ def _exit_table_matrix(name):
         return near_real_matrix(NEAR_REAL[name])
     if name == "ill-conditioned-metric":
         return np.array([[1.0, 1e6], [0.0, 2.0]])  # kappa(Psi) = 2e6: a verified eigensystem
+    if name == "merged-levels":
+        return hermitian_lattice(3)
     return planted_matrix(np.random.default_rng(1), 6, name).matrix
 
 

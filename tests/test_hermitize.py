@@ -114,6 +114,11 @@ def test_metric_from_transform_diagonal():
     np.testing.assert_allclose(metric.matrix, np.diag([4.0, 1.0]))
 
 
+def test_transform_and_metric_dims_are_their_matrix_sizes():
+    transform = PseudoCanonicalTransform(np.diag([2.0, 1.0, 3.0]).astype(complex))
+    assert transform.dim == 3 and metric_from_transform(transform).dim == 3
+
+
 def test_transform_condition_ceiling_is_1e8():
     """kappa = 1e10 is refused by both consumers of a transform."""
     transform = PseudoCanonicalTransform(np.diag([1.0, 1e-10]).astype(complex))

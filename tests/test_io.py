@@ -208,6 +208,8 @@ def payload_trees(depth: int = 4):
 @example([[1.0, True], [2.0, 3.0]])
 @example({"x": [[1, -0.0], [math.nan, 2]], "s": "\x00table", "t": [[5e-324], [1e300]]})
 @example({"levels": [{"energy": [0.5, 0.0], "m": 1}, {"energy": [1.5, -2.0], "m": 2}]})
+@example([{}, {}])  # dict rows without a key
+@example([[10**400, 1], [2, 3]])  # an int cell beyond the float range
 def test_json_text_is_the_indented_dump(value):
     """The CLI's writer is json.dumps(value, indent=2, default=float) byte for
     byte, tables (rows of one shape) or not."""

@@ -188,16 +188,24 @@ def test_strict_refusal_carries_its_residual():
 
 @pytest.mark.parametrize("strict, calls", [(False, 0), (True, 1)])
 def test_evolution_precondition_only_when_strict(monkeypatch, strict, calls):
-    seen = []
+    """The precondition is one intertwining check, and eta's Hermiticity is
+    checked once in either mode."""
+    seen = {"intertwining": 0, "_hermiticity": 0}
 
-    def counted(*args):
-        seen.append(args)
-        return is_pseudo_hermitian(*args)
+    def counting(name):
+        fn = getattr(pseudoherm.metric, name)
 
-    monkeypatch.setattr(pseudoherm.metric, "is_pseudo_hermitian", counted)
+        def counted(*args):
+            seen[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(pseudoherm.metric, name, counted)
+
+    counting("intertwining")
+    counting("_hermiticity")
     h = np.diag([1 + 1j, 1 - 1j])
     assert evolution_invariance_check(h, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.7, strict=strict)
-    assert len(seen) == calls
+    assert seen == {"intertwining": calls, "_hermiticity": 1}
 
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])  # E = +-i, H^dagger eta = eta H for eta below

@@ -57,6 +57,7 @@ from pseudoherm import (
     symmetric_factor,
     time_reversal,
 )
+from pseudoherm._linalg import make_check
 from pseudoherm.antilinear import AntilinearOperator
 from pseudoherm.ensembles import planted_matrix
 from pseudoherm.io import matrix_from_dict, matrix_to_dict
@@ -125,7 +126,7 @@ def case_eigensystem_residual():
 
 def case_coefficients_asymmetric():
     return (lambda: build_tau(DEGENERATE, family(ASYMMETRIC, ONE)), AsymmetricCoefficientsError,
-            "coefficient block 0 is not symmetric", 2.0, 2e-10)
+            "coefficient block 0 is not symmetric", 1.0, 1e-10)
 
 
 def case_coefficients_singular():
@@ -145,7 +146,7 @@ def case_coefficients_overflow():
 
 def case_factor_asymmetric():
     return (lambda: symmetric_factor(ASYMMETRIC), NotSymmetricError,
-            "input is not complex symmetric", 2.0, 2e-10)
+            "input is not complex symmetric", 1.0, 1e-10)
 
 
 def case_factor_singular():
@@ -158,7 +159,7 @@ def case_factor_residual():
     v = symmetric_factor(c)  # the same factor, checked at the default tol
     return (lambda: symmetric_factor(c, 1e-20), PseudoHermError,
             "factorization residual {measured:.3e} exceeds tolerance",
-            np.max(np.abs(v @ v.T - c)), 3e-20)
+            np.max(np.abs(v @ v.T - c)) / 3.0, 1e-20)
 
 
 def case_canonicalize_residual():
@@ -299,12 +300,28 @@ def test_refusal_carries_the_numbers_it_compared(case):
     exc = refused.value
     assert type(exc) is cls
     assert str(exc) == message.format(measured=exc.measured)
-    assert exc.limit == pytest.approx(limit, rel=1e-12)
+    assert exc.limit == pytest.approx(limit, rel=1e-12, abs=0)
     if np.isfinite(measured):
-        assert exc.measured == pytest.approx(measured, rel=1e-6)
+        assert exc.measured == pytest.approx(measured, rel=1e-6, abs=0)
     else:  # an inverse that overflows may read inf or NaN
         assert not np.isfinite(exc.measured)
     assert not exc.measured <= exc.limit
+    assert exc.limit in LIMITS
+
+
+# Every limit of the table: the tolerance a case runs at, the 1e-10 of a
+# coefficient block's symmetry, the 1e8 ceiling, the largest float or 1.
+LIMITS = {1e-20, 1e-12, 1e-11, 1e-10, 1e-9, 1e-3, 1e8, np.finfo(float).max, 1}
+
+
+def test_a_check_is_ok_iff_its_residual_is_within_tol():
+    """``make_check`` decides on the residual it reports, also at the ulp
+    boundary raw = tol scale and its two float neighbours."""
+    tol, scales = 1e-10, np.random.default_rng(0).uniform(0.1, 100.0, 2000)
+    raws = tol * scales
+    for raw, scale in zip([*np.nextafter(raws, 0.0), *raws, *np.nextafter(raws, 1.0)], [*scales] * 3):
+        check = make_check(raw, scale, tol)
+        assert check.ok == (check.residual <= tol)
 
 
 def test_a_nan_is_refused():
