@@ -3,7 +3,8 @@
 The shared matrix format is ``{"n": int, "data": [[re, im], ...]}`` with
 n*n row-major entries written at full double precision.  Readers reject
 wrong-length data arrays, a non-integer n and non-numeric data; writers
-refuse NaN and Inf, which JSON cannot hold.
+refuse n = 0 and NaN and Inf, which JSON cannot hold, and write compact text
+with shortest round-trip floats.
 """
 
 from __future__ import annotations
@@ -129,17 +130,31 @@ def _table_template(shape, n_rows: int, indent: int) -> str:
     return "[\n" + ",\n".join([row] * n_rows) + "\n" + pad[0] + "]"
 
 
-def matrix_to_dict(m) -> dict:
-    m = np.ascontiguousarray(m, dtype=np.complex128)
+def _square(m) -> np.ndarray:
+    """m as a C-contiguous complex128 matrix the shared format holds: square, n >= 1."""
+    m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    return {"n": int(m.shape[0]), "data": m.view(np.float64).reshape(-1, 2).tolist()}
+    if m.shape[0] < 1:
+        raise DimensionMismatchError("matrix dimension must be at least 1")
+    return np.ascontiguousarray(m)
+
+
+def matrix_to_dict(m) -> dict:
+    m = _square(m)
+    return {"n": m.shape[0], "data": m.view(np.float64).reshape(-1, 2).tolist()}
 
 
 def matrix_from_dict(payload: dict) -> np.ndarray:
     """The matrix of the shared format: payload must be an object, ``n`` an
     integer, and data holding strings, nulls or booleans is refused.  Integers
     beyond int64 load as floats."""
+    return _matrix_from(payload, True)
+
+
+def _matrix_from(payload, may_hold_booleans: bool) -> np.ndarray:
+    """``matrix_from_dict``, looking for booleans among the numbers only when
+    may_hold_booleans: text with no u and no f holds no true or false."""
     if not isinstance(payload, dict):
         raise ValueError(f"a matrix must be a JSON object, got {type(payload).__name__}")
     n = payload["n"]
@@ -161,48 +176,68 @@ def matrix_from_dict(payload: dict) -> np.ndarray:
     values = values.astype(np.float64, copy=False)
     if values.shape != (n * n, 2):
         raise DimensionMismatchError(f"data has shape {values.shape}, expected ({n * n}, 2)")
-    # numpy reads a JSON true or false among numbers as 1 or 0: look at those entries only
-    zero_one = np.flatnonzero((values == 0.0) | (values == 1.0)).tolist()
-    if zero_one:
-        entries = list(chain.from_iterable(data))
-        if bool in set(map(type, map(entries.__getitem__, zero_one))):
-            raise ValueError("matrix data must be numbers, got booleans mixed with numbers")
+    if may_hold_booleans:
+        _refuse_booleans(values, data)
     if not np.all(np.isfinite(values)):
         raise NonFiniteError("matrix data contains NaN or Inf")
     return values.view(np.complex128).reshape(n, n)
 
 
-def _read_json(path):
+def _refuse_booleans(values: np.ndarray, data) -> None:
+    """Refuse a true or false among the numbers of data, which numpy read as
+    1 or 0 into values: only the entries equal to 0 or 1 are looked at."""
+    zero_one = np.flatnonzero((values == 0.0) | (values == 1.0)).tolist()
+    if zero_one:
+        entries = list(chain.from_iterable(data))
+        if bool in set(map(type, map(entries.__getitem__, zero_one))):
+            raise ValueError("matrix data must be numbers, got booleans mixed with numbers")
+
+
+def _read_json(path) -> tuple[object, bool]:
     """The JSON value of the file at path, parsed by orjson: the value, floats
     bit for bit, that ``json.loads`` gives, save that an integer beyond the
     64-bit range reads as its float and nesting beyond json's recursion limit
     is read, not refused with ``RecursionError``.  A file orjson refuses (NaN
     or Infinity tokens, a number beyond the float range, a BOM, bytes that are
     not UTF-8, malformed text) is read again by json, so it is accepted or
-    refused with the same error as json alone."""
+    refused with the same error as json alone.  Returned with whether the
+    text may hold a boolean: holds a u or an f, searched for as single bytes
+    (a memchr pass, far cheaper than a search for ``true`` or ``false``)."""
     import orjson  # imported here: importing the package or running pt-model loads numpy only
 
+    raw = Path(path).read_bytes()
     try:
-        return orjson.loads(Path(path).read_bytes())
+        value = orjson.loads(raw)
     except orjson.JSONDecodeError:
-        return json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+        return json.loads(text), "u" in text or "f" in text
+    return value, b"u" in raw or b"f" in raw
 
 
-def _json_file_text(value) -> str:
-    """``json.dumps(value)``, refusing NaN and Inf, which have no JSON token."""
-    try:
-        return json.dumps(value, allow_nan=False)
-    except ValueError:
-        raise NonFiniteError("matrix data contains NaN or Inf") from None
+def _save(path, blocks, listed: bool) -> None:
+    """Write blocks in the shared format, as a JSON list if listed, else the
+    one block alone, refusing a block the readers refuse (n = 0, NaN or Inf)
+    before any file is written.  orjson writes each data array from its
+    buffer with shortest round-trip floats, which json reads back bit for bit."""
+    import orjson  # imported here, as in _read_json
+
+    payload = []
+    for m in blocks:
+        m = _square(m)
+        if not np.isfinite(m).all():
+            raise NonFiniteError("matrix data contains NaN or Inf")
+        payload.append({"n": m.shape[0], "data": m.view(np.float64).reshape(-1, 2)})
+    value = payload if listed else payload[0]
+    Path(path).write_bytes(orjson.dumps(value, option=orjson.OPT_SERIALIZE_NUMPY))
 
 
 def save_matrix(path, m) -> None:
-    """Write m in the shared format; a non-finite m is refused and no file written."""
-    Path(path).write_text(_json_file_text(matrix_to_dict(m)))
+    """Write m in the shared format; an n = 0 or non-finite m is refused and no file written."""
+    _save(path, [m], listed=False)
 
 
 def load_matrix(path) -> np.ndarray:
-    return matrix_from_dict(_read_json(path))
+    return _matrix_from(*_read_json(path))
 
 
 def coefficients_to_list(coeffs: CoefficientFamily) -> list[dict]:
@@ -212,17 +247,21 @@ def coefficients_to_list(coeffs: CoefficientFamily) -> list[dict]:
 
 
 def coefficients_from_list(payload: list) -> CoefficientFamily:
+    return _coefficients_from(payload, True)
+
+
+def _coefficients_from(payload, may_hold_booleans: bool) -> CoefficientFamily:
     if not isinstance(payload, list):
         raise ValueError(f"a coefficient family must be a JSON list, got {type(payload).__name__}")
-    return CoefficientFamily(tuple(matrix_from_dict(item) for item in payload))
+    return CoefficientFamily(tuple(_matrix_from(item, may_hold_booleans) for item in payload))
 
 
 def save_coefficients(path, coeffs: CoefficientFamily) -> None:
-    Path(path).write_text(_json_file_text(coefficients_to_list(coeffs)))
+    _save(path, coeffs.blocks, listed=True)
 
 
 def load_coefficients(path) -> CoefficientFamily:
-    return coefficients_from_list(_read_json(path))
+    return _coefficients_from(*_read_json(path))
 
 
 def metric_to_dict(metric: MetricOperator) -> dict:

@@ -146,15 +146,16 @@ def test_no_condition_ceiling_knobs():
 def test_import_leaves_scipy_out(tmp_path):
     """Importing the package and its CLI loads no scipy; only evolution
     (``metric.propagator``) imports it, when called.  orjson is imported by
-    the first file read, never by the import or by pt-model."""
+    the first file write or read, never by the import or by pt-model
+    without ``--save``."""
     code = (
         "import sys, numpy, pseudoherm, pseudoherm.cli\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "assert pseudoherm.cli.cli_main(['pt-model', '--n', '5']) == 0\n"
-        "pseudoherm.io.save_matrix(sys.argv[1], numpy.eye(2))\n"
         "assert 'orjson' not in sys.modules\n"
-        "pseudoherm.io.load_matrix(sys.argv[1])\n"
+        "pseudoherm.io.save_matrix(sys.argv[1], numpy.eye(2))\n"
         "assert 'orjson' in sys.modules\n"
+        "pseudoherm.io.load_matrix(sys.argv[1])\n"
         "pseudoherm.metric.propagator(numpy.eye(2), 0.5)\n"
         "assert 'scipy' in sys.modules"
     )

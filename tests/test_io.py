@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pseudoherm.io
 from pseudoherm import DimensionMismatchError, NonFiniteError, metric_from_matrix
 from pseudoherm.antilinear import CoefficientFamily
 from pseudoherm.cli import cli_main
@@ -362,9 +364,13 @@ def test_deeply_nested_dimension_is_refused_by_type(tmp_path, capsys):
         assert str(exc.value) == f"matrix dimension must be an integer, got {got}"
 
 
+WRITTEN = '{"n":2,"data":[[-0.0,5e-324],[1e300,0.0],[0.1,0.0],[2.0,-0.0]]}'
+
+
 def test_non_finite_matrix_is_not_saved(tmp_path):
     """NaN and Inf have no JSON token: saving them is refused and writes no
-    file.  A finite matrix is written as json.dumps writes its dict."""
+    file.  A finite matrix is written compactly, its floats in their shortest
+    round-trip spelling, and read back bit for bit by json and by load_matrix."""
     path = tmp_path / "m.json"
     for bad in ([[math.nan]], [[complex(1.0, math.inf)]], [[0.0, -math.inf], [1.0, 2.0]]):
         with pytest.raises(NonFiniteError, match="NaN or Inf"):
@@ -374,4 +380,131 @@ def test_non_finite_matrix_is_not_saved(tmp_path):
         assert not path.exists()
     m = np.array([[complex(-0.0, 5e-324), 1e300], [0.1, complex(2, -0.0)]])
     save_matrix(path, m)
-    assert path.read_text() == json.dumps(matrix_to_dict(m))
+    assert path.read_text() == WRITTEN
+    np.testing.assert_array_equal(_bits(matrix_from_dict(json.loads(path.read_text()))), _bits(m))
+    np.testing.assert_array_equal(_bits(load_matrix(path)), _bits(m))
+
+
+def test_saved_coefficients_golden(tmp_path):
+    """save_coefficients writes each block as save_matrix writes a matrix."""
+    path = tmp_path / "c.json"
+    m = np.array([[complex(-0.0, 5e-324), 1e300], [0.1, complex(2, -0.0)]])
+    save_coefficients(path, CoefficientFamily((m, np.array([[1e-5 - 3j]]))))
+    assert path.read_text() == "[" + WRITTEN + ',{"n":1,"data":[[0.00001,-3.0]]}]'
+
+
+SAVED_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308, 1e-5, 1e16]),
+)
+
+
+@st.composite
+def finite_matrices(draw):
+    n = draw(st.integers(1, 6))
+    parts = draw(st.lists(SAVED_FLOATS, min_size=2 * n * n, max_size=2 * n * n))
+    return np.array(parts).view(np.complex128).reshape(n, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(finite_matrices(), min_size=1, max_size=3))
+@example([np.array([[complex(-0.0, 5e-324), -1.7976931348623157e308],
+                    [complex(2.2250738585072014e-308, -0.0), 1.7976931348623157e308]])])
+def test_saved_files_read_back_bit_for_bit(tmp_path_factory, matrices):
+    """What save_matrix and save_coefficients write, load_matrix and
+    load_coefficients, and json.loads followed by the dict readers, read back
+    to the bits written, sign bits included."""
+    path = tmp_path_factory.mktemp("save") / "m.json"
+    save_matrix(path, matrices[0])
+    for got in (load_matrix(path), matrix_from_dict(json.loads(path.read_text()))):
+        np.testing.assert_array_equal(_bits(got), _bits(matrices[0]))
+    save_coefficients(path, CoefficientFamily(tuple(matrices)))
+    for family in (load_coefficients(path), coefficients_from_list(json.loads(path.read_text()))):
+        assert len(family.blocks) == len(matrices)
+        for got, want in zip(family.blocks, matrices):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_save_builds_no_python_floats(tmp_path, monkeypatch):
+    """The writers write from the array buffer: neither matrix_to_dict nor
+    ndarray.tolist is called."""
+
+    def refused(*args):
+        raise AssertionError("matrix_to_dict called")
+
+    monkeypatch.setattr(pseudoherm.io, "matrix_to_dict", refused)
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            called.append(getattr(arg, "__name__", None))
+
+    m = np.arange(9.0).reshape(3, 3) + 0.5j
+    sys.setprofile(profile)
+    try:
+        save_matrix(tmp_path / "m.json", m)
+        save_coefficients(tmp_path / "c.json", CoefficientFamily((m, m[:1, :1])))
+    finally:
+        sys.setprofile(None)
+    assert "dumps" in called  # the profile sees C calls: orjson.dumps is one
+    assert "tolist" not in called
+
+
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (np.zeros((0, 0)), "matrix dimension must be at least 1"),
+        (np.float64(1.0), "expected a square matrix, got shape ()"),
+        (np.ones(3), "expected a square matrix, got shape (3,)"),
+        (np.ones((2, 3)), "expected a square matrix, got shape (2, 3)"),
+    ],
+)
+def test_writers_refuse_what_the_readers_refuse(m, message, tmp_path):
+    """An n = 0 matrix, which matrix_from_dict refuses, is refused by every
+    writer with the reader's error, and a non-square one is named by its own
+    shape; no file is written."""
+    path = tmp_path / "m.json"
+    writers = [
+        lambda: matrix_to_dict(m),
+        lambda: save_matrix(path, m),
+        lambda: save_coefficients(path, CoefficientFamily((np.eye(1), m))),
+    ]
+    for write in writers:
+        with pytest.raises(DimensionMismatchError) as exc:
+            write()
+        assert str(exc.value) == message
+        assert not path.exists()
+    with pytest.raises(DimensionMismatchError, match="^matrix dimension must be at least 1$"):
+        matrix_from_dict({"n": 0, "data": []})
+
+
+def test_load_skips_the_boolean_scan_without_a_boolean_token(tmp_path, monkeypatch, rng):
+    """A JSON boolean is a true or false token, so a file with no u and no f
+    byte is loaded without looking for booleans among its 0 and 1 entries; a
+    file holding one is still refused."""
+    scan = pseudoherm.io._refuse_booleans
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return scan(*args)
+
+    monkeypatch.setattr(pseudoherm.io, "_refuse_booleans", counted)
+    real = np.round(rng.standard_normal((64, 64)))  # imaginary parts 0, many entries 0 or 1
+    path = tmp_path / "m.json"
+    save_matrix(path, real)
+    np.testing.assert_array_equal(load_matrix(path), real)
+    save_coefficients(path, CoefficientFamily((real, np.eye(2))))
+    np.testing.assert_array_equal(load_coefficients(path).blocks[0], real)
+    assert calls == []
+    for text, read in [
+        ('{"n": 1, "data": [[1.5, true]]}', load_matrix),
+        ('[{"n": 1, "data": [[1.0, 0.0]]}, {"n": 1, "data": [[false, 2.5]]}]', load_coefficients),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^matrix data must be numbers, got booleans mixed"):
+            read(path)
+    assert len(calls) == 3  # the first block of the family is scanned too
+    matrix_from_dict(json.loads(json.dumps(matrix_to_dict(real))))
+    assert len(calls) == 4  # the dict reader keeps its scan
