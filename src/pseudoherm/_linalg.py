@@ -109,8 +109,11 @@ def cond_of(s):
     (or the eigenvalues of a Hermitian matrix); inf when min|s| is 0.  On a
     stack (..., n) of such values, an array of one number per row."""
     s = np.abs(s)
-    smin = s.min(axis=-1)
-    kappa = np.divide(s.max(axis=-1), smin, out=np.full_like(smin, np.inf), where=smin != 0.0)
+    smax, smin = s.max(axis=-1), s.min(axis=-1)
+    if smin.all():
+        kappa = smax / smin
+    else:
+        kappa = np.divide(smax, smin, out=np.full_like(smin, np.inf), where=smin != 0.0)
     return float(kappa) if kappa.ndim == 0 else kappa
 
 
@@ -192,17 +195,20 @@ def times_block_diag(groups, *operands) -> list[np.ndarray]:
     """``m @ blockdiag(blocks)`` as a new array for each operand ``(m, stacks)``,
     stacks holding one stack per group of ``block_groups``, in one walk of the
     groups: one column scaling of every m for the 1 x 1 blocks, then per size
-    d >= 2 one stacked product of every m on the columns of its blocks."""
-    scales = np.ones((len(operands), operands[0][0].shape[1]), dtype=np.complex128)
-    wide = []
-    for k, (_, cols) in enumerate(groups):
-        if cols.shape[1] == 1:
-            for scale, (_, stacks) in zip(scales, operands):
-                scale[cols[:, 0]] = stacks[k][:, 0, 0]
-        else:
-            wide.append((k, cols))
+    d >= 2 one stacked product of every m on the columns of its blocks.  The
+    1 x 1 blocks may come as the vector (k,) of their entries; when they are
+    all the blocks, each m is scaled by that vector itself."""
+    n = operands[0][0].shape[1]
+    simple = groups[0][1].shape[1] == 1  # sizes ascend: the 1 x 1 blocks come first
+    if simple and len(groups) == 1:
+        return [m * stacks[0].reshape(n) for m, stacks in operands]
+    scales = np.ones((len(operands), n), dtype=np.complex128)
+    if simple:
+        for scale, (_, stacks) in zip(scales, operands):
+            scale[groups[0][1][:, 0]] = stacks[0].reshape(-1)
     outs = [m * scale for (m, _), scale in zip(operands, scales)]
-    for k, cols in wide:
+    for k in range(int(simple), len(groups)):
+        cols = groups[k][1]
         for out, (m, stacks) in zip(outs, operands):
             out[:, cols] = (m[:, cols].transpose(1, 0, 2) @ stacks[k]).transpose(1, 0, 2)
     return outs
@@ -265,8 +271,9 @@ def takagi_factor(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.sqrt(c), np.abs(c[..., 0])
     embedding = np.empty(c.shape[:-2] + (2 * n, 2 * n))
     embedding[..., :n, :n] = c.real
-    embedding[..., :n, n:] = embedding[..., n:, :n] = -c.imag
-    embedding[..., n:, n:] = -c.real
+    np.negative(c.imag, out=embedding[..., :n, n:])
+    embedding[..., n:, :n] = embedding[..., :n, n:]
+    np.negative(c.real, out=embedding[..., n:, n:])
     w, x = np.linalg.eigh(embedding)
     s = w[..., n:]
     return (x[..., :n, n:] - 1j * x[..., n:, n:]) * np.sqrt(np.maximum(s, 0.0))[..., None, :], s

@@ -94,14 +94,16 @@ class CoefficientFamily:
         its Takagi values, at most ``DEFAULT_COND_CEILING`` (else
         ``SingularCoefficientsError``); a 1 x 1 block is refused only when it is
         0.  The rule is scale-invariant: c and 10^k c get the same verdict."""
-        return unstack(sys._groups, [v for _, v, _ in self._factored(sys)], len(self.blocks))
+        factors = [v[:, None, None] if v.ndim == 1 else v for _, v, _ in self._factored(sys)]
+        return unstack(sys._groups, factors, len(self.blocks))
 
-    def _factored(self, sys: BiorthonormalSystem) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def _factored(self, sys: BiorthonormalSystem) -> list[tuple]:
         """validate_against per distinct multiplicity, in the order of ``sys._groups``:
         ``_symmetric_invertible`` of the blocks as one complex stack, with one
         finiteness test, one symmetry test, one stacked factorization and one
-        condition test per multiplicity; ``checked_stacks`` names the first faulty
-        block in level order."""
+        condition test per multiplicity d >= 2, and one nonzero test for the
+        simple levels, which come back as vectors; ``checked_stacks`` names the
+        first faulty block in level order."""
         if len(self.blocks) != len(sys._level_energies):
             raise DimensionMismatchError(
                 f"{len(self.blocks)} coefficient blocks for {len(sys._level_energies)} levels"
@@ -112,24 +114,28 @@ class CoefficientFamily:
         )
 
 
-def _symmetric_invertible(c: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _symmetric_invertible(c: np.ndarray, idx: np.ndarray) -> tuple:
     """(c, v, s) for a stack c of finite coefficient blocks numbered by idx, their
     Takagi factors ``v = u diag(sqrt(s))`` and their Takagi values s, ascending;
     refuses a block that is not symmetric, ``max|c - c^T| / max|c| <= 1e-10``,
-    or else singular.  A 1 x 1 block is symmetric, s = |c| and its condition
-    number is 1, so it is refused only when it is 0 (condition number inf)."""
-    v, s = takagi_factor(c)
-    if c.shape[-1] == 1:
-        kappa = np.where(s[:, 0] > 0.0, 1.0, np.inf)
-    else:
-        # the size floored at the least float above 0 (5e-324), which a nonzero block
-        # is not below, so c and 10^k c get one verdict and a zero block reads 0
-        asymmetry = block_max_abs(c - c.swapaxes(-1, -2)) / np.maximum(block_max_abs(c), 5e-324)
-        message = "coefficient block {k} is not symmetric"
-        require_within(asymmetry, 1e-10, AsymmetricCoefficientsError, message, idx)
-        kappa = cond_of(s)
+    or else singular.  A 1 x 1 block is symmetric and its condition number is 1,
+    so it is refused only when it is 0 (condition number inf): a stack of them
+    is tested by ``c != 0`` alone and comes back as the vectors (k,) of c and of
+    v = sqrt(c), with s None."""
     message = "coefficient block {k} is singular or too ill-conditioned"
-    require_conditioned(kappa, SingularCoefficientsError, message, levels=idx)
+    if c.shape[-1] == 1:
+        c = c.reshape(-1)
+        if np.count_nonzero(c) < len(c):
+            kappa = np.where(c != 0.0, 1.0, np.inf)
+            require_conditioned(kappa, SingularCoefficientsError, message, levels=idx)
+        return c, np.sqrt(c), None
+    # the size floored at the least float above 0 (5e-324), which a nonzero block
+    # is not below, so c and 10^k c get one verdict and a zero block reads 0
+    asymmetry = block_max_abs(c - c.swapaxes(-1, -2)) / np.maximum(block_max_abs(c), 5e-324)
+    asymmetric = "coefficient block {k} is not symmetric"
+    require_within(asymmetry, 1e-10, AsymmetricCoefficientsError, asymmetric, idx)
+    v, s = takagi_factor(c)
+    require_conditioned(cond_of(s), SingularCoefficientsError, message, levels=idx)
     return c, v, s
 
 
@@ -174,7 +180,9 @@ def invert_tau(
     psi = sys.psi_matrix
     if coeffs is None:
         return AntilinearOperator(psi @ psi.T)
-    c_inv = [np.conj(np.linalg.inv(c)) for c, _, _ in coeffs._factored(sys)]
+    c_inv = [
+        np.conj(np.linalg.inv(c[:, None, None] if c.ndim == 1 else c)) for c, _, _ in coeffs._factored(sys)
+    ]
     size = np.array(unstack(sys._groups, [block_max_abs(m) for m in c_inv], len(coeffs.blocks)))
     levels, message = np.arange(len(size)), "coefficient block {k} is too small to invert"
     require_within(size, np.finfo(float).max, SingularCoefficientsError, message, levels)

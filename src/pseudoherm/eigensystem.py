@@ -319,7 +319,7 @@ def _levels(w: np.ndarray, v: np.ndarray, cluster_gap: float) -> tuple:
     stacks = []
     for lv, cols in block_groups(sizes):
         same, d = members[cols], cols.shape[1]  # row i: the members of level lv[i]
-        energies[lv] = w[same[:, 0]] if d == 1 else np.add.reduce(w[same], axis=1) / d
+        energies[lv] = w[same[:, 0]] if d == 1 else _means(w[same])
         stacks.append((lv, np.linalg.qr(v[:, same].transpose(1, 0, 2))[0]))
     order = np.lexsort((energies.imag, energies.real))
     offsets = np.zeros(k + 1, dtype=np.intp)
@@ -330,6 +330,18 @@ def _levels(w: np.ndarray, v: np.ndarray, cluster_gap: float) -> tuple:
     for lv, q in stacks:
         psi[:, at[lv, None] + np.arange(q.shape[2])] = q.transpose(1, 0, 2)
     return psi, energies[order], offsets
+
+
+def _means(w: np.ndarray) -> np.ndarray:
+    """The mean of each row of w (k, d), ``sum / d``; a row whose sum overflows
+    (values near the float maximum) is averaged as ``sum(w / d)`` instead."""
+    d = w.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.add.reduce(w, axis=1) / d
+    far = ~np.isfinite(mean)
+    if far.any():
+        mean[far] = np.add.reduce(w[far] / d, axis=1)
+    return mean
 
 
 _RESIDUALS = ("biorthonormality", "completeness", "right_eigen", "left_eigen", "reconstruction")

@@ -92,8 +92,8 @@ def _invertible_stacks(blocks, sizes, groups, what: str) -> list[np.ndarray]:
 
 def _inv_adjoint(v: np.ndarray) -> np.ndarray:
     """(v^dagger)^{-1} of each block of a stack (k, d, d): one stacked inverse,
-    or the reciprocals when d = 1."""
-    if v.shape[-1] == 1:
+    or the reciprocals when d = 1, for a stack (k, 1, 1) or the vector (k,)."""
+    if v.ndim == 1 or v.shape[-1] == 1:
         return 1.0 / np.conj(v)
     return np.linalg.inv(v.conj().swapaxes(-1, -2))
 
@@ -106,13 +106,13 @@ def _inv_adjoint(v: np.ndarray) -> np.ndarray:
 _READOFF_COND = 1e2
 
 
-def _takagi_inv_adjoint(v: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _takagi_inv_adjoint(v: np.ndarray, s) -> np.ndarray:
     """(v^dagger)^{-1} of each Takagi factor ``v = u diag(sqrt(s))`` of a
-    validated stack (k, d, d), s its Takagi values in ascending order: the
-    reciprocals when d = 1, else ``v diag(1/s)`` (u unitary), with one
-    stacked inverse for the blocks whose s_max / s_min exceeds
-    ``_READOFF_COND``."""
-    if v.shape[-1] == 1:
+    validated group, s its Takagi values in ascending order: the reciprocals
+    for the vector (k,) of a group of 1 x 1 blocks, else, for a stack (k, d, d),
+    ``v diag(1/s)`` (u unitary), with one stacked inverse for the blocks whose
+    s_max / s_min exceeds ``_READOFF_COND``."""
+    if v.ndim == 1:
         return _inv_adjoint(v)
     # real and imaginary parts divided by the real s: a complex divisor below
     # 1 / (largest float) would overflow
@@ -123,12 +123,21 @@ def _takagi_inv_adjoint(v: np.ndarray, s: np.ndarray) -> np.ndarray:
     return g
 
 
+def _factor_residual(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``max|v v^T - c| / max|c|`` of each block of a validated group, as
+    ``symmetric_factor`` forms it; a group of 1 x 1 blocks comes as the vectors
+    (k,) of c and v, and its v v^T is the same 1 x 1 matrix product."""
+    if v.ndim == 1:
+        v = v[:, None, None]
+        return np.abs((v @ v)[:, 0, 0] - c) / np.maximum(np.abs(c), 1e-300)
+    return block_max_abs(v @ v.swapaxes(-1, -2) - c) / np.maximum(block_max_abs(c), 1e-300)
+
+
 def _regauge(sys: BiorthonormalSystem, g: list, h: list) -> BiorthonormalSystem:
     """sys re-gauged level by level, ``psi -> psi g`` and ``phi -> phi h`` with
-    ``h = (g^{-1})^dagger``; g and h hold one stack per group of ``sys._groups``.
-    Psi' and Phi' are two new stored arrays, formed in one walk of the groups:
-    one column scaling for every d = 1 level and one stacked product per
-    multiplicity d >= 2."""
+    ``h = (g^{-1})^dagger``; g and h hold one stack per group of ``sys._groups``
+    (a vector for the 1 x 1 blocks, or a stack of them).  Psi' and Phi' are two
+    new stored arrays, formed by ``times_block_diag`` in one walk of the groups."""
     return _regauged(sys, *times_block_diag(sys._groups, (sys.psi_matrix, g), (sys.phi_matrix, h)))
 
 
@@ -169,20 +178,22 @@ def canonicalize_tau(
     itself.  With ``v = u_T diag(sqrt(s))``, u_T unitary and s the Takagi
     values, the psi gauge is read off the factor as ``v diag(1/s)``; only a
     block whose s_max / s_min exceeds ``_READOFF_COND`` takes an inverse,
-    which keeps the new basis as biorthonormal as an inverse makes it.  Both
-    run once per multiplicity, and so does the residual
-    ``max|v v^T - c| / max|c|`` of each block; when one exceeds tol, the
-    lowest such level is refused.  The returned automorphism is
+    which keeps the new basis as biorthonormal as an inverse makes it.  One
+    walk of the multiplicity groups forms each group's residuals
+    ``max|v v^T - c| / max|c|`` and both gauges, the simple levels as
+    vectors (k,): 1/conj(v) and v; when a residual exceeds tol, the lowest
+    such level is refused.  The returned automorphism is
     ``Phi' Phi'^T``, identity coefficients on the new basis, and equals the
     operator built from (sys, coeffs) up to rounding: the automorphism is
     unique up to the choice of eigenbasis.
     """
-    factored = coeffs._factored(sys)
-    residuals = [block_max_abs(v @ v.swapaxes(-1, -2) - c) / np.maximum(block_max_abs(c), 1e-300)
-                 for c, v, _ in factored]
+    residuals, psi_gauge, phi_gauge = [], [], []
+    for c, v, s in coeffs._factored(sys):
+        residuals.append(_factor_residual(c, v))
+        psi_gauge.append(_takagi_inv_adjoint(v, s))
+        phi_gauge.append(v)
     if not all((r <= tol).all() for r in residuals):  # name the lowest faulty level
         in_order = np.array(unstack(sys._groups, residuals, len(coeffs.blocks)))
         require_within(in_order, tol, PseudoHermError, _MISSED, np.arange(len(in_order)))
-    psi_gauge = [_takagi_inv_adjoint(v, s) for _, v, s in factored]
-    new_sys = _regauge(sys, psi_gauge, [v for _, v, _ in factored])
+    new_sys = _regauge(sys, psi_gauge, phi_gauge)
     return new_sys, build_tau(new_sys, None)

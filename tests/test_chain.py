@@ -169,7 +169,8 @@ def test_each_condition_number_measured_once(monkeypatch, rng, tmp_path, capsys)
     """A well-conditioned eigensystem decides kappa(Psi), kappa(A) and kappa(eta),
     paired or all-real, by the bound ||Psi||_F ||Phi||_F without an SVD;
     metric_from_matrix reads kappa off its eigvalsh and the gauge op off one
-    Takagi factor per block."""
+    Takagi factorization per multiplicity d >= 2 (simple levels take a square
+    root and need no kappa)."""
     path = tmp_path / "h.json"
     save_matrix(path, planted_matrix(rng, 6, "real").matrix)
     paired = planted_with_degenerate_level(1, 7, "paired")
@@ -188,7 +189,7 @@ def test_each_condition_number_measured_once(monkeypatch, rng, tmp_path, capsys)
     assert svds(metric_from_matrix, np.diag([2.0, -1.0, 0.5])) == 0
     takagi_calls.clear()
     assert svds(canonicalize_tau, sys_, coeffs) == 0
-    assert len(takagi_calls) == len({lv.multiplicity for lv in sys_.levels})
+    assert len(takagi_calls) == len({lv.multiplicity for lv in sys_.levels} - {1}) == 1
 
 
 def two_levels(delta: float, kind: str) -> np.ndarray:

@@ -37,6 +37,7 @@ from pseudoherm.eigensystem import (
     _classify,
     _cluster_indices,
     _levels,
+    _means,
     _raw_levels,
     _verify_system,
 )
@@ -61,6 +62,42 @@ def test_diagonal_two_levels():
     assert [lv.energy for lv in sys_.levels] == [1.0, 2.0]
     assert [lv.multiplicity for lv in sys_.levels] == [1, 1]
     np.testing.assert_allclose(np.abs(sys_.psi_matrix), np.eye(2), atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "h, levels",
+    [
+        (1e308 * np.eye(2), [(1e308, 2)]),
+        (1.7e308 * np.eye(2), [(1.7e308, 2)]),
+        (np.diag([-1e308, -1e308, 1.0]), [(-1e308, 2), (1.0, 1)]),
+        (1e308 * np.eye(3), [(1e308, 3)]),
+        (np.diag([1e308 + 1e308j, 1e308 + 1e308j, 1.0]), [(1.0, 1), (1e308 + 1e308j, 2)]),
+    ],
+    ids=["1e308-I2", "1.7e308-I2", "-1e308-pair", "1e308-I3", "complex-pair"],
+)
+def test_a_degenerate_level_near_the_float_maximum_is_accepted(h, levels):
+    """A degenerate level whose eigenvalue sum overflows keeps its mean, with
+    no RuntimeWarning, so the verdict is the one at scale 1 (the sum of two
+    1e308 eigenvalues once made the mean inf and the system a refusal)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sys_ = biorthonormal_eigensystem(h)
+    assert [(lv.energy, lv.multiplicity) for lv in sys_.levels] == levels
+
+
+def test_level_means_keep_the_bits_of_every_finite_sum():
+    """A degenerate level's energy is sum / d, bit for bit, whenever that sum is
+    finite; only a row whose sum overflows is averaged as sum(w / d)."""
+    rng = np.random.default_rng(3)
+    w = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    w[0] *= 1e307
+    w[1] = [1.5e308, 1.5e308, -1e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _means(w.copy())
+    assert got[0].tobytes() == (np.add.reduce(w[0]) / 3).tobytes()
+    assert got[2:].tobytes() == (np.add.reduce(w[2:], axis=1) / 3).tobytes()
+    assert got[1] == np.add.reduce(w[1] / 3) and np.isfinite(got[1])
 
 
 def test_planted_conjugate_triple_recovers_spectrum():

@@ -28,7 +28,7 @@ from pseudoherm import (
 )
 from pseudoherm import _linalg, factor
 from pseudoherm._linalg import block_max_abs, cond_of, max_abs, takagi_factor
-from pseudoherm.antilinear import CoefficientFamily
+from pseudoherm.antilinear import CoefficientFamily, _symmetric_invertible
 from pseudoherm.cli import cli_main
 from pseudoherm.eigensystem import BiorthonormalSystem, EigenLevel
 from pseudoherm.ensembles import (
@@ -366,12 +366,56 @@ def test_takagi_factor_of_a_matrix_is_the_block_embedding_bitwise():
         assert v.tobytes() == want_v.tobytes() and s.tobytes() == want_s.tobytes()
 
 
+def test_takagi_factor_of_a_singular_stack_is_the_block_embedding_bitwise():
+    """A stack holding singular blocks, whose smallest Takagi values come out
+    0 or within rounding of it (of either sign), is factored block by block as
+    the np.block embedding factors each, bit for bit; cond_of reads inf for a
+    block with a zero Takagi value."""
+    rng = np.random.default_rng(2)
+    blocks = [np.diag([0.0, 1.0, 2.0]).astype(complex)]
+    for _ in range(7):
+        u = random_unitary(rng, 3)
+        blocks.append((u * [0.0, 1.0, 2.0]) @ u.T)
+    v, s = takagi_factor(np.array(blocks))
+    assert s[0, 0] == 0.0 and (np.abs(s[:, 0]) < 1e-15).all()
+    for j, c in enumerate(blocks):
+        w, x = np.linalg.eigh(np.block([[c.real, -c.imag], [-c.imag, -c.real]]))
+        want_v = (x[:3, 3:] - 1j * x[3:, 3:]) * np.sqrt(np.maximum(w[3:], 0.0))
+        assert v[j].tobytes() == want_v.tobytes() and s[j].tobytes() == w[3:].tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cond_of(s)[0] == np.inf
+
+
+def test_cond_of_is_the_masked_quotient_bitwise():
+    """cond_of divides directly when no row's smallest |s| is 0 and is the
+    masked quotient, inf where that minimum is 0, bit for bit, tiny negative
+    values counting by their size; a row alone gives a float."""
+    s = np.array([
+        [0.25, 0.5, 4.0], [-1e-17, 0.5, 1.0], [1e-300, 1.0, 3.0], [3.0, -2.0, 1.0],
+        [0.0, 1.0, 2.0], [-0.0, 0.0, 0.0],
+    ])
+    for rows in (s[:4], s):
+        size = np.abs(rows)
+        smin = size.min(axis=-1)
+        want = np.divide(size.max(axis=-1), smin, out=np.full_like(smin, np.inf), where=smin != 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cond_of(rows).tobytes() == want.tobytes()
+    assert cond_of(s).tolist()[-2:] == [np.inf, np.inf]
+    for row, want in zip(s, [16.0, 1e17, 3e300, 3.0, np.inf, np.inf]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = cond_of(row)
+        assert type(got) is float and got == want
+
+
 def test_validate_against_factors_are_the_per_block_factors_bitwise(mixed):
     sys_, coeffs = mixed
     factors = coeffs.validate_against(sys_)
     assert len(factors) == len(sys_.levels)
     for v, c in zip(factors, coeffs.blocks):
-        assert v.tobytes() == takagi_factor(c)[0].tobytes()
+        assert v.shape == c.shape and v.tobytes() == takagi_factor(c)[0].tobytes()
 
 
 def test_canonicalize_matches_the_level_loop(mixed):
@@ -384,6 +428,61 @@ def test_canonicalize_matches_the_level_loop(mixed):
         np.testing.assert_allclose(block, np.eye(len(block)), rtol=0, atol=1e-12)
     np.testing.assert_allclose(new_sys.psi_matrix, ref_sys.psi_matrix, rtol=0, atol=1e-13)
     assert [lv.energy for lv in new_sys.levels] == [lv.energy for lv in sys_.levels]
+
+
+def stacked_gauge(sys_, coeffs):
+    """Psi', Phi' and tau of the gauge op formed with every multiplicity group
+    a stack (k, d, d), 1 x 1 blocks included: each group's Takagi factor v,
+    the psi gauge 1/conj(v) for d = 1 and v diag(1/s) for d >= 2 (an inverse
+    past factor._READOFF_COND), Psi and Phi scaled by a ones vector carrying
+    the 1 x 1 gauges, one stacked product per d >= 2, then Phi' Phi'^T."""
+    psi, phi = sys_.psi_matrix, sys_.phi_matrix
+    scales, wide = np.ones((2, sys_.dim), dtype=complex), []
+    for idx, cols in sys_._groups:
+        v, s = takagi_factor(np.array([coeffs.blocks[k] for k in idx.tolist()], dtype=complex))
+        if cols.shape[1] == 1:
+            scales[:, cols[:, 0]] = 1.0 / np.conj(v[:, 0, 0]), v[:, 0, 0]
+            continue
+        g = (v.view(float) / np.repeat(s, 2, axis=-1)[:, None, :]).view(complex)
+        far = s[:, -1] > factor._READOFF_COND * s[:, 0]
+        if far.any():
+            g[far] = np.linalg.inv(v[far].conj().swapaxes(-1, -2))
+        wide.append((cols, g, v))
+    new_psi, new_phi = psi * scales[0], phi * scales[1]
+    for cols, g, v in wide:
+        for out, m, gauge in ((new_psi, psi, g), (new_phi, phi, v)):
+            out[:, cols] = (m[:, cols].transpose(1, 0, 2) @ gauge).transpose(1, 0, 2)
+    return new_psi, new_phi, new_phi @ new_phi.T
+
+
+def far_block(d):
+    """A d x d symmetric block with Takagi values 1 .. 1e4: past factor._READOFF_COND."""
+    u = random_unitary(np.random.default_rng(d), d)
+    return (u * np.geomspace(1.0, 1e4, d)) @ u.T
+
+
+@pytest.mark.parametrize("case", ["mixed", "unsorted", "lattice", "tiny", "far", "simple"])
+def test_gauge_op_is_the_stacked_formulation_bitwise(mixed, unsorted, case):
+    """canonicalize_tau, which takes a group of 1 x 1 blocks as vectors, gives
+    the bits of Psi', Phi' and tau formed with (k, 1, 1) stacks: on systems
+    whose groups run in and out of level order, a lattice of simple levels, a
+    1e-320 block and d >= 2 blocks that take the inverse psi gauge."""
+    sys_, coeffs = unsorted if case in ("unsorted", "tiny", "far") else mixed
+    if case == "tiny":
+        coeffs = CoefficientFamily(tuple(with_faults(coeffs.blocks, {3: np.array([[1e-320 + 0j]])})))
+    elif case == "far":
+        coeffs = CoefficientFamily(tuple(with_faults(coeffs.blocks, {0: far_block(3), 4: far_block(2)})))
+    elif case in ("lattice", "simple"):
+        h = lattice_matrix(41, "x", 0.1) if case == "lattice" else np.diag(np.arange(1.0, 9.0)) + 0j
+        sys_ = pt_adapted_eigensystem(h) if case == "lattice" else biorthonormal_eigensystem(h)
+        coeffs = random_coefficients(np.random.default_rng(9), sys_)
+        assert set(sys_._sizes.tolist()) == {1}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        new_sys, tau = canonicalize_tau(sys_, coeffs)
+    want = stacked_gauge(sys_, coeffs)
+    for got, ref in zip((new_sys.psi_matrix, new_sys.phi_matrix, tau.matrix), want):
+        assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("regauge", ["canonicalize", "basis_change"])
@@ -709,6 +808,18 @@ def test_stacked_decisions_are_the_single_block_ones_bitwise():
             assert np.linalg.svd(b, compute_uv=False).tobytes() == sv[j].tobytes()
             assert max_abs(b - b.T) == defect[j]
             assert max_abs(vb @ vb.T - b) == residual[j]
+    # the gauge op takes a group of 1 x 1 blocks as the vectors of c and v; its
+    # factor residual is symmetric_factor's, the 1 x 1 product v v^T (an
+    # elementwise v * v can differ from it in the last bit)
+    c = np.array([random_symmetric_invertible(rng, 1) for _ in range(64)])
+    c[:4, 0, 0] *= [1e-320, 1e-300, 1e300, -1.0]
+    cv, v, s = _symmetric_invertible(c, np.arange(len(c)))
+    assert cv.shape == v.shape == (len(c),) and s is None
+    residual = factor._factor_residual(cv, v)
+    for j, b in enumerate(c):
+        vb, residual_b = factor._symmetric_factor(b, 1.0)
+        assert vb.tobytes() == v[j].tobytes()
+        assert residual_b == residual[j]
 
 
 def non_finite(value, d):
