@@ -17,6 +17,8 @@ DEFAULT_COND_CEILING = 1e8
 # kappa would be below the ceiling too, so no verdict moves.
 _BOUND_MARGIN = 2.0
 
+SCALE_FLOOR = 5e-324  # the least positive float, the one floor under a residual's scale
+
 
 def max_abs(a) -> float:
     """Largest absolute entry (the max-norm used for every residual)."""
@@ -25,8 +27,9 @@ def max_abs(a) -> float:
 
 
 def scale_of(a) -> float:
-    """max_abs(a) floored at 1e-300: the denominator of a normalized residual."""
-    return max(max_abs(a), 1e-300)
+    """max_abs(a) floored at SCALE_FLOOR, the denominator of a normalized residual:
+    no nonzero scale is below the floor, so H and c H divide alike at every c > 0."""
+    return max(max_abs(a), SCALE_FLOOR)
 
 
 def diagonal_defect(a: np.ndarray, d) -> float:
@@ -36,15 +39,16 @@ def diagonal_defect(a: np.ndarray, d) -> float:
 
 
 def hermitian_defect(a) -> float:
-    """max-norm of a - a^dagger."""
-    a = np.asarray(a)
-    return max_abs(a - a.conj().T)
+    """The normalized Hermiticity defect max|a - a^dagger| / max|a| of an array a."""
+    return max_abs(a - a.conj().T) / scale_of(a)
 
 
-def symmetric_defect(a) -> float:
-    """max-norm of a - a^T."""
+def symmetric_defect(a):
+    """max|a - a^T| / max|a| of a matrix, or of each matrix of a stack (..., n, n)."""
     a = np.asarray(a)
-    return max_abs(a - a.T)
+    if a.ndim == 2:
+        return max_abs(a - a.T) / scale_of(a)
+    return block_max_abs(a - a.swapaxes(-1, -2)) / np.maximum(block_max_abs(a), SCALE_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -64,11 +68,9 @@ class CheckResult:
 
 def make_check(raw_residual: float, scale: float, tol: float) -> CheckResult:
     """Build a CheckResult from a raw max-norm residual and its scale: the
-    residual ``raw / scale``, ok iff it is at most tol."""
-    if scale > 0.0:
-        residual = raw_residual / scale
-        return CheckResult(residual <= tol, residual)
-    return CheckResult(raw_residual == 0.0, raw_residual)
+    residual ``raw / scale`` (scale floored at SCALE_FLOOR), ok iff it is at most tol."""
+    residual = raw_residual / max(scale, SCALE_FLOOR)
+    return CheckResult(residual <= tol, residual)
 
 
 def intertwining(left, m, right, hmax: float, tol: float) -> CheckResult:

@@ -30,6 +30,7 @@ from ._linalg import (  # DEFAULT_COND_CEILING is re-exported
     max_abs,
     require_conditioned,
     require_within,
+    scale_of,
 )
 from .errors import AmbiguousPairingError, NotDiagonalizableError
 
@@ -113,8 +114,8 @@ class BiorthonormalSystem:
 
     @cached_property
     def _hmax(self) -> float:
-        """max|H|; seeded by ``_assemble`` and ``_regauged``, else read off ``reconstruct``."""
-        return max_abs(reconstruct(self))
+        """scale_of(H); seeded by ``_assemble`` and ``_regauged``, else read off ``reconstruct``."""
+        return scale_of(reconstruct(self))
 
     @cached_property
     def energies(self) -> np.ndarray:
@@ -176,14 +177,16 @@ class SpectrumClass:
 def _cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
     """Connected components of the eigenvalue chain graph at distance <= gap,
     ordered by smallest index.  Sort and sweep along whichever of Re E and
-    Im E spreads wider: only pairs within 2|gap| on that axis are compared,
-    a superset of the pairs within gap that rounding cannot shrink."""
+    Im E spreads wider: only pairs within 2|gap| on that axis, k+1 .. reach[k]-1
+    for k, are compared, a superset of the pairs within gap that rounding cannot
+    shrink and a spread or reach saturating to inf (near max float) only widens."""
     n = len(values)
     re, im = values.real, values.imag
-    axis = re if re.max() - re.min() >= im.max() - im.min() else im
-    order = np.argsort(axis)
-    coord = axis[order]
-    reach = coord.searchsorted(coord + 2.0 * abs(gap), "right")  # candidates of k: k+1 .. reach[k]-1
+    with np.errstate(over="ignore"):
+        axis = re if re.max() - re.min() >= im.max() - im.min() else im
+        order = np.argsort(axis)
+        coord = axis[order]
+        reach = coord.searchsorted(coord + 2.0 * abs(gap), "right")
     starts = (reach > np.arange(1, n + 1)).nonzero()[0].tolist()
     if not starts:  # no candidate pair: every value is its own cluster
         return [[i] for i in range(n)]
@@ -268,7 +271,7 @@ def _solve(H: np.ndarray, tol: float, cluster_gap) -> tuple:
     """(system, H Psi) of a validated H: the eig of ``_raw_levels``, clustered at
     cluster_gap (None: the default), verified by ``_assemble``.  Every eigensystem
     is solved here, but ``ptmodel._adapted``'s, which re-gauges Psi in between."""
-    hmax = max_abs(H)
+    hmax = scale_of(H)
     return _assemble(*_raw_levels(H, _cluster_gap(cluster_gap, hmax)), H, hmax, tol)
 
 
@@ -364,7 +367,7 @@ def _assemble(
     tol: float,
 ) -> tuple:
     """(system, H Psi): the system stores Psi, Phi = Psi^{-dagger} and E once,
-    verified against H with max|H| = hmax; H Psi is the product its
+    verified against H with hmax = ``scale_of(H)``; H Psi is the product its
     verification formed.  kappa(Psi) is below the ceiling by the bound
     ``||Psi||_F ||Phi||_F`` (seeded as ``_cond_bound``) or else measured
     (seeded as ``cond``)."""
@@ -416,14 +419,13 @@ def _verify_system(sys: BiorthonormalSystem, H: np.ndarray, hmax: float, tol: fl
     relative to max|H| = hmax) or is not finite; the refusal names the worst,
     and a non-finite one, the first in check order, is the worst.  Returns H Psi."""
     psi, phi, energies = sys.psi_matrix, sys.phi_matrix, sys.energies
-    hscale = max(hmax, 1e-300)
     with np.errstate(over="ignore", invalid="ignore"):  # entries near the float maximum
         hpsi, psi_e = H @ psi, psi * energies
         residuals = (
             *sys._biorthonormality,
-            max_abs(hpsi - psi_e) / hscale,
-            max_abs(H.conj().T @ phi - phi * np.conj(energies)) / hscale,
-            max_abs(psi_e @ phi.conj().T - H) / hscale,
+            max_abs(hpsi - psi_e) / hmax,
+            max_abs(H.conj().T @ phi - phi * np.conj(energies)) / hmax,
+            max_abs(psi_e @ phi.conj().T - H) / hmax,
         )
     ranked = [r if r < np.inf else np.inf for r in residuals]  # NaN ranks as inf
     at = ranked.index(max(ranked))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._linalg import (
+    SCALE_FLOOR,
     as_square_matrix,
     block_groups,
     block_max_abs,
@@ -62,12 +63,11 @@ def symmetric_factor(c, tol: float = DEFAULT_TOL) -> np.ndarray:
 def _symmetric_factor(c, tol: float) -> tuple[np.ndarray, float]:
     """(v, max|v v^T - c| / max|c|): symmetric_factor's v and its unchecked residual."""
     c = as_square_matrix(c, "c")
-    scale, asymmetric = scale_of(c), "input is not complex symmetric"
-    require_within(symmetric_defect(c) / scale, tol, NotSymmetricError, asymmetric)
+    require_within(symmetric_defect(c), tol, NotSymmetricError, "input is not complex symmetric")
     v, s = takagi_factor(c)
     singular = "input is singular or too ill-conditioned; no invertible factor"
     require_conditioned(cond_of(s), SingularInputError, singular)
-    return v, max_abs(v @ v.T - c) / scale
+    return v, max_abs(v @ v.T - c) / scale_of(c)
 
 
 _MISSED = "factorization residual {measured:.3e} exceeds tolerance"
@@ -129,8 +129,8 @@ def _factor_residual(c: np.ndarray, v: np.ndarray) -> np.ndarray:
     (k,) of c and v, and its v v^T is the same 1 x 1 matrix product."""
     if v.ndim == 1:
         v = v[:, None, None]
-        return np.abs((v @ v)[:, 0, 0] - c) / np.maximum(np.abs(c), 1e-300)
-    return block_max_abs(v @ v.swapaxes(-1, -2) - c) / np.maximum(block_max_abs(c), 1e-300)
+        return np.abs((v @ v)[:, 0, 0] - c) / np.maximum(np.abs(c), SCALE_FLOOR)
+    return block_max_abs(v @ v.swapaxes(-1, -2) - c) / np.maximum(block_max_abs(c), SCALE_FLOOR)
 
 
 def _regauge(sys: BiorthonormalSystem, g: list, h: list) -> BiorthonormalSystem:

@@ -109,7 +109,7 @@ def _hermitized(transform: PseudoCanonicalTransform, hpsi: np.ndarray) -> tuple:
     """(A H A^{-1}, its normalized Hermiticity defect), formed as A (H Psi) from
     the product hpsi = H Psi, as A^{-1} = Psi; it is diag(E) by construction."""
     h_t = transform.matrix @ hpsi
-    return h_t, hermitian_defect(h_t) / scale_of(h_t)
+    return h_t, hermitian_defect(h_t)
 
 
 def metric_from_transform(transform: PseudoCanonicalTransform) -> MetricOperator:
@@ -179,7 +179,6 @@ def _report(H, tol, cluster_gap, seed) -> tuple:
 
     cls = run("classification", lambda: classify_spectrum(sys))
     hmax, gap = sys._hmax, _cluster_gap(cluster_gap, sys._hmax)
-    hscale = max(hmax, 1e-300)
     report = {
         "input": H,
         "spectrum_class": cls.tag.value,
@@ -214,20 +213,25 @@ def _report(H, tol, cluster_gap, seed) -> tuple:
     if transform is not None:
         h_t, residuals["hermitized_hermiticity"] = _hermitized(transform, hpsi)
         match = diagonal_defect(h_t.copy(), sys.energies)
-        residuals["hermitized_eigenvalue_match"] = match / hscale
+        residuals["hermitized_eigenvalue_match"] = match / hmax
         certificates["A"] = transform.matrix
 
-        # eight pairs (xi, zeta) drawn as (Re xi, Im xi, Re zeta, Im zeta), as
-        # the rows xi_0, zeta_0, xi_1, ... of z; the chain's eta is the positive
-        # metric A^dagger A = Phi Phi^dagger
+        # eight pairs (xi, zeta), drawn as (Re xi, Im xi, Re zeta, Im zeta), are the rows
+        # xi_0, zeta_0, xi_1, ... of z; eta is the positive metric A^dagger A = Phi Phi^dagger
         v = np.random.default_rng(seed).standard_normal((8, 4, sys.dim))
         z = (v[:, 0::2] + 1j * v[:, 1::2]).reshape(16, sys.dim)
-        z_eta, hz = z.conj() @ eta, z @ H.T
-        lhs = (z_eta[0::2] * hz[1::2]).sum(axis=1)
-        rhs = (z_eta[1::2] * hz[0::2]).sum(axis=1).conj()
-        # operator scales, as for every residual: |lhs| and |rhs| can cancel to near 0
-        norms = np.linalg.norm(z, axis=1)
-        scale = norms[0::2] * norms[1::2] * scale_of(eta) * hscale
-        residuals["inner_product_hermiticity"] = float((np.abs(lhs - rhs) / scale).max())
+        z_eta, norms = z.conj() @ eta, np.linalg.norm(z, axis=1)
+
+        def spot(h, top):  # the residual on h, max|h| = top; NaN or inf when a product overflows
+            with np.errstate(over="ignore", invalid="ignore"):
+                hz = z @ h.T
+                lhs = (z_eta[0::2] * hz[1::2]).sum(axis=1)
+                rhs = (z_eta[1::2] * hz[0::2]).sum(axis=1).conj()
+                # operator scales, as for every residual: |lhs| and |rhs| can cancel to near 0
+                scale = norms[0::2] * norms[1::2] * scale_of(eta) * top
+                return float((np.abs(lhs - rhs) / scale).max()) if scale.max() < np.inf else np.inf
+
+        r = spot(H, hmax)  # formed again on H / max|H| when a product overflows (near max float)
+        residuals["inner_product_hermiticity"] = r if r < np.inf else spot(H / hmax, 1.0)
 
     return report, sys, cls

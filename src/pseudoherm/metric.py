@@ -30,7 +30,6 @@ from ._linalg import (
     require_conditioned,
     require_same_dim,
     require_within,
-    scale_of,
     solve,
 )
 from .eigensystem import (
@@ -95,8 +94,8 @@ def metric_from_matrix(eta, tol: float = DEFAULT_TOL) -> MetricOperator:
 def _hermiticity(m: np.ndarray, tol: float, name: str = "eta") -> float:
     """The normalized Hermiticity defect ``max|m - m^dagger| / max|m|`` of
     the metric m; one above tol refuses m as ``NonHermitianEtaError``."""
-    defect, message = hermitian_defect(m) / scale_of(m), "{name} is not Hermitian within tolerance"
-    return require_within(defect, tol, NonHermitianEtaError, message, name=name)
+    message = "{name} is not Hermitian within tolerance"
+    return require_within(hermitian_defect(m), tol, NonHermitianEtaError, message, name=name)
 
 
 def is_pseudo_hermitian(H, eta, tol: float = DEFAULT_TOL) -> CheckResult:

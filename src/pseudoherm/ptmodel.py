@@ -229,12 +229,10 @@ def _pt_residual(H: np.ndarray, parity) -> float:
     return max_abs(H @ parity - parity @ np.conj(H))
 
 
-def _require_pt_symmetric(H: np.ndarray, parity, tol: float) -> float:
-    """The raw ``H P - P conj(H)`` residual, which refuses H above tol * max|H|."""
-    r_ptsym = _pt_residual(H, parity)
+def _require_pt_symmetric(H: np.ndarray, parity, hmax: float, tol: float) -> float:
+    """The ``H P - P conj(H)`` residual over hmax = max|H|, which refuses H above tol."""
     message = "H does not commute with the parity-conjugation map"
-    require_within(r_ptsym / scale_of(H), tol, NotPTSymmetricError, message)
-    return r_ptsym
+    return require_within(_pt_residual(H, parity) / hmax, tol, NotPTSymmetricError, message)
 
 
 def _checked_eta(
@@ -243,7 +241,7 @@ def _checked_eta(
     """eta = m P symmetrized, with its ``H^dagger eta = eta H`` check at the
     scale of hmax = max|H|; refuses a non-Hermitian eta or a failed identity."""
     require_within(
-        hermitian_defect(eta) / scale_of(eta), tol, ResultNotHermitianError,
+        hermitian_defect(eta), tol, ResultNotHermitianError,
         "tau composed with parity-conjugation is not Hermitian; tau is inconsistent with H "
         "(try a parity-adapted eigenbasis); Hermiticity defect {measured:.3e}",
     )
@@ -272,8 +270,9 @@ def eta_from_tau_pt(
     p = as_square_matrix(parity, "parity")
     require_same_dim(H, p, "H and parity")
     require_same_dim(H, tau.matrix, "H and tau")
-    _require_pt_symmetric(H, p, tol)
-    eta, _ = _checked_eta(H, tau.matrix @ np.conj(p), max_abs(H), tol)
+    hmax = scale_of(H)
+    _require_pt_symmetric(H, p, hmax, tol)
+    eta, _ = _checked_eta(H, tau.matrix @ np.conj(p), hmax, tol)
     try:
         factor = np.linalg.cholesky(eta)
     except np.linalg.LinAlgError:  # not positive definite
@@ -284,11 +283,11 @@ def eta_from_tau_pt(
 def _adapted(
     H: np.ndarray, parity, tol: float, cluster_gap, hmax: float
 ) -> tuple[BiorthonormalSystem, SpectrumClass, float]:
-    """The parity-conjugation adapted system of H (hmax = max|H|), its class
-    and the raw ``H P - P conj(H)`` residual of ``_require_pt_symmetric``.
+    """The parity-conjugation adapted system of H (hmax = ``scale_of(H)``), its
+    class and the ``H P - P conj(H)`` residual of ``_require_pt_symmetric``.
     Not ``_solve``: the gauge is set on the raw Psi before ``_assemble``, so
     the adapted system is inverted and verified once."""
-    r_ptsym = _require_pt_symmetric(H, parity, tol)
+    r_ptsym = _require_pt_symmetric(H, parity, hmax, tol)
     psi, energies, offsets = _raw_levels(H, _cluster_gap(cluster_gap, hmax))
     sizes = np.diff(offsets)
     cls = _classify(energies, sizes, _realness_tol(hmax))
@@ -328,7 +327,7 @@ def pt_adapted_eigensystem(
     """
     H = as_square_matrix(H, "H")
     p = None if parity is None else as_square_matrix(parity, "parity")
-    return _adapted(H, p, tol, cluster_gap, max_abs(H))[0]
+    return _adapted(H, p, tol, cluster_gap, scale_of(H))[0]
 
 
 def _pt_model(
@@ -345,15 +344,13 @@ def _pt_model(
     and the normalized residuals.
     """
     H = as_square_matrix(H, "H")
-    r_parity = max_abs(H.conj().T[:, ::-1] - H[::-1])
-    hmax = max_abs(H)
+    hmax = scale_of(H)
     system, cls, r_ptsym = _adapted(H, None, tol, cluster_gap, hmax)
     _, check = _checked_eta(H, canonical_tau(system).matrix[:, ::-1], hmax, tol)
-    hscale = scale_of(H)
     residuals = {
-        "parity_intertwining_residual": r_parity / hscale,
-        "pt_commutation_residual": r_ptsym / hscale,
+        "parity_intertwining_residual": max_abs(H.conj().T[:, ::-1] - H[::-1]) / hmax,
+        "pt_commutation_residual": r_ptsym,
         "eta_intertwining_residual": check.residual,
-        "time_reversal_intertwining": symmetric_defect(H) / hscale,
+        "time_reversal_intertwining": symmetric_defect(H),
     }
     return system, cls, residuals

@@ -652,6 +652,24 @@ def _verdict(h):
     return cls.tag.value, sorted(sys._sizes.tolist()), sorted(report["refusals"]), passed
 
 
+@pytest.mark.parametrize("n", [3, 5, 8])
+@pytest.mark.parametrize("kind", ["real", "paired", "unpaired"])
+def test_verdicts_hold_below_1e_300(kind, n):
+    """A planted input keeps its scale-1 verdict at 1e-310.  At 1e-315 and
+    1e-320, where rounding in the subnormal range cannot meet tol, it keeps
+    it or is refused at the eigensystem, and is never given another class:
+    every residual is divided by max|H| floored at the least positive float
+    (a floor at 1e-300 once shrank the residuals and the realness tolerance
+    alike, and moved inputs to another class)."""
+    h = planted_matrix(np.random.default_rng(n), n, kind, degenerate=False).matrix
+    want = _verdict(h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _verdict(1e-310 * h) == want
+        for c in (1e-315, 1e-320):
+            assert _verdict(c * h) in (want, ("eigensystem", NotDiagonalizableError))
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_real_form_verdicts_match_the_complex_eig(seed, monkeypatch):
     """On real planted inputs (real Gaussian S, n 6-40, one level of

@@ -151,6 +151,65 @@ def test_analyze_refuses_a_jordan_block_by_its_cause(tmp_path, capsys):
     assert captured.err == f"NotDiagonalizableError: {refused.value}\n"
 
 
+JORDAN_TYPE = {
+    "jordan2": np.array([[1.0, 1.0], [0.0, 1.0]]),
+    "jordan3": np.eye(3) + np.diag([1.0, 1.0], 1),
+    "near-jordan2": np.array([[1.0, 1e-3], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", JORDAN_TYPE)
+def test_a_subnormal_jordan_block_is_refused_as_at_scale_1(name, tmp_path, capsys):
+    """A Jordan-type block scaled by 1e-310 is refused by the residual that
+    refuses it at scale 1, measured the same up to rounding, and hermitize and
+    symmetry exit 1 on it: its residuals are divided by max|H|, floored at the
+    least positive float, where a floor at 1e-300 once shrank them below tol
+    and accepted the block as one level."""
+    h = JORDAN_TYPE[name]
+    at_one, tiny = (
+        pytest.raises(NotDiagonalizableError, biorthonormal_eigensystem, c * h).value
+        for c in (1.0, 1e-310)
+    )
+    assert (tiny.check, tiny.limit) == (at_one.check, at_one.limit)
+    assert tiny.measured == pytest.approx(at_one.measured, rel=1e-9)
+    path = tmp_path / "tiny.json"
+    save_matrix(path, 1e-310 * h)
+    for command in ("hermitize", "symmetry"):
+        assert cli_main([command, str(path)]) == 1
+        assert capsys.readouterr().err == f"NotDiagonalizableError: {tiny}\n"
+
+
+def test_a_nan_residual_fails_analyze(monkeypatch, identity2, capsys):
+    """analyze exits 0 only when every residual is at most tol, so a NaN
+    residual fails it wherever it stands (``max`` over the residuals skipped
+    a NaN that was not the first)."""
+    report = cli._report
+
+    def with_nan(*args):
+        out = report(*args)
+        out[0]["residuals"]["tau_intertwining"] = float("nan")
+        return out
+
+    monkeypatch.setattr(cli, "_report", with_nan)
+    assert cli_main(["analyze", identity2]) == 1
+    assert "tau_intertwining: nan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("c", [1e308, 1.7e308])
+def test_analyze_passes_near_the_float_maximum(c, tmp_path, capsys):
+    """analyze on c I_2 exits 0 with an empty stderr, RuntimeWarning raised as
+    an error: the spot check, whose products overflow, is formed again on
+    H / max|H| (it read NaN, after seven warnings)."""
+    path = tmp_path / "big.json"
+    save_matrix(path, c * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli_main(["analyze", str(path), "--output", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["residuals"]["inner_product_hermiticity"] <= 1e-15
+
+
 def test_an_ill_conditioned_metric_is_refused_as_a_verification_failure(tmp_path, capsys):
     """kappa(eta) = kappa(Psi)^2 = 4e12 is above the 1e8 ceiling: analyze
     prints the line metric prints, its report's metric stage unwrapped, and

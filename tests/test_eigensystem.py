@@ -46,6 +46,8 @@ from pseudoherm.io import save_matrix
 
 from conftest import mixed_multiplicity_matrix, planted_3x3_conjugate, real_planted_matrix
 
+FLOAT_MAX = np.finfo(float).max
+
 
 def test_identity_is_one_degenerate_level():
     sys_ = biorthonormal_eigensystem(np.eye(2), tol=1e-10)
@@ -72,8 +74,10 @@ def test_diagonal_two_levels():
         (np.diag([-1e308, -1e308, 1.0]), [(-1e308, 2), (1.0, 1)]),
         (1e308 * np.eye(3), [(1e308, 3)]),
         (np.diag([1e308 + 1e308j, 1e308 + 1e308j, 1.0]), [(1.0, 1), (1e308 + 1e308j, 2)]),
+        (FLOAT_MAX * np.eye(2), [(FLOAT_MAX, 2)]),
+        (FLOAT_MAX * np.eye(3), [(np.nextafter(FLOAT_MAX, 0.0), 3)]),  # sum(w / 3), rounded
     ],
-    ids=["1e308-I2", "1.7e308-I2", "-1e308-pair", "1e308-I3", "complex-pair"],
+    ids=["1e308-I2", "1.7e308-I2", "-1e308-pair", "1e308-I3", "complex-pair", "max-I2", "max-I3"],
 )
 def test_a_degenerate_level_near_the_float_maximum_is_accepted(h, levels):
     """A degenerate level whose eigenvalue sum overflows keeps its mean, with
@@ -83,6 +87,33 @@ def test_a_degenerate_level_near_the_float_maximum_is_accepted(h, levels):
         warnings.simplefilter("error", RuntimeWarning)
         sys_ = biorthonormal_eigensystem(h)
     assert [(lv.energy, lv.multiplicity) for lv in sys_.levels] == levels
+
+
+@pytest.mark.parametrize("top", [FLOAT_MAX, 1e307])
+def test_simple_levels_at_the_float_maximum_stay_apart(top):
+    """diag(top, -top, 1) is three simple levels, with no RuntimeWarning: at
+    the float maximum the clustering's spread max - (-max) and its reach
+    max + 2 gap saturate to inf, which only widens the candidate pairs."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sys_ = biorthonormal_eigensystem(np.diag([top, -top, 1.0]))
+    assert [(lv.energy, lv.multiplicity) for lv in sys_.levels] == [(-top, 1), (1.0, 1), (top, 1)]
+
+
+def test_the_zero_matrix_is_one_level_everywhere():
+    """The 3 x 3 zero matrix, max|H| = 0, is one level of multiplicity 3 for
+    ``biorthonormal_eigensystem``, ``pt_adapted_eigensystem`` and the report,
+    with no RuntimeWarning: max|H| is floored where each of them takes it, so
+    no residual divides by 0."""
+    h = np.zeros((3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        systems = [biorthonormal_eigensystem(h), pt_adapted_eigensystem(h)]
+        report = real_spectrum_equivalence_report(h)
+    for sys_ in systems:
+        assert [(lv.energy, lv.multiplicity) for lv in sys_.levels] == [(0.0, 3)]
+    assert report["spectrum_class"] == "all_real"
+    assert report["refusals"] == {} and max(report["residuals"].values()) <= 1e-15
 
 
 def test_level_means_keep_the_bits_of_every_finite_sum():
@@ -472,6 +503,20 @@ def test_only_eigensystem_makes_an_eigensystem():
             if name in names and path.stem not in users
         ]
     assert misused == []
+
+
+def test_only_linalg_holds_a_residual_floor():
+    """The least positive float is the one floor under the scale of a residual,
+    named once, in ``_linalg``: no other module holds a float literal below
+    1e-200 (a floor of 1e-300 in four places once shrank every residual of an
+    input below it, and accepted a Jordan block at 1e-310 as one level)."""
+    floors = [
+        (path.stem, node.value)
+        for path in sorted(Path(pseudoherm.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and type(node.value) is float and 0.0 < node.value < 1e-200
+    ]
+    assert floors == [("_linalg", 5e-324)]
 
 
 def _seeded(sys_):

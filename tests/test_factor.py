@@ -989,9 +989,10 @@ def test_block_verdicts_are_scale_invariant(unsorted, name, k):
 @pytest.mark.parametrize("k", [*SCALES, -308])
 def test_a_small_asymmetric_block_is_refused(k):
     """1e-12 [[1, 2], [3, 1]] is as asymmetric as [[1, 2], [3, 1]]: refused at
-    every scale by every entry point that validates it (an absolute floor at
-    max|c| = 1 once let it through, with a factor 33% off), subnormal ones
-    (k = -308) included."""
+    every scale by every entry point that validates it, ``symmetric_factor``
+    too (an absolute floor at max|c| = 1 once let it through, with a factor 33%
+    off), subnormal ones (k = -308) included: ``symmetric_factor`` once divided
+    by a floor of 1e-300 and returned a v 100% off."""
     sys_ = biorthonormal_eigensystem(np.diag([1.0, 2.0, 3.0, 3.0]))
     one = np.ones((1, 1), dtype=complex)
     block = 10.0**k * 1e-12 * np.array([[1.0, 2.0], [3.0, 1.0]], dtype=complex)
@@ -1000,3 +1001,4 @@ def test_a_small_asymmetric_block_is_refused(k):
     assert refusal(coeffs.validate_against, sys_) == want
     assert refusal(build_tau, sys_, coeffs) == want
     assert refusal(canonicalize_tau, sys_, coeffs) == want
+    assert refusal(symmetric_factor, block) == (NotSymmetricError, "input is not complex symmetric")

@@ -394,7 +394,7 @@ def test_input_refusal_class_and_message(case):
 
 
 def test_a_zero_scale_check_passes_only_on_a_zero_residual():
-    """``make_check`` at scale max|H| max|eta| = 0 compares the raw residual
-    with 0 instead of dividing by the scale."""
+    """``make_check`` at scale max|H| max|eta| = 0 divides by the floor, the
+    least positive float, so at a tol below 1 only a zero residual passes."""
     check = is_pseudo_hermitian(np.zeros((2, 2)), np.eye(2))
     assert check.ok and check.residual == 0.0
